@@ -15,6 +15,10 @@ Figure 7   :mod:`repro.bench.size_time`          bench_fig7_overhead_entropy.py
 Figures    :mod:`repro.bench.queries_fig8_11`    bench_fig8..11_*.py
 8-11
 =========  ====================================  =========================
+
+The gated studies (throughput, materialisation, ..., dashboard) are
+rows of :data:`repro.bench.studies.STUDIES`, run by ``python -m repro
+<study>`` and gated by :mod:`repro.bench.regression`.
 """
 
 from .datasets_table import render_table1, table1_rows
@@ -37,12 +41,6 @@ from .query_kernels import (
     query_compressed,
     query_expanded,
     render_kernel_study,
-)
-from .throughput import (
-    render_throughput_study,
-    run_throughput_study,
-    throughput_workload,
-    write_throughput_json,
 )
 from .runner import METHODS, BenchContext, BuiltColumn, get_context, time_call
 from .size_time import (
@@ -90,10 +88,6 @@ __all__ = [
     "kernel_study_rows",
     "query_expanded",
     "query_compressed",
-    "render_throughput_study",
-    "run_throughput_study",
-    "throughput_workload",
-    "write_throughput_json",
     "format_table",
     "format_bytes",
     "format_seconds",

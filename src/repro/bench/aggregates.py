@@ -28,16 +28,13 @@ and for a 4-shard :class:`~repro.engine.sharded.ShardedColumnImprints`
 
 from __future__ import annotations
 
-import json
-import os
-import pathlib
-import time
-
 import numpy as np
 
 from ..core import ColumnImprints
 from ..engine import QueryExecutor, ShardedColumnImprints
 from .materialization import SWEEP_SELECTIVITIES, materialization_workload
+from .runner import best_of
+from .studies import stamp
 from .tables import format_table
 
 __all__ = [
@@ -45,7 +42,6 @@ __all__ = [
     "HEADLINE_SELECTIVITY",
     "run_aggregate_study",
     "render_aggregate_study",
-    "write_aggregates_json",
 ]
 
 #: Operations timed by the study (count rides along for completeness).
@@ -57,16 +53,6 @@ STUDY_OPS = ("sum", "min", "max", "count")
 DEFAULT_ROWS = 4_000_000
 #: The acceptance headline is quoted at this selectivity.
 HEADLINE_SELECTIVITY = 0.1
-
-
-def _best_of(repeats: int, run) -> float:
-    """Best-of-N wall-clock of ``run()`` in seconds (noise floor)."""
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - started)
-    return best
 
 
 def _reference(values: np.ndarray, ids: np.ndarray, op: str):
@@ -134,7 +120,7 @@ def run_aggregate_study(
                             f"{got!r} != reference {reference!r}"
                         )
 
-                pushdown_seconds = _best_of(
+                pushdown_seconds = best_of(
                     repeats, lambda p=predicate, o=op: index.aggregate(p, o)
                 )
 
@@ -146,8 +132,8 @@ def run_aggregate_study(
                         return np.sum(gathered)
                     return gathered.min() if o == "min" else gathered.max()
 
-                eager_seconds = _best_of(repeats, eager)
-                cached_seconds = _best_of(
+                eager_seconds = best_of(repeats, eager)
+                cached_seconds = best_of(
                     repeats,
                     lambda p=predicate, o=op: executor.aggregate("bench", p, o),
                 )
@@ -189,14 +175,11 @@ def run_aggregate_study(
             "speedup_cached_vs_eager"
         ],
     }
-    return {
+    return stamp({
         "experiment": "aggregates",
         "config": {
             "n_rows": n_rows,
-            "seed": seed,
             "repeats": repeats,
-            "smoke": smoke,
-            "cpu_count": os.cpu_count(),
             "selectivities": list(SWEEP_SELECTIVITIES),
             "ops": list(STUDY_OPS),
         },
@@ -209,14 +192,11 @@ def run_aggregate_study(
         "sweep": sweep,
         "headline": headline,
         "verified_bit_identical": verified,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-    }
+    }, seed, smoke)
 
 
-def render_aggregate_study(result: dict | None = None, **kwargs) -> str:
-    """The study as an aligned text table (runs it if not given)."""
-    if result is None:
-        result = run_aggregate_study(**kwargs)
+def render_aggregate_study(result: dict) -> str:
+    """The study as an aligned text table."""
     config = result["config"]
     rows = []
     for point in result["sweep"]:
@@ -264,11 +244,3 @@ def render_aggregate_study(result: dict | None = None, **kwargs) -> str:
         f"scalar cache hit {headline['cached_speedup_sum']:.0f}x"
     )
     return f"{table}\n{footer}"
-
-
-def write_aggregates_json(result: dict, path) -> pathlib.Path:
-    """Persist the study (the BENCH_aggregates.json artifact)."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    return path

@@ -36,17 +36,15 @@ division.  The machine-readable result lands in
 
 from __future__ import annotations
 
-import json
-import os
-import pathlib
-import time
-
 import numpy as np
 
 from ..core import ColumnImprints
 from ..engine import QueryExecutor, ShardedColumnImprints
 from ..predicate import RangePredicate
 from ..storage import Column
+from .materialization import clustered_sweep
+from .runner import best_of
+from .studies import stamp
 from .tables import format_table
 
 __all__ = [
@@ -60,7 +58,6 @@ __all__ = [
     "dashboard_workload",
     "run_dashboard_study",
     "render_dashboard_study",
-    "write_dashboard_json",
 ]
 
 #: The breakdown chart's operations.
@@ -82,16 +79,6 @@ TOP_K = 10
 N_REGIONS = 12
 
 
-def _best_of(repeats: int, run) -> float:
-    """Best-of-N wall-clock of ``run()`` in seconds (noise floor)."""
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
 def dashboard_workload(
     n_rows: int, seed: int = 0
 ) -> tuple[Column, np.ndarray, dict[float, RangePredicate]]:
@@ -102,25 +89,13 @@ def dashboard_workload(
     as in the real datasets dashboards slice.
     """
     rng = np.random.default_rng(seed)
-    values = (np.cumsum(rng.normal(0.0, 30.0, n_rows)) + 50_000.0).astype(
-        np.int32
+    column, predicates = clustered_sweep(
+        rng, n_rows, SWEEP_SELECTIVITIES, "bench.dashboard"
     )
-    column = Column(values, name="bench.dashboard")
     region_names = np.array([f"region-{i:02d}" for i in range(N_REGIONS)])
     weights = 1.0 / np.arange(1, N_REGIONS + 1)  # zipf-ish skew
     codes = rng.choice(N_REGIONS, size=n_rows, p=weights / weights.sum())
-    labels = region_names[codes]
-    sorted_values = np.sort(values)
-    predicates: dict[float, RangePredicate] = {}
-    for selectivity in SWEEP_SELECTIVITIES:
-        width = max(1, int(selectivity * n_rows))
-        position = (n_rows - width) // 2
-        low = int(sorted_values[position])
-        high = int(sorted_values[min(position + width, n_rows - 1)])
-        predicates[selectivity] = RangePredicate.range(
-            low, max(high, low + 1), column.ctype
-        )
-    return column, labels, predicates
+    return column, region_names[codes], predicates
 
 
 def _grouped_reference(values, codes, ids, op: str, labels) -> dict:
@@ -246,7 +221,7 @@ def run_dashboard_study(
 
             # --- timing: pushdown vs materialise-then-group vs cache hit
             for op in GROUP_OPS_STUDIED:
-                pushdown_seconds = _best_of(
+                pushdown_seconds = best_of(
                     repeats,
                     lambda p=predicate, o=op: index.aggregate_grouped(
                         p, o, "region"
@@ -269,8 +244,8 @@ def run_dashboard_study(
                     present = counts > 0
                     return sums[present] / counts[present]
 
-                eager_seconds = _best_of(repeats, eager)
-                cached_seconds = _best_of(
+                eager_seconds = best_of(repeats, eager)
+                cached_seconds = best_of(
                     repeats,
                     lambda p=predicate, o=op: executor.aggregate_grouped(
                         "trips", p, o, "region"
@@ -292,7 +267,7 @@ def run_dashboard_study(
                     ),
                 }
             for op in MOMENT_OPS_STUDIED:
-                pushdown_seconds = _best_of(
+                pushdown_seconds = best_of(
                     repeats, lambda p=predicate, o=op: index.aggregate(p, o)
                 )
 
@@ -300,7 +275,7 @@ def run_dashboard_study(
                     gathered = values[index.query(p).ids].astype(np.float64)
                     return gathered.mean() if o == "avg" else gathered.var()
 
-                eager_seconds = _best_of(repeats, eager_moment)
+                eager_seconds = best_of(repeats, eager_moment)
                 point["moments"][op] = {
                     "pushdown_seconds": pushdown_seconds,
                     "eager_seconds": eager_seconds,
@@ -310,7 +285,7 @@ def run_dashboard_study(
                         else float("inf")
                     ),
                 }
-            topk_pushdown = _best_of(
+            topk_pushdown = best_of(
                 repeats, lambda p=predicate: index.top_k(p, TOP_K)
             )
 
@@ -322,7 +297,7 @@ def run_dashboard_study(
                     )[-TOP_K:]
                 return np.sort(gathered)[::-1]
 
-            topk_eager = _best_of(repeats, eager_topk)
+            topk_eager = best_of(repeats, eager_topk)
             point["topk"] = {
                 "pushdown_seconds": topk_pushdown,
                 "eager_seconds": topk_eager,
@@ -360,14 +335,11 @@ def run_dashboard_study(
         },
         "topk_speedup_vs_eager": headline_point["topk"]["speedup_vs_eager"],
     }
-    return {
+    return stamp({
         "experiment": "dashboard",
         "config": {
             "n_rows": n_rows,
-            "seed": seed,
             "repeats": repeats,
-            "smoke": smoke,
-            "cpu_count": os.cpu_count(),
             "selectivities": list(SWEEP_SELECTIVITIES),
             "group_ops": list(GROUP_OPS_STUDIED),
             "moment_ops": list(MOMENT_OPS_STUDIED),
@@ -386,14 +358,11 @@ def run_dashboard_study(
         "sweep": sweep,
         "headline": headline,
         "verified_bit_identical": verified,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-    }
+    }, seed, smoke)
 
 
-def render_dashboard_study(result: dict | None = None, **kwargs) -> str:
-    """The study as an aligned text table (runs it if not given)."""
-    if result is None:
-        result = run_dashboard_study(**kwargs)
+def render_dashboard_study(result: dict) -> str:
+    """The study as an aligned text table."""
     config = result["config"]
     rows = []
     for point in result["sweep"]:
@@ -449,11 +418,3 @@ def render_dashboard_study(result: dict | None = None, **kwargs) -> str:
         f"{headline['cached_speedup_grouped_sum']:.0f}x"
     )
     return f"{table}\n{footer}"
-
-
-def write_dashboard_json(result: dict, path) -> pathlib.Path:
-    """Persist the study (the BENCH_dashboard.json artifact)."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    return path

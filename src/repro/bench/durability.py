@@ -22,12 +22,11 @@ Three questions, all against the real
 
 The machine-readable result lands in
 ``benchmarks/results/BENCH_durability.json`` and is gated by
-``repro.bench.regression --durability``.
+its gate row in :mod:`repro.bench.studies`.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 import shutil
 import tempfile
@@ -35,14 +34,14 @@ import time
 
 import numpy as np
 
+from .studies import stamp
+
 __all__ = [
     "DEFAULT_ROWS",
     "DEFAULT_MUTATIONS",
     "GROUP_WINDOWS",
-    "scaled_defaults",
     "run_durability_study",
     "render_durability_study",
-    "write_durability_json",
 ]
 
 DEFAULT_ROWS = 200_000
@@ -53,14 +52,6 @@ GROUP_WINDOWS = (0.0, 0.01)
 RECOVERY_FRACTIONS = (0.25, 0.5, 1.0)
 #: Rows per append record in the mutation stream.
 _APPEND_BATCH = 8
-
-
-def scaled_defaults(scale: float) -> dict:
-    """Workload size for a dataset scale factor."""
-    return {
-        "n_rows": max(20_000, int(DEFAULT_ROWS * scale)),
-        "n_mutations": max(400, int(DEFAULT_MUTATIONS * min(scale, 1.0))),
-    }
 
 
 def _mutation_stream(rng: np.random.Generator, n_rows: int, n_mutations: int):
@@ -257,7 +248,7 @@ def run_durability_study(
             2,
         ) if half_recovery else None,
     }
-    return {
+    return stamp({
         "study": "durability",
         "config": {
             "n_rows": n_rows,
@@ -265,8 +256,6 @@ def run_durability_study(
             "append_batch": _APPEND_BATCH,
             "group_windows_s": list(GROUP_WINDOWS),
             "recovery_fractions": list(RECOVERY_FRACTIONS),
-            "seed": seed,
-            "smoke": smoke,
         },
         "verified_bit_identical": verified,
         "memory_baseline": {
@@ -276,7 +265,7 @@ def run_durability_study(
         "windows": windows,
         "recovery": recovery,
         "headline": headline,
-    }
+    }, seed, smoke)
 
 
 def render_durability_study(result: dict) -> str:
@@ -326,11 +315,3 @@ def render_durability_study(result: dict) -> str:
         ),
     )
     return f"{table}\n\n{recovery_table}"
-
-
-def write_durability_json(result: dict, path) -> pathlib.Path:
-    """Persist the study result (the BENCH_durability.json artifact)."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    return path

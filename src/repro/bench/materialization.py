@@ -23,24 +23,21 @@ truth before timing.  The machine-readable result lands in
 
 from __future__ import annotations
 
-import json
-import os
-import pathlib
-import time
-
 import numpy as np
 
 from ..core import ColumnImprints
 from ..predicate import RangePredicate
 from ..storage import Column
+from .runner import best_of
+from .studies import stamp
 from .tables import format_table
 
 __all__ = [
     "SWEEP_SELECTIVITIES",
+    "clustered_sweep",
     "materialization_workload",
     "run_materialization_study",
     "render_materialization_study",
-    "write_materialization_json",
 ]
 
 #: Fractions of the column each sweep point targets (0.05% – 20%).
@@ -51,18 +48,18 @@ DEFAULT_ROWS = 2_000_000
 HEADLINE_SELECTIVITY = 0.1
 
 
-def materialization_workload(
-    n_rows: int, seed: int = 0
+def clustered_sweep(
+    rng: np.random.Generator, n_rows: int, selectivities, name: str
 ) -> tuple[Column, dict[float, RangePredicate]]:
-    """A clustered column plus one range predicate per sweep point."""
-    rng = np.random.default_rng(seed)
+    """A clustered random-walk column plus one range predicate per
+    target selectivity, each centred in the sorted value order."""
     values = (np.cumsum(rng.normal(0.0, 30.0, n_rows)) + 50_000.0).astype(
         np.int32
     )
-    column = Column(values, name="bench.materialization")
+    column = Column(values, name=name)
     sorted_values = np.sort(values)
     predicates: dict[float, RangePredicate] = {}
-    for selectivity in SWEEP_SELECTIVITIES:
+    for selectivity in selectivities:
         width = max(1, int(selectivity * n_rows))
         position = (n_rows - width) // 2
         low = int(sorted_values[position])
@@ -73,14 +70,14 @@ def materialization_workload(
     return column, predicates
 
 
-def _best_of(repeats: int, run) -> float:
-    """Best-of-N wall-clock of ``run()`` in seconds (noise floor)."""
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - started)
-    return best
+def materialization_workload(
+    n_rows: int, seed: int = 0
+) -> tuple[Column, dict[float, RangePredicate]]:
+    """A clustered column plus one range predicate per sweep point."""
+    return clustered_sweep(
+        np.random.default_rng(seed), n_rows, SWEEP_SELECTIVITIES,
+        "bench.materialization",
+    )
 
 
 def run_materialization_study(
@@ -116,14 +113,14 @@ def run_materialization_study(
             )
         rowset = result.row_set
 
-        eager_seconds = _best_of(
+        eager_seconds = best_of(
             repeats, lambda p=predicate: index.query(p).ids
         )
-        lazy_seconds = _best_of(
+        lazy_seconds = best_of(
             repeats, lambda p=predicate: index.query(p).count()
         )
         cached = index.query(predicate)
-        cached_seconds = _best_of(repeats, cached.count)
+        cached_seconds = best_of(repeats, cached.count)
 
         sweep.append(
             {
@@ -155,14 +152,11 @@ def run_materialization_study(
         ),
         sweep[-1],
     )
-    return {
+    return stamp({
         "experiment": "materialization",
         "config": {
             "n_rows": n_rows,
-            "seed": seed,
             "repeats": repeats,
-            "smoke": smoke,
-            "cpu_count": os.cpu_count(),
             "selectivities": list(SWEEP_SELECTIVITIES),
         },
         "sweep": sweep,
@@ -177,14 +171,11 @@ def run_materialization_study(
             ),
         },
         "verified_bit_identical": True,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-    }
+    }, seed, smoke)
 
 
-def render_materialization_study(result: dict | None = None, **kwargs) -> str:
-    """The study as an aligned text table (runs it if not given)."""
-    if result is None:
-        result = run_materialization_study(**kwargs)
+def render_materialization_study(result: dict) -> str:
+    """The study as an aligned text table."""
     config = result["config"]
     rows = []
     for point in result["sweep"]:
@@ -228,11 +219,3 @@ def render_materialization_study(result: dict | None = None, **kwargs) -> str:
         f"answer {headline['compression']:.0f}x smaller as RowSet"
     )
     return f"{table}\n{footer}"
-
-
-def write_materialization_json(result: dict, path) -> pathlib.Path:
-    """Persist the study (the BENCH_materialization.json artifact)."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    return path

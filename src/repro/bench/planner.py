@@ -29,9 +29,6 @@ the low-selectivity (wide, unclustered) segment.
 
 from __future__ import annotations
 
-import json
-import os
-import pathlib
 import time
 
 import numpy as np
@@ -40,6 +37,7 @@ from ..core import ColumnImprints
 from ..engine import MultiBackendIndex, QueryExecutor, QueryPlanner
 from ..predicate import RangePredicate
 from ..storage import Column
+from .studies import stamp
 from .tables import format_table
 
 __all__ = [
@@ -47,7 +45,6 @@ __all__ = [
     "planner_workload",
     "run_planner_study",
     "render_planner_study",
-    "write_planner_json",
 ]
 
 #: (segment name, column name, target selectivity, relative weight).
@@ -248,15 +245,12 @@ def run_planner_study(
         planner_executor.close()
 
     low_selectivity = "random-unselective"
-    return {
+    return stamp({
         "experiment": "planner",
         "config": {
             "n_rows": n_rows,
             "queries_per_segment": queries_per_segment,
-            "seed": seed,
-            "smoke": smoke,
             "backends": list(kinds),
-            "cpu_count": os.cpu_count(),
             "segments": [
                 {"name": name, "column": col, "selectivity": sel}
                 for name, col, sel, _ in SEGMENTS
@@ -274,14 +268,11 @@ def run_planner_study(
         },
         "planner": planner.stats_payload(),
         "verified_bit_identical": verified,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-    }
+    }, seed, smoke)
 
 
-def render_planner_study(result: dict | None = None, **kwargs) -> str:
-    """The study as an aligned text table (runs it if not given)."""
-    if result is None:
-        result = run_planner_study(**kwargs)
+def render_planner_study(result: dict) -> str:
+    """The study as an aligned text table."""
     config = result["config"]
     rows = []
     for segment, numbers in result["segments"].items():
@@ -323,10 +314,3 @@ def render_planner_study(result: dict | None = None, **kwargs) -> str:
         f"always-imprints on the low-selectivity segment\n"
         f"plans: {result['planner']['plans']}"
     )
-
-
-def write_planner_json(result: dict, path) -> None:
-    """Write the machine-readable artifact CI tracks per commit."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")

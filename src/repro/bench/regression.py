@@ -1,1008 +1,223 @@
-"""Benchmark regression gates — compare fresh bench runs to baselines.
+"""Benchmark regression gate — compare fresh study runs to baselines.
 
-The ROADMAP asks for a regression gate over the per-commit benchmark
-artifacts: ``BENCH_throughput.json`` (always) and, as history
-accumulated, ``BENCH_materialization.json`` (via ``--materialization``).
-Wall-clock numbers are not comparable across machines (CI runners
-differ from the reference container), so the gates check the
-*machine-portable* invariants:
+Every gated study has a gate row in :data:`repro.bench.studies.STUDIES`
+and :func:`gate` evaluates any of them.  Wall-clock numbers are not
+comparable across machines (CI runners differ from the reference box),
+so a row checks the *machine-portable* parts of a run:
 
-* the fresh run verified every mode bit-identical to the serial
-  baseline (a hard failure otherwise);
-* sharded mode is not slower than serial beyond the tolerance — the
-  specific regression the inline-dispatch fix addresses.  Applied to
-  full-size runs only: smoke workloads finish in tens of milliseconds
-  per mode, where thread-pool jitter alone exceeds any tolerance;
-* mode speedups (``speedup_vs_serial``, a within-run ratio) have not
-  dropped more than ``tolerance`` below the baseline's — checked when
-  the two runs used the same workload shape (rows/queries/shards and
-  smoke-ness).  Core counts may differ between the reference container
-  and a CI runner; the check is one-sided (more cores must not make
-  the engine *slower* relative to serial) and the tolerance absorbs
-  scheduler variance.
+* hard invariants — answers verified bit-identical, the serving
+  overload contract, recovery and replication convergence — which
+  fail immediately, no tolerance;
+* full-size floors and ceilings — the acceptance headline each study
+  exists to prove (sharded not slower than serial, first page >= 10x
+  eager, planner within 10% of the best static backend, ...), widened
+  by the ±25% tolerance and skipped on ``--smoke`` runs, whose timings
+  sit at the noise floor;
+* within-run ratios that must not drift more than ±25% from a baseline
+  run of the same workload shape (the row's ``comparable`` config
+  keys; ``cpu_count`` is deliberately not one of them, so a CI runner
+  still compares against the reference box).
 
-For the materialisation study the same shape applies: the fresh run
-must have verified its forced ids bit-identical, and the headline
-count-vs-eager / cached-vs-eager speedup ratios must not drop more than
-the tolerance below a baseline of the same workload shape.
+With ``REPRO_ASSERT_SPEEDUP`` set, full-size runs must also clear the
+opt-in speedup claims.
 
-The streaming study (``--streaming``) adds one self-contained
-invariant on top: full-size runs must keep the first-page-vs-eager
-headline at or above the acceptance floor (10x minus the tolerance) —
-first-page latency staying near O(page) instead of O(answer) is the
-whole point of the pipeline, so losing it is a regression even without
-a baseline to compare against.
+Usage (what CI runs after writing fresh artifacts into ``FRESH_DIR``)::
 
-The planner study (``--planner``) gates the self-tuning access-path
-planner: the bit-identical verification (every answer of every mode —
-four forced static backends plus the free planner — against the serial
-imprints oracle) is a hard invariant, and full-size runs must keep the
-two headline claims that justify the planner's existence: within 10%
-of the best static backend on every segment (plus tolerance), and
-faster than always-imprints on the low-selectivity segment where the
-paper's Section 6.3 cost model says a scan must win.
+    python -m repro.bench.regression FRESH_DIR --baseline benchmarks/results
 
-The dashboard study (``--dashboard``) gates the GROUP BY / moment /
-top-k pushdown lanes: the run must have verified every grouped,
-moment, and top-k answer — serial, 4-shard recombination, and executor
-cache — against exact NumPy references before timing (hard invariant),
-and full-size runs must keep grouped COUNT/SUM/AVG at or above the
-acceptance floor (5x over materialise-then-group at 10% selectivity,
-minus the tolerance) — answering dashboards from the sidecar instead
-of row ids is the feature's whole point.
-
-Usage (what CI runs after the full-size bench)::
-
-    python -m repro.bench.regression FRESH.json --baseline BASELINE.json \
-        --materialization MAT.json --materialization-baseline MAT_BASE.json \
-        --streaming STREAM.json --streaming-baseline STREAM_BASE.json \
-        --durability DUR.json --durability-baseline DUR_BASE.json \
-        --replication REPL.json --replication-baseline REPL_BASE.json \
-        --planner PLAN.json --planner-baseline PLAN_BASE.json \
-        --dashboard DASH.json --dashboard-baseline DASH_BASE.json
-
-Exit status 0 means no regression; 1 lists the failures.
+Every ``BENCH_<study>.json`` in ``FRESH_DIR`` with a gate row is gated
+against the same-named file in the baseline directory, if any.  Exit
+status 0 means no regression; 1 lists the failures; 2 means there was
+nothing to gate.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import operator
+import os
 import pathlib
 
-__all__ = [
-    "DEFAULT_TOLERANCE",
-    "MIN_FIRST_PAGE_SPEEDUP",
-    "load_result",
-    "comparable_configs",
-    "check_throughput_regression",
-    "check_materialization_regression",
-    "check_streaming_regression",
-    "check_serving_regression",
-    "check_durability_regression",
-    "check_replication_regression",
-    "check_planner_regression",
-    "MAX_PLANNER_VS_BEST_STATIC",
-    "MIN_UNSELECTIVE_SPEEDUP",
-    "check_dashboard_regression",
-    "MIN_GROUPED_SPEEDUP",
-    "main",
-]
+from .studies import STUDIES, TOLERANCE
 
-#: Allowed relative drop before the gate fires (±25%).
-DEFAULT_TOLERANCE = 0.25
+__all__ = ["comparable", "gate", "main"]
 
-#: Config keys that must agree for cross-run speedups to be comparable.
-#: ``cpu_count`` deliberately absent: the committed baseline comes from
-#: the reference container and CI runners differ; within-run speedup
-#: ratios are the machine-portable part, and the gate is one-sided.
-_COMPARABLE_KEYS = ("n_rows", "n_queries", "n_shards", "smoke")
+_OPS = {">=": operator.ge, "<=": operator.le, "==": operator.eq}
 
 
-def load_result(path) -> dict:
-    """Read one ``BENCH_throughput.json`` result."""
-    return json.loads(pathlib.Path(path).read_text())
+def _child(doc, key):
+    if isinstance(doc, list):
+        return doc[int(key)] if -len(doc) <= int(key) < len(doc) else None
+    return doc.get(key) if isinstance(doc, dict) else None
 
 
-def comparable_configs(fresh: dict, baseline: dict) -> bool:
-    """Whether two runs' speedup ratios can be compared meaningfully."""
+def _expand(doc, path: str, other=None) -> list[tuple[str, object]]:
+    """``(concrete path, value)`` pairs for ``path`` (value ``None`` if
+    missing).  ``*`` matches every list element or dict key — only the
+    ones ``other`` also has, when given."""
+    head, _, rest = path.partition(".")
+    keys = [head]
+    if head == "*":
+        keys = range(len(doc)) if isinstance(doc, list) else list(doc or ())
+        if other is not None:
+            keys = [key for key in keys if _child(other, key) is not None]
+    pairs = []
+    for key in keys:
+        child = _child(doc, key)
+        if not rest:
+            pairs.append((str(key), child))
+            continue
+        nested = None if other is None else _child(other, key)
+        pairs += [
+            (f"{key}.{where}", value)
+            for where, value in _expand(child, rest, nested)
+        ]
+    return pairs
+
+
+def _fmt(value) -> str:
+    return f"{value:.2f}" if isinstance(value, float) else repr(value)
+
+
+def _value(doc, path: str):
+    """One field by dotted path (``None`` if missing); ``a/b`` divides
+    two fields and is ``None`` unless both are non-zero."""
+    if "/" in path:
+        numerator, denominator = (_value(doc, p) for p in path.split("/"))
+        return numerator / denominator if numerator and denominator else None
+    return _expand(doc, path)[0][1]
+
+
+def comparable(name: str, fresh: dict, baseline: dict) -> bool:
+    """Whether two runs share the workload shape the row compares on."""
     fresh_config = fresh.get("config", {})
     baseline_config = baseline.get("config", {})
     return all(
         fresh_config.get(key) == baseline_config.get(key)
-        for key in _COMPARABLE_KEYS
+        for key in STUDIES[name].get("comparable", ())
     )
 
 
-def check_throughput_regression(
+def _widen(limit: float, op: str, tolerance: float) -> float:
+    """``limit`` loosened by ``tolerance`` in the direction ``op`` allows."""
+    if op == ">=":
+        return limit * (1.0 - tolerance)
+    return limit * (1.0 + tolerance) if op == "<=" else limit
+
+
+def _check(name: str, fresh: dict, check, tolerance: float) -> list[str]:
+    path, op, limit, why = check
+    failures = []
+    for where, got in _expand(fresh, path):
+        if isinstance(limit, str):  # cross-field: both sides must exist
+            bound = _value(fresh, limit)
+            if got is None or not bound:
+                continue
+        else:
+            bound = _widen(limit, op, tolerance)
+        if got is None or not _OPS[op](got, bound):
+            failures.append(
+                f"{name}: {why}: {where} = {_fmt(got)}, needs {op} {_fmt(bound)}"
+            )
+    return failures
+
+
+def _drift(name: str, fresh: dict, baseline: dict, path: str, op: str):
+    pairs = (
+        [(path, _value(fresh, path))]
+        if "/" in path
+        else _expand(fresh, path, baseline)
+    )
+    failures = []
+    for where, got in pairs:
+        base = _value(baseline, where)
+        if base is None:
+            continue
+        bound = _widen(base, op, TOLERANCE)
+        got = 0.0 if got is None else got
+        if not _OPS[op](got, bound):
+            failures.append(
+                f"{name} {where} {'regressed' if op == '>=' else 'grew'}: "
+                f"{got:.2f}, needs {op} {bound:.2f} (baseline {base:.2f} "
+                f"± {TOLERANCE:.0%})"
+            )
+    return failures
+
+
+def gate(
+    name: str,
     fresh: dict,
     baseline: dict | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
+    opt_in: bool = False,
 ) -> list[str]:
-    """Gate a fresh throughput result; returns the list of failures.
+    """Evaluate study ``name``'s gate row; returns the failures.
 
     An empty list means the gate passes.  ``baseline`` may be ``None``
-    (first run ever): only the self-contained invariants are checked.
+    (first run ever): only the self-contained checks run.  ``opt_in``
+    adds the ``REPRO_ASSERT_SPEEDUP`` claims.
     """
-    if not 0.0 <= tolerance < 1.0:
-        raise ValueError(f"tolerance must be in [0, 1), got {tolerance}")
-    failures: list[str] = []
-
-    if not fresh.get("verified_bit_identical"):
-        failures.append("fresh run did not verify answers bit-identical")
-
-    modes = fresh.get("modes", {})
-    sharded = modes.get("sharded", {})
-    sharded_speedup = sharded.get("speedup_vs_serial", 0.0)
-    # Smoke workloads run tens of milliseconds per mode — pure noise for
-    # a wall-clock invariant — so the not-slower-than-serial check only
-    # gates full-size runs.
-    if not fresh.get("config", {}).get("smoke") and (
-        sharded_speedup < 1.0 - tolerance
-    ):
-        failures.append(
-            f"sharded mode is slower than serial: "
-            f"{sharded_speedup:.2f}x < {1.0 - tolerance:.2f}x "
-            f"(dispatch={sharded.get('dispatch_mode', '?')})"
-        )
-
-    if baseline is not None and comparable_configs(fresh, baseline):
-        for name, numbers in baseline.get("modes", {}).items():
-            if name == "serial" or name not in modes:
-                continue
-            floor = numbers.get("speedup_vs_serial", 0.0) * (1.0 - tolerance)
-            got = modes[name].get("speedup_vs_serial", 0.0)
-            if got < floor:
-                failures.append(
-                    f"{name} speedup regressed: {got:.2f}x < "
-                    f"{floor:.2f}x (baseline "
-                    f"{numbers.get('speedup_vs_serial', 0.0):.2f}x - "
-                    f"{tolerance:.0%})"
-                )
-    return failures
-
-
-#: Config keys that must agree for materialisation speedups to compare.
-_MAT_COMPARABLE_KEYS = ("n_rows", "smoke")
-
-#: Headline ratios the materialisation gate tracks.
-_MAT_HEADLINE_KEYS = ("speedup_count_vs_eager", "speedup_cached_vs_eager")
-
-
-def _materialization_comparable(fresh: dict, baseline: dict) -> bool:
-    fresh_config = fresh.get("config", {})
-    baseline_config = baseline.get("config", {})
-    return all(
-        fresh_config.get(key) == baseline_config.get(key)
-        for key in _MAT_COMPARABLE_KEYS
-    )
-
-
-def check_materialization_regression(
-    fresh: dict,
-    baseline: dict | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> list[str]:
-    """Gate a fresh ``BENCH_materialization.json``; returns failures.
-
-    Mirrors :func:`check_throughput_regression`: the bit-identical
-    verification is a hard invariant; the headline speedup ratios
-    (count-only and cache-hit consumption vs eager materialisation) are
-    compared against a baseline of the same workload shape with the
-    usual one-sided tolerance.
-    """
-    if not 0.0 <= tolerance < 1.0:
-        raise ValueError(f"tolerance must be in [0, 1), got {tolerance}")
-    failures: list[str] = []
-    if not fresh.get("verified_bit_identical"):
-        failures.append(
-            "materialisation run did not verify forced ids bit-identical"
-        )
-    if baseline is not None and _materialization_comparable(fresh, baseline):
-        fresh_headline = fresh.get("headline", {})
-        baseline_headline = baseline.get("headline", {})
-        for key in _MAT_HEADLINE_KEYS:
-            floor = baseline_headline.get(key, 0.0) * (1.0 - tolerance)
-            got = fresh_headline.get(key, 0.0)
-            if got < floor:
-                failures.append(
-                    f"materialisation {key} regressed: {got:.2f}x < "
-                    f"{floor:.2f}x (baseline "
-                    f"{baseline_headline.get(key, 0.0):.2f}x - {tolerance:.0%})"
-                )
-    return failures
-
-
-#: Config keys that must agree for streaming speedups to compare.
-_STREAM_COMPARABLE_KEYS = ("n_rows", "page_size", "smoke")
-
-#: Headline ratios the streaming gate tracks against a baseline.
-_STREAM_HEADLINE_KEYS = (
-    "speedup_first_page_vs_eager",
-    "speedup_sharded_page_vs_eager",
-    "speedup_executor_page_vs_eager",
-)
-
-#: The acceptance floor: first-page latency at the headline selectivity
-#: must beat eager materialisation by at least this factor on full-size
-#: runs (the tolerance is applied on top).
-MIN_FIRST_PAGE_SPEEDUP = 10.0
-
-
-def _streaming_comparable(fresh: dict, baseline: dict) -> bool:
-    fresh_config = fresh.get("config", {})
-    baseline_config = baseline.get("config", {})
-    return all(
-        fresh_config.get(key) == baseline_config.get(key)
-        for key in _STREAM_COMPARABLE_KEYS
-    )
-
-
-def check_streaming_regression(
-    fresh: dict,
-    baseline: dict | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> list[str]:
-    """Gate a fresh ``BENCH_streaming.json``; returns failures.
-
-    Three layers: the bit-identical verification (paged output equals
-    forced ids across serial/sharded/executor) is a hard invariant; the
-    first-page-vs-eager headline must clear the acceptance floor on
-    full-size runs (smoke workloads finish in microseconds per page,
-    where the kernel dominates and the ratio is meaningless); and the
-    headline ratios are compared against a same-shape baseline with the
-    usual one-sided tolerance.
-    """
-    if not 0.0 <= tolerance < 1.0:
-        raise ValueError(f"tolerance must be in [0, 1), got {tolerance}")
-    failures: list[str] = []
-    if not fresh.get("verified_bit_identical"):
-        failures.append(
-            "streaming run did not verify paged output bit-identical"
-        )
-    headline = fresh.get("headline", {})
-    if not fresh.get("config", {}).get("smoke"):
-        floor = MIN_FIRST_PAGE_SPEEDUP * (1.0 - tolerance)
-        got = headline.get("speedup_first_page_vs_eager", 0.0)
-        if got < floor:
-            failures.append(
-                f"first-page latency invariant lost: "
-                f"{got:.2f}x < {floor:.2f}x "
-                f"({MIN_FIRST_PAGE_SPEEDUP:.0f}x - {tolerance:.0%}) "
-                f"vs eager materialisation"
-            )
-    if baseline is not None and _streaming_comparable(fresh, baseline):
-        baseline_headline = baseline.get("headline", {})
-        for key in _STREAM_HEADLINE_KEYS:
-            floor = baseline_headline.get(key, 0.0) * (1.0 - tolerance)
-            got = headline.get(key, 0.0)
-            if got < floor:
-                failures.append(
-                    f"streaming {key} regressed: {got:.2f}x < "
-                    f"{floor:.2f}x (baseline "
-                    f"{baseline_headline.get(key, 0.0):.2f}x - {tolerance:.0%})"
-                )
-    return failures
-
-
-#: Config keys that must agree for serving latencies to compare.
-_SERVING_COMPARABLE_KEYS = (
-    "n_rows",
-    "n_requests",
-    "max_inflight",
-    "max_waiting",
-    "rate_multiplier",
-    "smoke",
-)
-
-
-def _serving_comparable(fresh: dict, baseline: dict) -> bool:
-    fresh_config = fresh.get("config", {})
-    baseline_config = baseline.get("config", {})
-    return all(
-        fresh_config.get(key) == baseline_config.get(key)
-        for key in _SERVING_COMPARABLE_KEYS
-    )
-
-
-def check_serving_regression(
-    fresh: dict,
-    baseline: dict | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> list[str]:
-    """Gate a fresh ``BENCH_serving.json``; returns failures.
-
-    The hard invariants are the overload contract itself, all
-    machine-portable:
-
-    * the open-loop run finished (``completed`` — its absence means a
-      request hung forever: a deadlock somewhere in admission, the
-      executor bridge, or the HTTP pipeline);
-    * the accounting balances — served + fast-rejected + timed-out +
-      errors equals issued, i.e. *rejected-not-dropped*: load shedding
-      answered every request, none vanished into an unbounded queue;
-    * zero transport/500 errors, and every served answer (degraded or
-      not) matched the pre-computed oracle count;
-    * on full-size runs, the p99 of *accepted* requests stays under the
-      request budget (an accepted request that took longer than its
-      deadline means the deadline path leaks), and fast rejection is
-      actually fast — the rejection p95 must not exceed the accepted
-      p99 (shedding that costs as much as serving is not shedding).
-
-    Against a same-shape baseline the accepted-latency tail ratio
-    (p99/p50) must not grow beyond the tolerance — wall-clock numbers
-    are machine-specific, the tail *shape* is the portable part.
-    """
-    if not 0.0 <= tolerance < 1.0:
-        raise ValueError(f"tolerance must be in [0, 1), got {tolerance}")
-    failures: list[str] = []
-    if not fresh.get("completed"):
-        failures.append(
-            "serving run did not complete — a request hung past the "
-            "guard timeout (deadlock)"
-        )
-    if not fresh.get("accounting_balanced"):
-        failures.append(
-            f"serving accounting does not balance: "
-            f"served={fresh.get('served')} + rejected={fresh.get('rejected')}"
-            f" + timed_out={fresh.get('timed_out')} + "
-            f"errors={fresh.get('errors')} != issued={fresh.get('issued')}"
-        )
-    if fresh.get("errors"):
-        failures.append(
-            f"serving run recorded {fresh.get('errors')} errors "
-            f"(statuses {fresh.get('error_statuses')})"
-        )
-    if not fresh.get("verified_counts"):
-        failures.append(
-            "a served answer disagreed with the oracle (wrong count/ids)"
-        )
-    if fresh.get("served", 0) < 1:
-        failures.append("no request was served at all")
-
-    latency = fresh.get("latency_ms", {})
-    reject = fresh.get("reject_latency_ms", {})
-    if not fresh.get("config", {}).get("smoke"):
-        budget = fresh.get("config", {}).get("timeout_ms", 0.0)
-        p99 = latency.get("p99")
-        if p99 is not None and budget and p99 > budget:
-            failures.append(
-                f"accepted p99 exceeds the request budget: "
-                f"{p99:.1f}ms > {budget:.0f}ms — the deadline path leaks"
-            )
-        if (
-            reject.get("p95") is not None
-            and p99 is not None
-            and reject["p95"] > p99
-        ):
-            failures.append(
-                f"fast rejection is slower than serving: reject p95 "
-                f"{reject['p95']:.1f}ms > accepted p99 {p99:.1f}ms"
-            )
-    if baseline is not None and _serving_comparable(fresh, baseline):
-        base_latency = baseline.get("latency_ms", {})
-        if (
-            latency.get("p50")
-            and latency.get("p99")
-            and base_latency.get("p50")
-            and base_latency.get("p99")
-        ):
-            fresh_tail = latency["p99"] / latency["p50"]
-            base_tail = base_latency["p99"] / base_latency["p50"]
-            ceiling = base_tail * (1.0 + tolerance)
-            if fresh_tail > ceiling:
-                failures.append(
-                    f"accepted-latency tail widened: p99/p50 "
-                    f"{fresh_tail:.2f} > {ceiling:.2f} (baseline "
-                    f"{base_tail:.2f} + {tolerance:.0%})"
-                )
-    return failures
-
-
-#: Config keys that must agree for durability ratios to compare.
-_DURABILITY_COMPARABLE_KEYS = ("n_rows", "n_mutations", "smoke")
-
-#: Headline ratios the durability gate tracks against a baseline, with
-#: the direction a regression moves each one: overhead ratios grow,
-#: speedups shrink.
-_DURABILITY_CEILING_KEYS = ("wal_overhead_ratio",)
-_DURABILITY_FLOOR_KEYS = ("group_commit_speedup",)
-
-
-def _durability_comparable(fresh: dict, baseline: dict) -> bool:
-    fresh_config = fresh.get("config", {})
-    baseline_config = baseline.get("config", {})
-    return all(
-        fresh_config.get(key) == baseline_config.get(key)
-        for key in _DURABILITY_COMPARABLE_KEYS
-    )
-
-
-def check_durability_regression(
-    fresh: dict,
-    baseline: dict | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> list[str]:
-    """Gate a fresh ``BENCH_durability.json``; returns failures.
-
-    The hard invariant is correctness: the run must have verified every
-    recovered logical column **bit-identical** to the NumPy oracle —
-    overall and at every point on the recovery curve.  A fast recovery
-    of the wrong state gates immediately, no tolerance.
-
-    The soft invariants are the within-run cost ratios (wall-clock is
-    machine-specific; ratios between two phases of the same run are the
-    portable part), compared against a same-shape baseline on full-size
-    runs: the WAL-vs-memory overhead ratio must not grow more than the
-    tolerance, and the group-commit speedup over fsync-per-mutation
-    must not shrink more than it.  Smoke workloads fsync a few hundred
-    times in a few milliseconds, where filesystem jitter swamps any
-    tolerance — they check the hard invariant only.
-    """
-    if not 0.0 <= tolerance < 1.0:
-        raise ValueError(f"tolerance must be in [0, 1), got {tolerance}")
-    failures: list[str] = []
-    if not fresh.get("verified_bit_identical"):
-        failures.append(
-            "durability run did not verify recovered state bit-identical "
-            "to the oracle"
-        )
-    for point in fresh.get("recovery", []):
-        if not point.get("bit_identical"):
-            failures.append(
-                f"recovery at log fraction {point.get('log_fraction')} was "
-                f"not bit-identical to the oracle"
-            )
-    smoke = fresh.get("config", {}).get("smoke")
+    row = STUDIES[name]
+    full_size = not fresh.get("config", {}).get("smoke")
+    failures = []
+    for check in row.get("invariants", ()):
+        failures += _check(name, fresh, check, 0.0)
+    if full_size:
+        for check in row.get("full", ()):
+            failures += _check(name, fresh, check, TOLERANCE)
+        for check in row.get("opt_in", ()) if opt_in else ():
+            failures += _check(name, fresh, check, 0.0)
     if (
         baseline is not None
-        and not smoke
-        and _durability_comparable(fresh, baseline)
+        and (full_size or not row.get("full_size_baseline"))
+        and comparable(name, fresh, baseline)
     ):
-        headline = fresh.get("headline", {})
-        base_headline = baseline.get("headline", {})
-        for key in _DURABILITY_CEILING_KEYS:
-            ceiling = base_headline.get(key, float("inf")) * (1.0 + tolerance)
-            got = headline.get(key, 0.0)
-            if got > ceiling:
-                failures.append(
-                    f"durability {key} grew: {got:.2f}x > {ceiling:.2f}x "
-                    f"(baseline {base_headline.get(key, 0.0):.2f}x + "
-                    f"{tolerance:.0%})"
-                )
-        for key in _DURABILITY_FLOOR_KEYS:
-            floor = base_headline.get(key, 0.0) * (1.0 - tolerance)
-            got = headline.get(key, 0.0)
-            if got < floor:
-                failures.append(
-                    f"durability {key} regressed: {got:.2f}x < {floor:.2f}x "
-                    f"(baseline {base_headline.get(key, 0.0):.2f}x - "
-                    f"{tolerance:.0%})"
-                )
+        for path in row.get("floors", ()):
+            failures += _drift(name, fresh, baseline, path, ">=")
+        for path in row.get("ceilings", ()):
+            failures += _drift(name, fresh, baseline, path, "<=")
     return failures
 
 
-#: Config keys that must agree for replication ratios to compare.
-_REPLICATION_COMPARABLE_KEYS = ("n_rows", "n_mutations", "smoke")
-
-#: Headline ratios the replication gate tracks against a baseline: the
-#: steady-state shipping overhead grows on regression.
-_REPLICATION_CEILING_KEYS = ("ship_overhead_ratio",)
-
-
-def _replication_comparable(fresh: dict, baseline: dict) -> bool:
-    fresh_config = fresh.get("config", {})
-    baseline_config = baseline.get("config", {})
-    return all(
-        fresh_config.get(key) == baseline_config.get(key)
-        for key in _REPLICATION_COMPARABLE_KEYS
-    )
-
-
-def check_replication_regression(
-    fresh: dict,
-    baseline: dict | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> list[str]:
-    """Gate a fresh ``BENCH_replication.json``; returns failures.
-
-    The hard invariants are correctness and convergence, both
-    machine-portable: the run must have verified the follower's
-    materialised column **bit-identical** to the NumPy oracle *and* its
-    local WAL a byte prefix of the primary's (a fast replica of the
-    wrong state gates immediately, no tolerance), and the follower must
-    have finished the run fully caught up (``final_lag == 0`` — a
-    follower that cannot drain a finite stream will never serve within
-    any staleness bound).
-
-    The soft invariant is the steady-state shipping overhead — the
-    within-run ratio of follower-side ship+apply time to primary-side
-    apply time for the same records — which must not grow more than the
-    tolerance over a same-shape baseline on full-size runs.  Smoke
-    workloads ship a few hundred frames in milliseconds, where scan
-    jitter swamps any tolerance; they check the hard invariants only.
-    """
-    if not 0.0 <= tolerance < 1.0:
-        raise ValueError(f"tolerance must be in [0, 1), got {tolerance}")
-    failures: list[str] = []
-    if not fresh.get("verified_bit_identical"):
-        failures.append(
-            "replication run did not verify follower state bit-identical "
-            "(oracle match + WAL byte-prefix)"
-        )
-    if fresh.get("headline", {}).get("final_lag", 1) != 0:
-        failures.append(
-            f"follower finished lagging: final_lag="
-            f"{fresh.get('headline', {}).get('final_lag')}"
-        )
-    smoke = fresh.get("config", {}).get("smoke")
-    if (
-        baseline is not None
-        and not smoke
-        and _replication_comparable(fresh, baseline)
-    ):
-        headline = fresh.get("headline", {})
-        base_headline = baseline.get("headline", {})
-        for key in _REPLICATION_CEILING_KEYS:
-            ceiling = base_headline.get(key, float("inf")) * (1.0 + tolerance)
-            got = headline.get(key, 0.0)
-            if got > ceiling:
-                failures.append(
-                    f"replication {key} grew: {got:.2f}x > {ceiling:.2f}x "
-                    f"(baseline {base_headline.get(key, 0.0):.2f}x + "
-                    f"{tolerance:.0%})"
-                )
-    return failures
-
-
-#: Config keys that must agree for planner ratios to compare.
-_PLANNER_COMPARABLE_KEYS = ("n_rows", "queries_per_segment", "seed", "smoke")
-
-#: Acceptance ceiling: the planner must land within 10% of the best
-#: static backend on every segment of a full-size run (the tolerance is
-#: applied on top — wall-clock ratios on shared runners wobble).
-MAX_PLANNER_VS_BEST_STATIC = 1.10
-
-#: Acceptance floor: on the low-selectivity segment the planner must
-#: beat always-imprints — the paper's Section 6.3 claim made a gate.
-MIN_UNSELECTIVE_SPEEDUP = 1.0
-
-#: Headline keys the planner gate tracks against a baseline, with the
-#: direction a regression moves each one.
-_PLANNER_CEILING_KEYS = ("max_planner_vs_best_static",)
-_PLANNER_FLOOR_KEYS = ("low_selectivity_speedup_vs_imprints",)
-
-
-def _planner_comparable(fresh: dict, baseline: dict) -> bool:
-    fresh_config = fresh.get("config", {})
-    baseline_config = baseline.get("config", {})
-    return all(
-        fresh_config.get(key) == baseline_config.get(key)
-        for key in _PLANNER_COMPARABLE_KEYS
-    )
-
-
-def check_planner_regression(
-    fresh: dict,
-    baseline: dict | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> list[str]:
-    """Gate a fresh ``BENCH_planner.json``; returns failures.
-
-    The hard invariant is plan-equivalence: the run must have verified
-    every answer of every mode — the four forced static backends *and*
-    the free-routing planner — bit-identical to the serial imprints
-    oracle.  A fast planner that changes answers gates immediately, no
-    tolerance.
-
-    The wall-clock invariants apply to full-size runs only (smoke
-    segments finish in single-digit milliseconds, where timer jitter
-    exceeds any tolerance): the planner must land within
-    :data:`MAX_PLANNER_VS_BEST_STATIC` of the best static backend on
-    its worst segment, and must beat always-imprints on the
-    low-selectivity segment — the self-tuning loop's whole reason to
-    exist.  Against a same-shape baseline the headline ratios must not
-    drift more than the tolerance in the regression direction.
-    """
-    if not 0.0 <= tolerance < 1.0:
-        raise ValueError(f"tolerance must be in [0, 1), got {tolerance}")
-    failures: list[str] = []
-    if not fresh.get("verified_bit_identical"):
-        failures.append(
-            "planner run did not verify all modes bit-identical to the "
-            "imprints oracle"
-        )
-    headline = fresh.get("headline", {})
-    if not fresh.get("config", {}).get("smoke"):
-        ceiling = MAX_PLANNER_VS_BEST_STATIC * (1.0 + tolerance)
-        got = headline.get("max_planner_vs_best_static", float("inf"))
-        if got > ceiling:
-            failures.append(
-                f"planner strayed from the best static backend: worst "
-                f"segment {got:.2f}x > {ceiling:.2f}x "
-                f"({MAX_PLANNER_VS_BEST_STATIC:.2f}x + {tolerance:.0%})"
-            )
-        floor = MIN_UNSELECTIVE_SPEEDUP * (1.0 - tolerance)
-        got = headline.get("low_selectivity_speedup_vs_imprints", 0.0)
-        if got < floor:
-            failures.append(
-                f"planner no longer beats always-imprints on the "
-                f"low-selectivity segment: {got:.2f}x < {floor:.2f}x "
-                f"({MIN_UNSELECTIVE_SPEEDUP:.2f}x - {tolerance:.0%})"
-            )
-    smoke = fresh.get("config", {}).get("smoke")
-    if (
-        baseline is not None
-        and not smoke
-        and _planner_comparable(fresh, baseline)
-    ):
-        base_headline = baseline.get("headline", {})
-        for key in _PLANNER_CEILING_KEYS:
-            ceiling = base_headline.get(key, float("inf")) * (1.0 + tolerance)
-            got = headline.get(key, 0.0)
-            if got > ceiling:
-                failures.append(
-                    f"planner {key} grew: {got:.2f}x > {ceiling:.2f}x "
-                    f"(baseline {base_headline.get(key, 0.0):.2f}x + "
-                    f"{tolerance:.0%})"
-                )
-        for key in _PLANNER_FLOOR_KEYS:
-            floor = base_headline.get(key, 0.0) * (1.0 - tolerance)
-            got = headline.get(key, 0.0)
-            if got < floor:
-                failures.append(
-                    f"planner {key} regressed: {got:.2f}x < {floor:.2f}x "
-                    f"(baseline {base_headline.get(key, 0.0):.2f}x - "
-                    f"{tolerance:.0%})"
-                )
-    return failures
-
-
-#: Config keys that must agree for dashboard ratios to compare.
-_DASHBOARD_COMPARABLE_KEYS = ("n_rows", "seed", "n_regions", "smoke")
-
-#: Acceptance floor: grouped COUNT/SUM/AVG pushdown must beat
-#: materialise-then-group by 5x at the headline selectivity on a
-#: full-size run (the tolerance is applied on top — wall-clock ratios
-#: on shared runners wobble).
-MIN_GROUPED_SPEEDUP = 5.0
-
-#: Headline keys the dashboard gate tracks against a baseline; all
-#: are speedups, so a regression moves them down.
-_DASHBOARD_FLOOR_KEYS = (
-    "min_grouped_speedup_vs_eager",
-    "cached_speedup_grouped_sum",
-    "topk_speedup_vs_eager",
-)
-
-
-def _dashboard_comparable(fresh: dict, baseline: dict) -> bool:
-    fresh_config = fresh.get("config", {})
-    baseline_config = baseline.get("config", {})
-    return all(
-        fresh_config.get(key) == baseline_config.get(key)
-        for key in _DASHBOARD_COMPARABLE_KEYS
-    )
-
-
-def check_dashboard_regression(
-    fresh: dict,
-    baseline: dict | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> list[str]:
-    """Gate a fresh ``BENCH_dashboard.json``; returns failures.
-
-    The hard invariant is correctness: the run must have verified every
-    grouped, moment, and top-k answer of every layer — serial index,
-    4-shard partial recombination, and executor cache — against exact
-    NumPy references before any timing.  A fast pushdown that changes
-    answers gates immediately, no tolerance.
-
-    The wall-clock invariant applies to full-size runs only (smoke
-    workloads finish in fractions of a millisecond, where timer jitter
-    exceeds any tolerance): grouped COUNT/SUM/AVG must keep the
-    acceptance headline at or above :data:`MIN_GROUPED_SPEEDUP` minus
-    the tolerance.  Against a same-shape baseline the headline
-    speedups must not drop more than the tolerance.
-    """
-    if not 0.0 <= tolerance < 1.0:
-        raise ValueError(f"tolerance must be in [0, 1), got {tolerance}")
-    failures: list[str] = []
-    if not fresh.get("verified_bit_identical"):
-        failures.append(
-            "dashboard run did not verify grouped/moment/top-k answers "
-            "against the NumPy references"
-        )
-    headline = fresh.get("headline", {})
-    smoke = fresh.get("config", {}).get("smoke")
-    if not smoke:
-        floor = MIN_GROUPED_SPEEDUP * (1.0 - tolerance)
-        got = headline.get("min_grouped_speedup_vs_eager", 0.0)
-        if got < floor:
-            failures.append(
-                f"grouped pushdown lost the acceptance headline: "
-                f"{got:.2f}x < {floor:.2f}x "
-                f"({MIN_GROUPED_SPEEDUP:.2f}x - {tolerance:.0%})"
-            )
-    if (
-        baseline is not None
-        and not smoke
-        and _dashboard_comparable(fresh, baseline)
-    ):
-        base_headline = baseline.get("headline", {})
-        for key in _DASHBOARD_FLOOR_KEYS:
-            floor = base_headline.get(key, 0.0) * (1.0 - tolerance)
-            got = headline.get(key, 0.0)
-            if got < floor:
-                failures.append(
-                    f"dashboard {key} regressed: {got:.2f}x < {floor:.2f}x "
-                    f"(baseline {base_headline.get(key, 0.0):.2f}x - "
-                    f"{tolerance:.0%})"
-                )
-    return failures
+def _load(path: pathlib.Path) -> dict | None:
+    return json.loads(path.read_text()) if path.is_file() else None
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="repro.bench.regression", description=__doc__
+        prog="repro.bench.regression",
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("fresh", help="fresh BENCH_throughput.json")
+    parser.add_argument("fresh", help="directory of fresh BENCH_<study>.json")
     parser.add_argument(
-        "--baseline",
-        default=None,
-        help="committed baseline BENCH_throughput.json (optional)",
-    )
-    parser.add_argument(
-        "--materialization",
-        default=None,
-        help="fresh BENCH_materialization.json to gate as well (optional)",
-    )
-    parser.add_argument(
-        "--materialization-baseline",
-        default=None,
-        help="committed baseline BENCH_materialization.json (optional)",
-    )
-    parser.add_argument(
-        "--streaming",
-        default=None,
-        help="fresh BENCH_streaming.json to gate as well (optional)",
-    )
-    parser.add_argument(
-        "--streaming-baseline",
-        default=None,
-        help="committed baseline BENCH_streaming.json (optional)",
-    )
-    parser.add_argument(
-        "--serving",
-        default=None,
-        help="fresh BENCH_serving.json to gate as well (optional)",
-    )
-    parser.add_argument(
-        "--serving-baseline",
-        default=None,
-        help="committed baseline BENCH_serving.json (optional)",
-    )
-    parser.add_argument(
-        "--durability",
-        default=None,
-        help="fresh BENCH_durability.json to gate as well (optional)",
-    )
-    parser.add_argument(
-        "--durability-baseline",
-        default=None,
-        help="committed baseline BENCH_durability.json (optional)",
-    )
-    parser.add_argument(
-        "--replication",
-        default=None,
-        help="fresh BENCH_replication.json to gate as well (optional)",
-    )
-    parser.add_argument(
-        "--replication-baseline",
-        default=None,
-        help="committed baseline BENCH_replication.json (optional)",
-    )
-    parser.add_argument(
-        "--planner",
-        default=None,
-        help="fresh BENCH_planner.json to gate as well (optional)",
-    )
-    parser.add_argument(
-        "--planner-baseline",
-        default=None,
-        help="committed baseline BENCH_planner.json (optional)",
-    )
-    parser.add_argument(
-        "--dashboard",
-        default=None,
-        help="fresh BENCH_dashboard.json to gate as well (optional)",
-    )
-    parser.add_argument(
-        "--dashboard-baseline",
-        default=None,
-        help="committed baseline BENCH_dashboard.json (optional)",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=DEFAULT_TOLERANCE,
-        help=f"allowed relative drop (default {DEFAULT_TOLERANCE})",
+        "--baseline", default=None,
+        help="directory of baseline BENCH_<study>.json (optional)",
     )
     args = parser.parse_args(argv)
+    opt_in = bool(os.environ.get("REPRO_ASSERT_SPEEDUP"))
 
-    fresh = load_result(args.fresh)
-    baseline = load_result(args.baseline) if args.baseline else None
-    if baseline is not None and not comparable_configs(fresh, baseline):
-        print(
-            "note: baseline config differs (workload size / cores); "
-            "cross-run speedup comparison skipped, invariants still gate"
-        )
-    failures = check_throughput_regression(
-        fresh, baseline, tolerance=args.tolerance
-    )
-
-    if args.materialization:
-        mat_fresh = load_result(args.materialization)
-        mat_baseline = (
-            load_result(args.materialization_baseline)
-            if args.materialization_baseline
-            else None
-        )
-        if mat_baseline is not None and not _materialization_comparable(
-            mat_fresh, mat_baseline
-        ):
-            print(
-                "note: materialisation baseline config differs; cross-run "
-                "speedup comparison skipped, invariants still gate"
-            )
-        failures.extend(
-            check_materialization_regression(
-                mat_fresh, mat_baseline, tolerance=args.tolerance
-            )
-        )
-
-    if args.streaming:
-        stream_fresh = load_result(args.streaming)
-        stream_baseline = (
-            load_result(args.streaming_baseline)
-            if args.streaming_baseline
-            else None
-        )
-        if stream_baseline is not None and not _streaming_comparable(
-            stream_fresh, stream_baseline
-        ):
-            print(
-                "note: streaming baseline config differs; cross-run "
-                "speedup comparison skipped, invariants still gate"
-            )
-        failures.extend(
-            check_streaming_regression(
-                stream_fresh, stream_baseline, tolerance=args.tolerance
-            )
-        )
-
-    if args.serving:
-        serving_fresh = load_result(args.serving)
-        serving_baseline = (
-            load_result(args.serving_baseline)
-            if args.serving_baseline
-            else None
-        )
-        if serving_baseline is not None and not _serving_comparable(
-            serving_fresh, serving_baseline
-        ):
-            print(
-                "note: serving baseline config differs; tail-ratio "
-                "comparison skipped, overload invariants still gate"
-            )
-        failures.extend(
-            check_serving_regression(
-                serving_fresh, serving_baseline, tolerance=args.tolerance
-            )
-        )
-
-    if args.durability:
-        durability_fresh = load_result(args.durability)
-        durability_baseline = (
-            load_result(args.durability_baseline)
-            if args.durability_baseline
-            else None
-        )
-        if durability_baseline is not None and not _durability_comparable(
-            durability_fresh, durability_baseline
-        ):
-            print(
-                "note: durability baseline config differs; ratio "
-                "comparison skipped, bit-identical invariant still gates"
-            )
-        failures.extend(
-            check_durability_regression(
-                durability_fresh, durability_baseline,
-                tolerance=args.tolerance,
-            )
-        )
-
-    if args.replication:
-        replication_fresh = load_result(args.replication)
-        replication_baseline = (
-            load_result(args.replication_baseline)
-            if args.replication_baseline
-            else None
-        )
-        if replication_baseline is not None and not _replication_comparable(
-            replication_fresh, replication_baseline
-        ):
-            print(
-                "note: replication baseline config differs; ratio "
-                "comparison skipped, bit-identical invariant still gates"
-            )
-        failures.extend(
-            check_replication_regression(
-                replication_fresh, replication_baseline,
-                tolerance=args.tolerance,
-            )
-        )
-
-    if args.planner:
-        planner_fresh = load_result(args.planner)
-        planner_baseline = (
-            load_result(args.planner_baseline)
-            if args.planner_baseline
-            else None
-        )
-        if planner_baseline is not None and not _planner_comparable(
-            planner_fresh, planner_baseline
-        ):
-            print(
-                "note: planner baseline config differs; ratio "
-                "comparison skipped, bit-identical invariant still gates"
-            )
-        failures.extend(
-            check_planner_regression(
-                planner_fresh, planner_baseline,
-                tolerance=args.tolerance,
-            )
-        )
-
-    if args.dashboard:
-        dashboard_fresh = load_result(args.dashboard)
-        dashboard_baseline = (
-            load_result(args.dashboard_baseline)
-            if args.dashboard_baseline
-            else None
-        )
-        if dashboard_baseline is not None and not _dashboard_comparable(
-            dashboard_fresh, dashboard_baseline
-        ):
-            print(
-                "note: dashboard baseline config differs; ratio "
-                "comparison skipped, verification invariant still gates"
-            )
-        failures.extend(
-            check_dashboard_regression(
-                dashboard_fresh, dashboard_baseline,
-                tolerance=args.tolerance,
-            )
-        )
-
+    failures, gated = [], []
+    for name in STUDIES:
+        fresh = _load(pathlib.Path(args.fresh) / f"BENCH_{name}.json")
+        if fresh is None:
+            continue
+        baseline = None
+        if args.baseline:
+            baseline = _load(pathlib.Path(args.baseline) / f"BENCH_{name}.json")
+        if baseline is not None and not comparable(name, fresh, baseline):
+            print(f"note: {name} baseline config differs; baseline "
+                  f"comparison skipped, invariants still gate")
+        failures += gate(name, fresh, baseline, opt_in=opt_in)
+        gated.append(name)
+    if not gated:
+        print(f"no BENCH_<study>.json to gate in {args.fresh}")
+        return 2
+    for failure in failures:
+        print(f"REGRESSION: {failure}")
     if failures:
-        for failure in failures:
-            print(f"REGRESSION: {failure}")
         return 1
-    print(
-        "throughput gate passed: "
-        + ", ".join(
-            f"{name}={numbers.get('speedup_vs_serial', 0.0):.2f}x"
-            for name, numbers in fresh.get("modes", {}).items()
-        )
-        + ("; materialisation gate passed" if args.materialization else "")
-        + ("; streaming gate passed" if args.streaming else "")
-        + ("; serving gate passed" if args.serving else "")
-        + ("; durability gate passed" if args.durability else "")
-        + ("; replication gate passed" if args.replication else "")
-        + ("; planner gate passed" if args.planner else "")
-        + ("; dashboard gate passed" if args.dashboard else "")
-    )
+    print(f"gate passed: {', '.join(gated)}")
     return 0
 
 

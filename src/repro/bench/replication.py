@@ -25,12 +25,11 @@ stream — a fast replica of the wrong state is worthless.
 
 The machine-readable result lands in
 ``benchmarks/results/BENCH_replication.json`` and is gated by
-``repro.bench.regression --replication``.
+its gate row in :mod:`repro.bench.studies`.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 import shutil
 import tempfile
@@ -39,14 +38,13 @@ import time
 import numpy as np
 
 from .durability import _apply_to_oracle, _mutation_stream
+from .studies import stamp
 
 __all__ = [
     "DEFAULT_ROWS",
     "DEFAULT_MUTATIONS",
-    "scaled_defaults",
     "run_replication_study",
     "render_replication_study",
-    "write_replication_json",
 ]
 
 DEFAULT_ROWS = 200_000
@@ -55,14 +53,6 @@ DEFAULT_MUTATIONS = 4_000
 BATCH_FRAMES = 256
 #: Primary-side bursts in the steady-state phase.
 STEADY_BURSTS = 16
-
-
-def scaled_defaults(scale: float) -> dict:
-    """Workload size for a dataset scale factor."""
-    return {
-        "n_rows": max(20_000, int(DEFAULT_ROWS * scale)),
-        "n_mutations": max(400, int(DEFAULT_MUTATIONS * min(scale, 1.0))),
-    }
 
 
 def _apply_on_primary(primary, stream) -> None:
@@ -197,15 +187,13 @@ def run_replication_study(
         ),
         "final_lag": info["lag"],
     }
-    return {
+    return stamp({
         "study": "replication",
         "config": {
             "n_rows": n_rows,
             "n_mutations": n_mutations,
             "batch_frames": BATCH_FRAMES,
             "steady_bursts": bursts,
-            "seed": seed,
-            "smoke": smoke,
         },
         "verified_bit_identical": verified,
         "bootstrap": {
@@ -229,7 +217,7 @@ def run_replication_study(
         },
         "follower": info,
         "headline": headline,
-    }
+    }, seed, smoke)
 
 
 def render_replication_study(result: dict) -> str:
@@ -266,11 +254,3 @@ def render_replication_study(result: dict) -> str:
         ),
     )
     return table
-
-
-def write_replication_json(result: dict, path) -> pathlib.Path:
-    """Persist the study result (the BENCH_replication.json artifact)."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    return path

@@ -1,9 +1,10 @@
 """One-shot experiment report: every table and figure into a directory.
 
 ``python -m repro.bench [output_dir] [--scale S]`` regenerates the full
-evaluation — Table 1, Figures 3-11, the Section 4 update study and all
-ablations — writing one text file per experiment plus an ``INDEX.md``
-linking them.  This is the artifact EXPERIMENTS.md is checked against.
+evaluation — Table 1, Figures 3-11, the Section 4 update study, all
+ablations and every gated study of :data:`repro.bench.studies.STUDIES`
+— writing one text file per experiment plus an ``INDEX.md`` linking
+them.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ import pathlib
 import time
 
 from .ablations import render_ablations
-from .aggregates import render_aggregate_study
-from .dashboard import render_dashboard_study
 from .datasets_table import render_table1
 from .entropy_fig4 import render_fig4
 from .prints_fig3 import render_fig3
@@ -25,11 +24,9 @@ from .queries_fig8_11 import (
     render_fig11,
     run_query_sweep,
 )
-from .materialization import render_materialization_study
 from .runner import get_context
 from .size_time import render_fig5, render_fig6, render_fig7
-from .streaming import render_streaming_study
-from .throughput import render_throughput_study, scaled_defaults
+from .studies import STUDIES, render_study, run_study
 from .updates_study import render_update_study
 
 __all__ = ["generate_report"]
@@ -85,28 +82,12 @@ def generate_report(
          lambda: render_update_study()),
         ("query_kernels", "Query kernels - expanded vs compressed-domain",
          lambda: render_kernel_study(n=max(10_000, int(400_000 * scale)))),
-        ("throughput", "Execution engine - serving throughput",
-         lambda: render_throughput_study(
-             seed=seed, **scaled_defaults(scale)
-         )),
-        ("materialization", "Result sets - lazy RowSet vs eager id arrays",
-         lambda: render_materialization_study(
-             seed=seed, n_rows=max(50_000, int(2_000_000 * scale))
-         )),
-        ("aggregates", "Aggregate pushdown - pre-aggregates vs reduce",
-         lambda: render_aggregate_study(
-             seed=seed, n_rows=max(50_000, int(2_000_000 * scale))
-         )),
-        ("dashboard", "Dashboard aggregation - grouped/moment/top-k pushdown",
-         lambda: render_dashboard_study(
-             seed=seed, n_rows=max(50_000, int(6_000_000 * scale))
-         )),
-        ("streaming", "Streaming - first-page latency vs eager ids",
-         lambda: render_streaming_study(
-             seed=seed, n_rows=max(50_000, int(4_000_000 * scale))
-         )),
         ("ablations", "Ablations - design-choice sweeps",
          lambda: render_ablations()),
+    ] + [
+        (name, row["title"],
+         lambda name=name: render_study(name, run_study(name, scale, seed)))
+        for name, row in STUDIES.items()
     ]
 
     index_lines = [

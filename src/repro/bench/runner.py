@@ -23,7 +23,14 @@ from ..indexes import SequentialScan, WahBitmapIndex, ZoneMap
 from ..storage.column import Column
 from ..workloads import Dataset, load_all_datasets
 
-__all__ = ["BuiltColumn", "BenchContext", "get_context", "time_call", "METHODS"]
+__all__ = [
+    "BuiltColumn",
+    "BenchContext",
+    "get_context",
+    "time_call",
+    "best_of",
+    "METHODS",
+]
 
 #: Evaluation order used in every figure.
 METHODS = ("scan", "imprints", "zonemap", "wah")
@@ -40,6 +47,20 @@ def time_call(fn, *args, repeat: int = 1, **kwargs):
         result = fn(*args, **kwargs)
         best = min(best, time.perf_counter() - start)
     return result, best
+
+
+def best_of(repeats: int, run) -> float:
+    """Best-of-``repeats`` wall-clock seconds of ``run()`` (noise floor).
+
+    Unlike :func:`time_call` it drops each result at once, so a timed
+    call never runs while the previous answer is still allocated.
+    """
+    best = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - started)
+    return best
 
 
 @dataclass

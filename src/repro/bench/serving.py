@@ -29,26 +29,24 @@ Protocol:
 
 The machine-readable result lands in
 ``benchmarks/results/BENCH_serving.json`` and is gated by
-``repro.bench.regression --serving``.
+its gate row in :mod:`repro.bench.studies`.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
-import pathlib
 import time
 
 import numpy as np
+
+from .studies import stamp
 
 __all__ = [
     "DEFAULT_ROWS",
     "DEFAULT_REQUESTS",
     "RATE_MULTIPLIER",
-    "scaled_defaults",
     "run_serving_study",
     "render_serving_study",
-    "write_serving_json",
 ]
 
 DEFAULT_ROWS = 1_000_000
@@ -57,14 +55,6 @@ DEFAULT_REQUESTS = 400
 RATE_MULTIPLIER = 4.0
 #: Sequential requests used to estimate the service rate.
 _CALIBRATION_REQUESTS = 12
-
-
-def scaled_defaults(scale: float) -> dict:
-    """Workload size for a dataset scale factor."""
-    return {
-        "n_rows": max(100_000, int(DEFAULT_ROWS * scale)),
-        "n_requests": max(120, int(DEFAULT_REQUESTS * min(scale, 1.0))),
-    }
 
 
 def _predicate_pool(values: np.ndarray, rng: np.random.Generator, size: int):
@@ -261,7 +251,7 @@ def run_serving_study(
             await service.close()
 
     numbers = asyncio.run(study())
-    return {
+    return stamp({
         "study": "serving",
         "config": {
             "n_rows": n_rows,
@@ -270,11 +260,9 @@ def run_serving_study(
             "max_waiting": max_waiting,
             "rate_multiplier": rate_multiplier,
             "timeout_ms": timeout_s * 1000,
-            "seed": seed,
-            "smoke": smoke,
         },
         **numbers,
-    }
+    }, seed, smoke)
 
 
 def render_serving_study(result: dict) -> str:
@@ -311,11 +299,3 @@ def render_serving_study(result: dict) -> str:
             f"{config['max_waiting']} waiting"
         ),
     )
-
-
-def write_serving_json(result: dict, path) -> pathlib.Path:
-    """Persist the study result (the BENCH_serving.json artifact)."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    return path

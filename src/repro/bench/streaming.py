@@ -31,10 +31,7 @@ lands in ``benchmarks/results/BENCH_streaming.json``.
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
-import time
 
 import numpy as np
 
@@ -42,6 +39,9 @@ from ..core import ColumnImprints
 from ..engine import QueryExecutor, ShardedColumnImprints
 from ..predicate import RangePredicate
 from ..storage import Column
+from .materialization import clustered_sweep
+from .runner import best_of
+from .studies import stamp
 from .tables import format_table
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "streaming_workload",
     "run_streaming_study",
     "render_streaming_study",
-    "write_streaming_json",
 ]
 
 #: Fractions of the column each sweep point targets (1% – 20%).
@@ -68,32 +67,10 @@ def streaming_workload(
     n_rows: int, seed: int = 0
 ) -> tuple[Column, dict[float, RangePredicate]]:
     """A clustered column plus one range predicate per sweep point."""
-    rng = np.random.default_rng(seed)
-    values = (np.cumsum(rng.normal(0.0, 30.0, n_rows)) + 50_000.0).astype(
-        np.int32
+    return clustered_sweep(
+        np.random.default_rng(seed), n_rows, SWEEP_SELECTIVITIES,
+        "bench.streaming",
     )
-    column = Column(values, name="bench.streaming")
-    sorted_values = np.sort(values)
-    predicates: dict[float, RangePredicate] = {}
-    for selectivity in SWEEP_SELECTIVITIES:
-        width = max(1, int(selectivity * n_rows))
-        position = (n_rows - width) // 2
-        low = int(sorted_values[position])
-        high = int(sorted_values[min(position + width, n_rows - 1)])
-        predicates[selectivity] = RangePredicate.range(
-            low, max(high, low + 1), column.ctype
-        )
-    return column, predicates
-
-
-def _best_of(repeats: int, run) -> float:
-    """Best-of-N wall-clock of ``run()`` in seconds (noise floor)."""
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - started)
-    return best
 
 
 def _drain_pages(page_fn) -> np.ndarray:
@@ -182,16 +159,16 @@ def run_streaming_study(
             # --- timings: each eager / first-page call re-runs the
             # kernel (a fresh result per call); the executor rides its
             # versioned LRU — the serving-cache page shape.
-            eager_seconds = _best_of(
+            eager_seconds = best_of(
                 repeats, lambda p=predicate: serial.query(p).ids
             )
-            first_page_seconds = _best_of(
+            first_page_seconds = best_of(
                 repeats, lambda p=predicate: serial.page(p, page_size)
             )
-            sharded_page_seconds = _best_of(
+            sharded_page_seconds = best_of(
                 repeats, lambda p=predicate: sharded.page(p, page_size)
             )
-            executor_page_seconds = _best_of(
+            executor_page_seconds = best_of(
                 repeats,
                 lambda p=predicate: executor.query_paged(
                     "stream", p, page_size
@@ -237,17 +214,14 @@ def run_streaming_study(
         ),
         sweep[-1],
     )
-    return {
+    return stamp({
         "experiment": "streaming",
         "config": {
             "n_rows": n_rows,
-            "seed": seed,
             "repeats": repeats,
             "page_size": page_size,
             "n_shards": n_shards,
             "n_workers": n_workers,
-            "smoke": smoke,
-            "cpu_count": os.cpu_count(),
             "selectivities": list(SWEEP_SELECTIVITIES),
         },
         "sweep": sweep,
@@ -264,14 +238,11 @@ def run_streaming_study(
             ],
         },
         "verified_bit_identical": True,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-    }
+    }, seed, smoke)
 
 
-def render_streaming_study(result: dict | None = None, **kwargs) -> str:
-    """The study as an aligned text table (runs it if not given)."""
-    if result is None:
-        result = run_streaming_study(**kwargs)
+def render_streaming_study(result: dict) -> str:
+    """The study as an aligned text table."""
     config = result["config"]
     rows = []
     for point in result["sweep"]:
@@ -315,11 +286,3 @@ def render_streaming_study(result: dict | None = None, **kwargs) -> str:
         f"faster than eager ids"
     )
     return f"{table}\n{footer}"
-
-
-def write_streaming_json(result: dict, path) -> pathlib.Path:
-    """Persist the study (the BENCH_streaming.json artifact)."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    return path

@@ -22,9 +22,7 @@ against the serial baseline before any number is reported.
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
 import time
 
 import numpy as np
@@ -33,14 +31,13 @@ from ..core import ColumnImprints
 from ..engine import QueryExecutor, ShardedColumnImprints
 from ..predicate import RangePredicate
 from ..storage import Column
+from .studies import stamp
 from .tables import format_table
 
 __all__ = [
-    "scaled_defaults",
     "throughput_workload",
     "run_throughput_study",
     "render_throughput_study",
-    "write_throughput_json",
 ]
 
 #: Target selectivities mixed into the predicate pool (fraction of rows).
@@ -49,15 +46,6 @@ SELECTIVITIES = (0.0005, 0.005, 0.02, 0.1)
 #: Full-size workload the headline numbers are quoted against.
 DEFAULT_ROWS = 2_000_000
 DEFAULT_QUERIES = 1536
-
-
-def scaled_defaults(scale: float) -> dict:
-    """Workload size for a dataset scale factor — the single place the
-    CLI, the report and the benchmark driver all size from."""
-    return {
-        "n_rows": max(50_000, int(DEFAULT_ROWS * scale)),
-        "n_queries": max(96, int(DEFAULT_QUERIES * min(scale, 1.0))),
-    }
 
 
 def throughput_workload(
@@ -205,7 +193,7 @@ def run_throughput_study(
             "speedup_vs_serial": serial_seconds / seconds if seconds > 0 else 0.0,
         }
 
-    return {
+    return stamp({
         "experiment": "throughput",
         "config": {
             "n_rows": n_rows,
@@ -213,9 +201,6 @@ def run_throughput_study(
             "n_shards": n_shards,
             "n_workers": n_workers,
             "shard_workers": shard_workers,
-            "seed": seed,
-            "smoke": smoke,
-            "cpu_count": os.cpu_count(),
             "selectivities": list(SELECTIVITIES),
         },
         "modes": {
@@ -234,14 +219,11 @@ def run_throughput_study(
             },
         },
         "verified_bit_identical": True,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-    }
+    }, seed, smoke)
 
 
-def render_throughput_study(result: dict | None = None, **kwargs) -> str:
-    """The study as an aligned text table (runs it if not given)."""
-    if result is None:
-        result = run_throughput_study(**kwargs)
+def render_throughput_study(result: dict) -> str:
+    """The study as an aligned text table."""
     config = result["config"]
     rows = []
     for name, numbers in result["modes"].items():
@@ -272,11 +254,3 @@ def render_throughput_study(result: dict | None = None, **kwargs) -> str:
         f"{executor['cache_hits']} cache hits"
     )
     return f"{table}\n{footer}"
-
-
-def write_throughput_json(result: dict, path) -> pathlib.Path:
-    """Persist the study result (the BENCH_throughput.json artifact)."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    return path

@@ -16,47 +16,18 @@ Commands
     and per-method statistics.
 ``figure {3,4,5,6,7,8,9,10,11}``
     Regenerate one figure of the paper.
-``throughput``
-    Serving-throughput study: serial vs sharded vs coalesced executor
-    over a repetitive mixed-selectivity predicate stream.
-``materialization``
-    Materialisation-cost study: lazy compressed ``RowSet`` answers
-    (count-only / cache-hit consumption) vs eager id arrays across a
-    selectivity sweep.
-``aggregates``
-    Aggregate-pushdown study: ``SUM``/``MIN``/``MAX``/``COUNT`` from
-    per-cacheline pre-aggregates vs materialise-then-reduce across a
-    selectivity sweep.
-``streaming``
-    Streaming study: first-page latency through the cursor pipeline
-    (lazy pages off candidate ranges, shard-order streaming, executor
-    cache-served pages) vs eager ``.ids`` materialisation.
-``serving``
-    Open-loop serving load study: overload the asyncio HTTP front end
-    at a multiple of its admission capacity and check the overload
-    contract (every request accounted for, fast 429s, correct answers).
-``planner``
-    Self-tuning planner study: a mixed-selectivity stream over a
-    clustered and an unclustered column through every forced static
-    backend and through the free-routing planner, every answer
-    verified bit-identical against the imprints oracle before timing.
-``dashboard``
-    Dashboard-aggregation study: grouped ``COUNT``/``SUM``/``AVG``,
-    ``AVG``/``VAR`` moment lanes and ORDER-BY-value top-k answered
-    from the per-cacheline sidecars vs materialise-then-group, every
-    answer verified against exact NumPy references before timing.
+``STUDY [--rows N] [--smoke] [--json PATH]``
+    Run one gated study of :data:`repro.bench.studies.STUDIES` —
+    ``throughput``, ``materialization``, ``aggregates``, ``streaming``,
+    ``serving``, ``durability``, ``replication``, ``planner`` or
+    ``dashboard`` — at full size and print its table.  ``--smoke``
+    shrinks it to CI size, ``--rows`` overrides the column length, and
+    ``--json PATH`` also writes the ``BENCH_<study>.json`` artifact the
+    regression gate reads.
 ``recover``
     Open a durable column store, replay its write-ahead log, and print
     the recovery report (replayed records, truncated torn tails,
     removed orphans, quarantined columns).
-``durability``
-    Durability study: WAL overhead per mutation across group-commit
-    windows, and recovery time against log length (recovery verified
-    bit-identical before any timing is recorded).
-``replication``
-    Replication study: WAL-shipping throughput, apply lag behind an
-    acknowledged primary, bootstrap and catch-up cost (follower state
-    verified bit-identical before any timing is recorded).
 ``replicate``
     Run a warm follower: poll a primary's ``/replicate/*`` endpoints,
     apply shipped WAL frames, optionally promote.
@@ -77,6 +48,8 @@ import argparse
 import sys
 
 import numpy as np
+
+from .bench.studies import STUDIES, render_study, run_study, write_json
 
 __all__ = ["main", "build_parser"]
 
@@ -114,95 +87,14 @@ def build_parser() -> argparse.ArgumentParser:
     figure = commands.add_parser("figure", help="regenerate a paper figure")
     figure.add_argument("number", type=int, choices=[3, 4, 5, 6, 7, 8, 9, 10, 11])
 
-    throughput = commands.add_parser(
-        "throughput", help="execution-engine serving-throughput study"
-    )
-    throughput.add_argument("--rows", type=int, default=None,
-                            help="column length (default: 2M * scale)")
-    throughput.add_argument("--queries", type=int, default=None,
-                            help="stream length (default: 1536 * scale)")
-    throughput.add_argument("--shards", type=int, default=4)
-    throughput.add_argument("--workers", type=int, default=4)
-    throughput.add_argument("--smoke", action="store_true",
-                            help="shrunken CI-sized workload")
-    throughput.add_argument("--json", metavar="PATH", default=None,
-                            help="also write the machine-readable result")
-
-    materialization = commands.add_parser(
-        "materialization",
-        help="lazy RowSet vs eager id-array materialisation sweep",
-    )
-    materialization.add_argument("--rows", type=int, default=None,
-                                 help="column length (default: 2M * scale)")
-    materialization.add_argument("--smoke", action="store_true",
-                                 help="shrunken CI-sized workload")
-    materialization.add_argument("--json", metavar="PATH", default=None,
-                                 help="also write the machine-readable result")
-
-    aggregates = commands.add_parser(
-        "aggregates",
-        help="aggregate pushdown vs materialise-then-reduce sweep",
-    )
-    aggregates.add_argument("--rows", type=int, default=None,
-                            help="column length (default: 2M * scale)")
-    aggregates.add_argument("--smoke", action="store_true",
-                            help="shrunken CI-sized workload")
-    aggregates.add_argument("--json", metavar="PATH", default=None,
-                            help="also write the machine-readable result")
-
-    streaming = commands.add_parser(
-        "streaming",
-        help="first-page latency vs eager id-array materialisation",
-    )
-    streaming.add_argument("--rows", type=int, default=None,
-                           help="column length (default: 4M * scale)")
-    streaming.add_argument("--page", type=int, default=None,
-                           help="ids per page (default: 100)")
-    streaming.add_argument("--shards", type=int, default=4)
-    streaming.add_argument("--workers", type=int, default=4)
-    streaming.add_argument("--smoke", action="store_true",
+    for name, row in STUDIES.items():
+        study = commands.add_parser(name, help=row["help"])
+        rows, _ = row["sizes"]["n_rows"]
+        study.add_argument("--rows", type=int, default=None,
+                           help=f"column length (default: {rows:,} * scale)")
+        study.add_argument("--smoke", action="store_true",
                            help="shrunken CI-sized workload")
-    streaming.add_argument("--json", metavar="PATH", default=None,
-                           help="also write the machine-readable result")
-
-    serving = commands.add_parser(
-        "serving",
-        help="open-loop overload study through the HTTP serving layer",
-    )
-    serving.add_argument("--rows", type=int, default=None,
-                         help="column length (default: 1M * scale)")
-    serving.add_argument("--requests", type=int, default=None,
-                         help="open-loop requests (default: 400 * scale)")
-    serving.add_argument("--rate", type=float, default=None,
-                         help="arrival rate as a multiple of capacity "
-                              "(default: 4.0)")
-    serving.add_argument("--smoke", action="store_true",
-                         help="shrunken CI-sized workload")
-    serving.add_argument("--json", metavar="PATH", default=None,
-                         help="also write the machine-readable result")
-
-    planner = commands.add_parser(
-        "planner",
-        help="self-tuning planner vs static access paths study",
-    )
-    planner.add_argument("--rows", type=int, default=None,
-                         help="rows per column (default: 400k * scale)")
-    planner.add_argument("--queries", type=int, default=None,
-                         help="queries per segment weight unit (default: 64)")
-    planner.add_argument("--smoke", action="store_true",
-                         help="shrunken CI-sized workload")
-    planner.add_argument("--json", metavar="PATH", default=None,
-                         help="also write the machine-readable result")
-
-    dashboard = commands.add_parser(
-        "dashboard",
-        help="grouped/moment/top-k pushdown vs materialise-then-group sweep",
-    )
-    dashboard.add_argument("--rows", type=int, default=None,
-                           help="column length (default: 6M * scale)")
-    dashboard.add_argument("--smoke", action="store_true",
-                           help="shrunken CI-sized workload")
-    dashboard.add_argument("--json", metavar="PATH", default=None,
+        study.add_argument("--json", metavar="PATH", default=None,
                            help="also write the machine-readable result")
 
     recover = commands.add_parser(
@@ -217,32 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "delta into fresh base snapshots, rotate WAL)")
     recover.add_argument("--json", action="store_true",
                          help="print machine-readable reports")
-
-    durability = commands.add_parser(
-        "durability",
-        help="WAL overhead / group-commit / recovery-time study",
-    )
-    durability.add_argument("--rows", type=int, default=None,
-                            help="base column length (default: 200k * scale)")
-    durability.add_argument("--mutations", type=int, default=None,
-                            help="mutation stream length (default: 4k * scale)")
-    durability.add_argument("--smoke", action="store_true",
-                            help="shrunken CI-sized workload")
-    durability.add_argument("--json", metavar="PATH", default=None,
-                            help="also write the machine-readable result")
-
-    replication = commands.add_parser(
-        "replication",
-        help="WAL-shipping throughput / apply-lag / catch-up study",
-    )
-    replication.add_argument("--rows", type=int, default=None,
-                             help="base column length (default: 200k * scale)")
-    replication.add_argument("--mutations", type=int, default=None,
-                             help="mutation stream length (default: 4k * scale)")
-    replication.add_argument("--smoke", action="store_true",
-                             help="shrunken CI-sized workload")
-    replication.add_argument("--json", metavar="PATH", default=None,
-                             help="also write the machine-readable result")
 
     replicate = commands.add_parser(
         "replicate",
@@ -412,156 +278,14 @@ def _cmd_figure(args) -> str:
     return renderer(measurements)
 
 
-def _cmd_throughput(args) -> str:
-    from .bench.throughput import (
-        render_throughput_study,
-        run_throughput_study,
-        scaled_defaults,
-        write_throughput_json,
-    )
-
-    sizes = scaled_defaults(_scale(args))
-    result = run_throughput_study(
-        n_rows=args.rows if args.rows else sizes["n_rows"],
-        n_queries=args.queries if args.queries else sizes["n_queries"],
-        n_shards=args.shards,
-        n_workers=args.workers,
-        seed=args.seed,
-        smoke=args.smoke,
+def _cmd_study(args) -> str:
+    result = run_study(
+        args.command, scale=_scale(args), seed=args.seed, smoke=args.smoke,
+        n_rows=args.rows,
     )
     if args.json:
-        write_throughput_json(result, args.json)
-    return render_throughput_study(result)
-
-
-def _cmd_materialization(args) -> str:
-    from .bench.materialization import (
-        DEFAULT_ROWS,
-        render_materialization_study,
-        run_materialization_study,
-        write_materialization_json,
-    )
-
-    result = run_materialization_study(
-        n_rows=args.rows
-        if args.rows
-        else max(50_000, int(DEFAULT_ROWS * _scale(args))),
-        seed=args.seed,
-        smoke=args.smoke,
-    )
-    if args.json:
-        write_materialization_json(result, args.json)
-    return render_materialization_study(result)
-
-
-def _cmd_aggregates(args) -> str:
-    from .bench.aggregates import (
-        DEFAULT_ROWS,
-        render_aggregate_study,
-        run_aggregate_study,
-        write_aggregates_json,
-    )
-
-    result = run_aggregate_study(
-        n_rows=args.rows
-        if args.rows
-        else max(50_000, int(DEFAULT_ROWS * _scale(args))),
-        seed=args.seed,
-        smoke=args.smoke,
-    )
-    if args.json:
-        write_aggregates_json(result, args.json)
-    return render_aggregate_study(result)
-
-
-def _cmd_streaming(args) -> str:
-    from .bench.streaming import (
-        DEFAULT_ROWS,
-        PAGE_SIZE,
-        render_streaming_study,
-        run_streaming_study,
-        write_streaming_json,
-    )
-
-    result = run_streaming_study(
-        n_rows=args.rows
-        if args.rows
-        else max(50_000, int(DEFAULT_ROWS * _scale(args))),
-        page_size=args.page if args.page else PAGE_SIZE,
-        n_shards=args.shards,
-        n_workers=args.workers,
-        seed=args.seed,
-        smoke=args.smoke,
-    )
-    if args.json:
-        write_streaming_json(result, args.json)
-    return render_streaming_study(result)
-
-
-def _cmd_serving(args) -> str:
-    from .bench.serving import (
-        RATE_MULTIPLIER,
-        render_serving_study,
-        run_serving_study,
-        scaled_defaults,
-        write_serving_json,
-    )
-
-    sizes = scaled_defaults(_scale(args))
-    result = run_serving_study(
-        n_rows=args.rows if args.rows else sizes["n_rows"],
-        n_requests=args.requests if args.requests else sizes["n_requests"],
-        rate_multiplier=args.rate if args.rate else RATE_MULTIPLIER,
-        seed=args.seed,
-        smoke=args.smoke,
-    )
-    if args.json:
-        write_serving_json(result, args.json)
-    return render_serving_study(result)
-
-
-def _cmd_planner(args) -> str:
-    from .bench.planner import (
-        DEFAULT_QUERIES_PER_SEGMENT,
-        DEFAULT_ROWS,
-        render_planner_study,
-        run_planner_study,
-        write_planner_json,
-    )
-
-    result = run_planner_study(
-        n_rows=args.rows
-        if args.rows
-        else max(50_000, int(DEFAULT_ROWS * _scale(args))),
-        queries_per_segment=args.queries
-        if args.queries
-        else DEFAULT_QUERIES_PER_SEGMENT,
-        seed=args.seed,
-        smoke=args.smoke,
-    )
-    if args.json:
-        write_planner_json(result, args.json)
-    return render_planner_study(result)
-
-
-def _cmd_dashboard(args) -> str:
-    from .bench.dashboard import (
-        DEFAULT_ROWS,
-        render_dashboard_study,
-        run_dashboard_study,
-        write_dashboard_json,
-    )
-
-    result = run_dashboard_study(
-        n_rows=args.rows
-        if args.rows
-        else max(50_000, int(DEFAULT_ROWS * _scale(args))),
-        seed=args.seed,
-        smoke=args.smoke,
-    )
-    if args.json:
-        write_dashboard_json(result, args.json)
-    return render_dashboard_study(result)
+        write_json(result, args.json)
+    return render_study(args.command, result)
 
 
 def _cmd_recover(args) -> str:
@@ -607,46 +331,6 @@ def _cmd_recover(args) -> str:
         for name, reason in sorted(report.quarantined.items()):
             lines.append(f"  QUARANTINED {name}: {reason}")
     return "\n".join(lines)
-
-
-def _cmd_durability(args) -> str:
-    from .bench.durability import (
-        render_durability_study,
-        run_durability_study,
-        scaled_defaults,
-        write_durability_json,
-    )
-
-    sizes = scaled_defaults(_scale(args))
-    result = run_durability_study(
-        n_rows=args.rows if args.rows else sizes["n_rows"],
-        n_mutations=args.mutations if args.mutations else sizes["n_mutations"],
-        seed=args.seed,
-        smoke=args.smoke,
-    )
-    if args.json:
-        write_durability_json(result, args.json)
-    return render_durability_study(result)
-
-
-def _cmd_replication(args) -> str:
-    from .bench.replication import (
-        render_replication_study,
-        run_replication_study,
-        scaled_defaults,
-        write_replication_json,
-    )
-
-    sizes = scaled_defaults(_scale(args))
-    result = run_replication_study(
-        n_rows=args.rows if args.rows else sizes["n_rows"],
-        n_mutations=args.mutations if args.mutations else sizes["n_mutations"],
-        seed=args.seed,
-        smoke=args.smoke,
-    )
-    if args.json:
-        write_replication_json(result, args.json)
-    return render_replication_study(result)
 
 
 def _cmd_replicate(args) -> str:
@@ -809,18 +493,10 @@ _COMMANDS = {
     "entropy": _cmd_entropy,
     "query": _cmd_query,
     "figure": _cmd_figure,
-    "throughput": _cmd_throughput,
-    "materialization": _cmd_materialization,
-    "aggregates": _cmd_aggregates,
-    "streaming": _cmd_streaming,
-    "serving": _cmd_serving,
-    "planner": _cmd_planner,
-    "dashboard": _cmd_dashboard,
     "recover": _cmd_recover,
-    "durability": _cmd_durability,
-    "replication": _cmd_replication,
     "replicate": _cmd_replicate,
     "serve": _cmd_serve,
+    **dict.fromkeys(STUDIES, _cmd_study),
 }
 
 

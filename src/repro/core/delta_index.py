@@ -99,10 +99,17 @@ class DeltaAwareImprints(SecondaryIndex):
 
     def consolidate(self) -> None:
         """Materialise the delta and rebuild the index (one scan)."""
-        merged = self.delta.materialize()
-        self.base_index = ColumnImprints(merged, **self._imprints_kwargs)
-        self.delta = DeltaColumn(merged)
-        self.column = merged
+        self.rebase(self.delta.materialize())
+
+    def rebase(self, column: Column) -> None:
+        """Rebuild in place over ``column`` with an empty delta.
+
+        The object stays the one every executor and cache registered;
+        the version bump makes cursors over the old state go stale.
+        """
+        self.base_index = ColumnImprints(column, **self._imprints_kwargs)
+        self.delta = DeltaColumn(column)
+        self.column = column
         self.consolidations += 1
         self.version += 1
 

@@ -163,6 +163,13 @@ class RowSet:
         """Compact footprint: endpoints + exceptions, never the ids."""
         return int(self.starts.nbytes + self.stops.nbytes + self.extras.nbytes)
 
+    @property
+    def memo_nbytes(self) -> int:
+        """Bytes of the rank arrays positional access memoises (0 until
+        the first :meth:`slice_rows` that needs them)."""
+        cache = self.__dict__.get("_rank_cache")
+        return 0 if cache is None else sum(int(a.nbytes) for a in cache)
+
     def in_ranges(self, ids) -> np.ndarray:
         """Boolean mask: which of ``ids`` fall inside a range."""
         ids = _as_i64(ids)

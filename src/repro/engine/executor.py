@@ -18,8 +18,8 @@ shapes the kernels below are fastest at:
   without touching the index at all; version-tagged keys mean any
   append/update/rebuild invalidates implicitly, and entries are
   re-weighted (:meth:`~repro.engine.cache.LRUCache.reweight`) when a
-  consumer forces a cached answer's id array, so the byte budget keeps
-  tracking the memory actually pinned;
+  consumer forces a cached answer's id array or pages through it, so
+  the byte budget keeps tracking the memory actually pinned;
 * **aggregate pushdown** — :meth:`aggregate` answers
   ``COUNT``/``SUM``/``MIN``/``MAX`` of a predicate through the index's
   per-cacheline pre-aggregates and caches the *scalar* in the same
@@ -768,10 +768,10 @@ class QueryExecutor:
                             # (range endpoints + exceptions), not the
                             # expanded id array: a byte budget holds
                             # orders of magnitude more high-selectivity
-                            # answers.  If a consumer later forces
-                            # ``.ids``, the materialisation hook
-                            # re-charges the entry its real pinned
-                            # footprint, keeping the byte budget honest.
+                            # answers.  When a consumer later forces
+                            # ``.ids`` or pages (memoising rank arrays),
+                            # the hook re-charges the entry its real
+                            # pinned footprint, keeping the budget honest.
                             cache_key = (name, key[0], version)
                             self._cache.put(
                                 cache_key, result, weight=int(result.nbytes)

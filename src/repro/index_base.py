@@ -153,30 +153,46 @@ class QueryResult:
             # never be written through.
             ids.setflags(write=False)
             self._ids = ids
-            hook, self._on_materialize = self._on_materialize, None
-            if hook is not None:
-                # The memoised array is pinned alongside the compact
-                # form; report the new total so byte-budgeted caches
-                # (LRUCache.reweight) can account for it.
-                hook(int(self._rowset.nbytes + ids.nbytes))
+            self._recharge()
         return self._ids
 
-    def on_materialize(self, callback) -> None:
-        """Register a one-shot hook fired when ``.ids`` is first forced.
+    @property
+    def pinned_nbytes(self) -> int:
+        """Everything the result holds: the compact row set, the rank
+        arrays positional access memoised on it, and the memoised ids."""
+        pinned = 0 if self._ids is None else int(self._ids.nbytes)
+        if self._rowset is not None:
+            pinned += self._rowset.nbytes + self._rowset.memo_nbytes
+        return pinned
 
-        The callback receives the result's total pinned footprint after
-        materialisation (compact arrays + memoised id array).  Serving
-        caches use this to re-weight their entries
+    def on_materialize(self, callback) -> None:
+        """Register a hook fired whenever :attr:`pinned_nbytes` grows.
+
+        It grows when ``.ids`` is first forced and when a page, chunk or
+        top-k read first memoises the row set's rank arrays; the
+        callback receives the new total.  Serving caches use this to
+        re-weight their entries
         (:meth:`repro.engine.cache.LRUCache.reweight`) so a byte budget
-        keeps tracking reality once a consumer expands a cached answer.
-        Fires immediately if the result is already materialised;
-        replaces any previously registered hook.
+        keeps tracking reality once consumers expand a cached answer.
+        Fires immediately if the result already pins more than its
+        compact form; replaces any previously registered hook.
         """
-        if self._ids is not None:
-            extra = self._rowset.nbytes if self._rowset is not None else 0
-            callback(int(extra + self._ids.nbytes))
-            return
         self._on_materialize = callback
+        if self.pinned_nbytes != self.nbytes:
+            callback(self.pinned_nbytes)
+
+    def _recharge(self) -> None:
+        if self._on_materialize is not None:
+            self._on_materialize(self.pinned_nbytes)
+
+    def _slice(self, start: int, stop: int):
+        """``RowSet.slice_rows``, re-charging the hook if it memoised
+        the rank arrays."""
+        memo = self._rowset.memo_nbytes
+        rows = self._rowset.slice_rows(start, stop)
+        if self._rowset.memo_nbytes != memo:
+            self._recharge()
+        return rows
 
     @property
     def is_materialized(self) -> bool:
@@ -293,7 +309,7 @@ class QueryResult:
         if self._ids is not None:
             chunk = self._ids[rank:stop]
         else:
-            chunk = self._rowset.slice_rows(rank, stop).to_ids()
+            chunk = self._slice(rank, stop).to_ids()
         if stop >= total:
             return chunk, None
         # Results address position by rank alone (slice_rows seeks in
@@ -305,11 +321,10 @@ class QueryResult:
     def iter_chunks(self, size: int):
         """Stream the sorted ids as arrays of ``size`` ids each.
 
-        Delegates to :meth:`RowSet.iter_chunks
-        <repro.core.rowset.RowSet.iter_chunks>` on the compressed form
-        (eagerly-built results just slice their id array): O(size) per
-        chunk, the flat array is never built, an empty answer yields
-        nothing.
+        Slices the compressed form like :meth:`RowSet.iter_chunks
+        <repro.core.rowset.RowSet.iter_chunks>` (eagerly-built results
+        just slice their id array): O(size) per chunk, the flat array
+        is never built, an empty answer yields nothing.
         """
         if size < 1:
             raise ValueError(f"chunk size must be >= 1, got {size}")
@@ -317,13 +332,17 @@ class QueryResult:
             for lo in range(0, self._ids.shape[0], size):
                 yield self._ids[lo : lo + size]
             return
-        yield from self._rowset.iter_chunks(size)
+        total = self.count()
+        for lo in range(0, total, size):
+            yield self._slice(lo, min(lo + size, total)).to_ids()
 
     def first_k(self, k: int) -> np.ndarray:
         """The first ``k`` ids in O(k) — top-k without materialisation."""
         if self._ids is not None:
             return self._ids[: max(k, 0)]
-        return self._rowset.first_k(k)
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
+        return self._slice(0, k).to_ids()
 
     # ------------------------------------------------------------------
     # aggregate pushdown (no id expansion on range-shaped answers)

@@ -440,8 +440,11 @@ class DurableStore:
 
         Incremental: only columns with WAL records since the last
         checkpoint (``self.dirty``) are re-materialised and rewritten —
-        a clean column keeps its generation file byte-identical, its
-        live index object, and its cursors.  Correctness is unchanged:
+        a clean column keeps its generation file byte-identical and its
+        cursors.  A rewritten column's live index is rebased in place
+        (:meth:`DeltaAwareImprints.rebase`), so an executor registered
+        with :meth:`index` keeps reading current state while cursors
+        into the old state go stale.  Correctness is unchanged:
         a clean column's base already incorporates everything the old
         WAL could replay into it, so resetting its ``wal_upto`` against
         the empty new WAL is still a no-op fence.
@@ -465,11 +468,7 @@ class DurableStore:
             index = self.indexes[name]
             merged = index.delta.materialize()    # 3. snapshot + fence
             self.store.write_column(self.table, name, merged, wal_upto=ckpt_seq)
-            fresh = DeltaAwareImprints(
-                merged, consolidate_threshold=1.0, **self._imprints_kwargs
-            )
-            fresh.version = index.version + 1     # cursors go stale, not back
-            self.indexes[name] = fresh
+            index.rebase(merged)                  # live object, cursors stale
         catalog = self._catalog()                 # 4. the rotation commit
         catalog["wal_generation"] = new_generation
         for meta in catalog["columns"].values():

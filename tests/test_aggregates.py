@@ -526,3 +526,35 @@ class TestCacheReweight:
             assert compact == result.nbytes
             ids = result.ids  # force materialisation
             assert executor.cache.bytes == compact + ids.nbytes
+
+    def test_paged_and_forced_results_are_charged_what_they_pin(self):
+        # Uniform values at 20% selectivity: the answers are mostly
+        # extras, so the rank arrays paging memoises are as large as
+        # the row set itself.
+        values = np.random.default_rng(5).integers(0, 1_000_000, 200_000)
+        column = Column(values.astype(np.int32), name="t.memo")
+        budget = 3 << 20
+        with QueryExecutor(
+            {"col": ColumnImprints(column)}, cache_bytes=budget
+        ) as executor:
+            cache = executor.cache
+
+            def pinned(result) -> int:
+                # Measured from the arrays themselves: the row set, the
+                # rank arrays paging memoised on it, the forced ids.
+                rows = result.row_set
+                ranks = rows.__dict__.get("_rank_cache", ())
+                forced = result.ids.nbytes if result.is_materialized else 0
+                return rows.nbytes + sum(a.nbytes for a in ranks) + forced
+
+            for i in range(10):
+                low = 10_000 * i
+                predicate = executor.predicate("col", low, low + 200_000)
+                _, cursor = executor.query_paged("col", predicate, 100)
+                executor.query_paged("col", predicate, 100, cursor)
+                if i % 3 == 0:
+                    executor.query("col", predicate).ids  # noqa: B018
+                cached = [value for value, _ in cache._entries.values()]
+                assert cache.bytes == sum(map(pinned, cached)) <= budget
+                assert all(r.pinned_nbytes == pinned(r) for r in cached)
+            assert any(r.row_set.memo_nbytes for r in cached)

@@ -1,7 +1,11 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
+from repro.bench import regression
+from repro.bench.studies import STUDIES
 from repro.cli import build_parser, main
 
 SCALE = ["--scale", "0.05"]
@@ -57,6 +61,30 @@ class TestCommands:
     def test_figures_without_sweep(self, capsys, number):
         assert main(SCALE + ["figure", number]) == 0
         assert f"Figure {number}" in capsys.readouterr().out
+
+
+class TestStudyCommands:
+    def test_every_study_has_the_same_three_options(self):
+        parser = build_parser()
+        for name in STUDIES:
+            args = parser.parse_args(
+                [name, "--rows", "7", "--smoke", "--json", "out.json"]
+            )
+            assert (args.rows, args.smoke, args.json) == (7, True, "out.json")
+            with pytest.raises(SystemExit):
+                parser.parse_args([name, "--queries", "7"])
+
+    @pytest.mark.parametrize("name", list(STUDIES))
+    def test_every_study_runs_and_passes_its_gate(self, name, tmp_path, capsys):
+        artifact = tmp_path / f"BENCH_{name}.json"
+        assert main(SCALE + [
+            name, "--smoke", "--rows", "20000", "--json", str(artifact),
+        ]) == 0
+        result = json.loads(artifact.read_text())
+        assert result["config"]["smoke"] is True
+        assert result["config"]["n_rows"] <= 20_000
+        assert regression.gate(name, result) == []
+        assert regression.main([str(tmp_path)]) == 0
 
 
 class TestReplicationCommands:

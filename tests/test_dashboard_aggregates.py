@@ -5,7 +5,7 @@ grouped/moment/top-k surface against a NumPy oracle under random
 programs; this file pins the directed contracts — sidecar prefix
 tables, append/update maintenance, domain widening across layers,
 label rendering, pruning, the smoke-size study, and the
-``--dashboard`` regression gate.
+dashboard gate row.
 """
 
 from __future__ import annotations
@@ -14,10 +14,8 @@ import numpy as np
 import pytest
 
 from repro.core import ColumnImprints, GroupedAggregates, finalize_grouped
-from repro.bench.regression import (
-    MIN_GROUPED_SPEEDUP,
-    check_dashboard_regression,
-)
+from repro.bench.regression import gate
+from repro.bench.studies import STUDIES
 from repro.engine import QueryExecutor, ShardedColumnImprints
 from repro.predicate import RangePredicate
 from repro.storage import Column, GroupColumn
@@ -245,34 +243,35 @@ def _dashboard_gate_fixture(
 
 
 class TestDashboardRegressionGate:
-    """Satellite: the ``--dashboard`` gate in repro.bench.regression."""
+    """The dashboard row of the declarative gate (repro.bench.regression)."""
 
     def test_passes_clean_full_run(self):
-        assert check_dashboard_regression(_dashboard_gate_fixture()) == []
+        assert gate("dashboard", _dashboard_gate_fixture()) == []
         assert (
-            check_dashboard_regression(
+            gate(
+                "dashboard",
                 _dashboard_gate_fixture(), _dashboard_gate_fixture()
             )
             == []
         )
 
     def test_unverified_run_always_fails(self):
-        failures = check_dashboard_regression(
+        failures = gate(
+            "dashboard",
             _dashboard_gate_fixture(smoke=True, verified=False)
         )
         assert any("verify" in f for f in failures)
 
     def test_losing_the_acceptance_headline_fails(self):
         # 2x < 5.0 * (1 - 25%) — the grouped pushdown lost its edge.
-        failures = check_dashboard_regression(
-            _dashboard_gate_fixture(min_speedup=2.0)
-        )
+        failures = gate("dashboard", _dashboard_gate_fixture(min_speedup=2.0))
         assert any("acceptance headline" in f for f in failures)
-        assert MIN_GROUPED_SPEEDUP == 5.0
+        assert STUDIES["dashboard"]["full"][0][2] == 5.0
 
     def test_smoke_runs_skip_wallclock_invariants(self):
         assert (
-            check_dashboard_regression(
+            gate(
+                "dashboard",
                 _dashboard_gate_fixture(min_speedup=0.1, smoke=True)
             )
             == []
@@ -281,21 +280,17 @@ class TestDashboardRegressionGate:
     def test_baseline_drift_gates(self):
         baseline = _dashboard_gate_fixture(min_speedup=9.0, topk=2.0)
         worse = _dashboard_gate_fixture(min_speedup=6.0, topk=2.0)
-        failures = check_dashboard_regression(worse, baseline)
-        assert any("min_grouped_speedup_vs_eager regressed" in f for f in failures)
+        failures = gate("dashboard", worse, baseline)
+        assert any(
+            "min_grouped_speedup_vs_eager regressed" in f for f in failures
+        )
         worse_topk = _dashboard_gate_fixture(min_speedup=9.0, topk=1.0)
-        failures = check_dashboard_regression(worse_topk, baseline)
+        failures = gate("dashboard", worse_topk, baseline)
         assert any("topk_speedup_vs_eager regressed" in f for f in failures)
 
     def test_incomparable_baseline_skips_drift_check(self):
         baseline = _dashboard_gate_fixture(min_speedup=50.0, n_rows=100_000)
         assert (
-            check_dashboard_regression(_dashboard_gate_fixture(), baseline)
+            gate("dashboard", _dashboard_gate_fixture(), baseline)
             == []
         )
-
-    def test_tolerance_validation(self):
-        with pytest.raises(ValueError, match="tolerance"):
-            check_dashboard_regression(
-                _dashboard_gate_fixture(), tolerance=1.0
-            )

@@ -8,7 +8,9 @@ seam is honest end to end.
 import numpy as np
 import pytest
 
-from repro.errors import QuarantinedColumnError
+from repro.engine import QueryExecutor
+from repro.errors import QuarantinedColumnError, StaleCursorError
+from repro.predicate import RangePredicate
 from repro.storage.durability import (
     DurableStore,
     FaultConfig,
@@ -172,6 +174,37 @@ class TestCheckpoint:
         store.delete("x", 0)
         store.checkpoint()
         assert len(store.index("x").base_index.column) == len(BASE) - 1
+
+    def test_executor_registered_before_checkpoints_reads_current_state(self):
+        # The serve --store wiring: register store.index(name) once, then
+        # keep writing through checkpoints.
+        store = open_store(MemoryFileSystem(), checkpoint_threshold=0.25)
+        rng = np.random.default_rng(7)
+        mirror = rng.integers(0, 1_000, 10_000).astype(np.int32)
+        store.create_column("x", mirror)
+        predicate = RangePredicate.range(100, 400, store.index("x").column.ctype)
+        with QueryExecutor({"x": store.index("x")}, batch_window=0.0) as ex:
+            for _ in range(8):
+                batch = rng.integers(0, 1_000, 1_000).astype(np.int32)
+                store.append("x", batch)
+                mirror = np.concatenate([mirror, batch])
+                expected = np.flatnonzero((mirror >= 100) & (mirror < 400))
+                assert np.array_equal(ex.query("x", predicate).ids, expected)
+                assert ex.aggregate("x", predicate, "count") == expected.size
+        assert store.checkpoints >= 2
+
+    def test_cursor_taken_before_a_checkpoint_goes_stale(self, fs):
+        store = seed_store(fs)
+        store.append("x", np.arange(100, 120, dtype=np.int32))
+        predicate = RangePredicate.range(0, 150, store.index("x").column.ctype)
+        with QueryExecutor({"x": store.index("x")}, batch_window=0.0) as ex:
+            page, cursor = ex.query_paged("x", predicate, 10)
+            assert page.tolist() == list(range(10))
+            store.checkpoint()  # "x" has a pending append: rebased
+            with pytest.raises(StaleCursorError):
+                ex.query_paged("x", predicate, 10, cursor)
+            page, _ = ex.query_paged("x", predicate, 10)
+            assert page.tolist() == list(range(10))
 
 
 class TestQuarantine:

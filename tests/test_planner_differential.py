@@ -34,7 +34,7 @@ from repro.engine import (
     ShardedColumnImprints,
     predicate_shape,
 )
-from repro.bench.regression import check_planner_regression
+from repro.bench.regression import gate
 from repro.indexes import SequentialScan, WahBitmapIndex, ZoneMap
 from repro.predicate import RangePredicate
 from repro.sim import CostModel
@@ -572,19 +572,18 @@ def _planner_gate_fixture(
 
 
 class TestPlannerRegressionGate:
-    """Satellite: the ``--planner`` gate in repro.bench.regression."""
+    """The planner row of the declarative gate (repro.bench.regression)."""
 
     def test_passes_clean_full_run(self):
-        assert check_planner_regression(_planner_gate_fixture()) == []
+        assert gate("planner", _planner_gate_fixture()) == []
         assert (
-            check_planner_regression(
-                _planner_gate_fixture(), _planner_gate_fixture()
-            )
+            gate("planner", _planner_gate_fixture(), _planner_gate_fixture())
             == []
         )
 
     def test_unverified_run_always_fails(self):
-        failures = check_planner_regression(
+        failures = gate(
+            "planner",
             _planner_gate_fixture(smoke=True, verified=False)
         )
         assert any("bit-identical" in f for f in failures)
@@ -592,18 +591,19 @@ class TestPlannerRegressionGate:
     def test_planner_straying_from_best_static_fails(self):
         # 1.5x > 1.10 * (1 + 25%) — the planner stopped tracking the
         # best access path somewhere.
-        failures = check_planner_regression(_planner_gate_fixture(max_ratio=1.5))
+        failures = gate("planner", _planner_gate_fixture(max_ratio=1.5))
         assert any("best static" in f for f in failures)
 
     def test_losing_the_unselective_win_fails(self):
         # The paper's Section 6.3 claim: unselective queries must fall
         # back to a scan.  Slower than always-imprints means they don't.
-        failures = check_planner_regression(_planner_gate_fixture(speedup=0.5))
+        failures = gate("planner", _planner_gate_fixture(speedup=0.5))
         assert any("always-imprints" in f for f in failures)
 
     def test_smoke_runs_skip_wallclock_invariants(self):
         assert (
-            check_planner_regression(
+            gate(
+                "planner",
                 _planner_gate_fixture(max_ratio=3.0, speedup=0.2, smoke=True)
             )
             == []
@@ -612,10 +612,10 @@ class TestPlannerRegressionGate:
     def test_baseline_drift_gates_both_directions(self):
         baseline = _planner_gate_fixture(max_ratio=0.8, speedup=2.4)
         worse_ratio = _planner_gate_fixture(max_ratio=1.05, speedup=2.4)
-        failures = check_planner_regression(worse_ratio, baseline)
+        failures = gate("planner", worse_ratio, baseline)
         assert any("max_planner_vs_best_static grew" in f for f in failures)
         worse_speedup = _planner_gate_fixture(max_ratio=0.8, speedup=1.5)
-        failures = check_planner_regression(worse_speedup, baseline)
+        failures = gate("planner", worse_speedup, baseline)
         assert any(
             "low_selectivity_speedup_vs_imprints regressed" in f
             for f in failures
@@ -626,9 +626,5 @@ class TestPlannerRegressionGate:
             max_ratio=0.5, speedup=5.0, n_rows=100_000
         )
         assert (
-            check_planner_regression(_planner_gate_fixture(), baseline) == []
+            gate("planner", _planner_gate_fixture(), baseline) == []
         )
-
-    def test_tolerance_validation(self):
-        with pytest.raises(ValueError, match="tolerance"):
-            check_planner_regression(_planner_gate_fixture(), tolerance=1.0)

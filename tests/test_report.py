@@ -3,6 +3,7 @@
 import pathlib
 
 from repro.bench.report import generate_report
+from repro.bench.studies import STUDIES
 
 
 def test_report_writes_every_experiment(tmp_path):
@@ -22,6 +23,7 @@ def test_report_writes_every_experiment(tmp_path):
         "fig11_probes.txt",
         "update_study.txt",
         "ablations.txt",
+        *(f"{name}.txt" for name in STUDIES),
     }
     assert expected <= names
     index_text = (output / "INDEX.md").read_text()

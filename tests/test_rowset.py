@@ -19,7 +19,7 @@ from repro.core import ColumnImprints, RowSet, conjunctive_query, disjunctive_qu
 from repro.core.query import query_scalar
 from repro.engine import QueryExecutor, ShardedColumnImprints
 from repro.engine.cache import LRUCache
-from repro.bench.regression import check_throughput_regression
+from repro.bench.regression import gate
 from repro.index_base import QueryResult
 from repro.predicate import RangePredicate
 from repro.storage import Column, Table
@@ -325,42 +325,46 @@ def gate_fixture(sharded=1.05, executor=3.5, verified=True, **config):
 class TestThroughputRegressionGate:
     def test_passes_identical_runs(self):
         fresh = gate_fixture()
-        assert check_throughput_regression(fresh, gate_fixture()) == []
+        assert gate("throughput", fresh, gate_fixture()) == []
 
     def test_fails_on_sharded_slower_than_serial(self):
-        failures = check_throughput_regression(gate_fixture(sharded=0.72))
+        failures = gate("throughput", gate_fixture(sharded=0.72))
         assert any("slower than serial" in f for f in failures)
 
     def test_fails_on_speedup_regression(self):
-        failures = check_throughput_regression(
+        failures = gate(
+            "throughput",
             gate_fixture(executor=2.0), gate_fixture(executor=4.0)
         )
-        assert any("executor speedup regressed" in f for f in failures)
+        assert any(
+            "modes.executor.speedup_vs_serial regressed" in f for f in failures
+        )
 
     def test_tolerates_within_band(self):
-        failures = check_throughput_regression(
+        failures = gate(
+            "throughput",
             gate_fixture(executor=3.1), gate_fixture(executor=4.0)
         )
         assert failures == []
 
     def test_incomparable_configs_skip_speedup_check(self):
         baseline = gate_fixture(executor=9.0, n_rows=999)
-        failures = check_throughput_regression(gate_fixture(), baseline)
+        failures = gate("throughput", gate_fixture(), baseline)
         assert failures == []
 
     def test_cpu_count_mismatch_still_compares(self):
         # The committed baseline comes from the reference container; CI
         # runners have different core counts but the same workload.
         baseline = gate_fixture(executor=9.0, cpu_count=8)
-        failures = check_throughput_regression(gate_fixture(), baseline)
-        assert any("executor speedup regressed" in f for f in failures)
+        failures = gate("throughput", gate_fixture(), baseline)
+        assert any(
+            "modes.executor.speedup_vs_serial regressed" in f for f in failures
+        )
 
     def test_smoke_runs_skip_wallclock_invariant(self):
-        failures = check_throughput_regression(
-            gate_fixture(sharded=0.5, smoke=True)
-        )
+        failures = gate("throughput", gate_fixture(sharded=0.5, smoke=True))
         assert failures == []
 
     def test_unverified_run_always_fails(self):
-        failures = check_throughput_regression(gate_fixture(verified=False))
+        failures = gate("throughput", gate_fixture(verified=False))
         assert any("bit-identical" in f for f in failures)
