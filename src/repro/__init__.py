@@ -18,8 +18,9 @@ Quickstart::
 Packages:
 
 * :mod:`repro.core` — the imprints index (the paper's contribution);
-* :mod:`repro.engine` — the execution engine: sharded parallel kernels
-  plus the micro-batching/coalescing/caching query executor;
+* :mod:`repro.engine` — the execution engine: the micro-batching/
+  coalescing/caching query executor, the access-path planner and
+  shard-walk streaming;
 * :mod:`repro.storage` — the column-store substrate;
 * :mod:`repro.indexes` — zonemap / WAH-bitmap / scan baselines;
 * :mod:`repro.sim` — the memory-traffic cost model;

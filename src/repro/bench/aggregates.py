@@ -19,10 +19,9 @@ study) timing, per operation,
 * ``cached``   — a repeated ``QueryExecutor.aggregate`` call (the
   versioned-LRU scalar hit serving repeated dashboard traffic).
 
-Every pushdown answer is verified **bit-identical** to NumPy reference
-aggregation over the forced ids before any timing, for the serial index
-and for a 4-shard :class:`~repro.engine.sharded.ShardedColumnImprints`
-(partials recombine exactly).  The machine-readable result lands in
+Every pushdown and executor answer is verified **bit-identical** to
+NumPy reference aggregation over the forced ids before any timing.  The
+machine-readable result lands in
 ``benchmarks/results/BENCH_aggregates.json``.
 """
 
@@ -31,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import ColumnImprints
-from ..engine import QueryExecutor, ShardedColumnImprints
+from ..engine import QueryExecutor
 from .materialization import SWEEP_SELECTIVITIES, materialization_workload
 from .runner import best_of
 from .studies import stamp
@@ -87,9 +86,6 @@ def run_aggregate_study(
     aggregates = index.cacheline_aggregates  # build the sidecar up front
     index.query(predicates[SWEEP_SELECTIVITIES[0]])  # warm masks/snapshot
 
-    sharded = ShardedColumnImprints(
-        column, n_shards=4, n_workers=2, rng=np.random.default_rng(seed)
-    )
     executor = QueryExecutor({"bench": index}, batch_window=0.0)
 
     sweep = []
@@ -105,12 +101,11 @@ def run_aggregate_study(
             }
             for op in STUDY_OPS:
                 reference = _reference(values, ids, op)
-                # --- verification (untimed): pushdown, sharded partials
-                # and the executor scalar path all agree bit-identically
-                # with the NumPy reference over forced ids.
+                # --- verification (untimed): pushdown and the executor
+                # scalar path both agree bit-identically with the NumPy
+                # reference over forced ids.
                 for label, got in (
                     ("pushdown", index.aggregate(predicate, op)),
-                    ("sharded", sharded.aggregate(predicate, op)),
                     ("executor", executor.aggregate("bench", predicate, op)),
                 ):
                     if got != reference:
@@ -155,7 +150,6 @@ def run_aggregate_study(
             sweep.append(point)
     finally:
         executor.close()
-        sharded.close()
 
     headline_point = next(
         (p for p in sweep if p["selectivity"] == HEADLINE_SELECTIVITY),

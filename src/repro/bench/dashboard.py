@@ -25,13 +25,11 @@ at a selectivity sweep and times, per panel,
   filter).
 
 Every pushdown answer is verified **bit-identical** to NumPy reference
-aggregation over the forced ids before any timing — for the serial
-index, a 4-shard :class:`~repro.engine.sharded.ShardedColumnImprints`
-(grouped partials recombine exactly) and the executor.  The integer
-column makes even ``AVG``/``VAR`` exact: the moments derive from exact
-integer ``(count, sum, sumsq)`` and Python's correctly-rounded big-int
-division.  The machine-readable result lands in
-``benchmarks/results/BENCH_dashboard.json``.
+aggregation over the forced ids before any timing — for the index and
+the executor.  The integer column makes even ``AVG``/``VAR`` exact: the
+moments derive from exact integer ``(count, sum, sumsq)`` and Python's
+correctly-rounded big-int division.  The machine-readable result lands
+in ``benchmarks/results/BENCH_dashboard.json``.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import ColumnImprints
-from ..engine import QueryExecutor, ShardedColumnImprints
+from ..engine import QueryExecutor
 from ..predicate import RangePredicate
 from ..storage import Column
 from .materialization import clustered_sweep
@@ -155,10 +153,6 @@ def run_dashboard_study(
     aggregates = index.cacheline_aggregates
     index.query(predicates[SWEEP_SELECTIVITIES[0]])  # warm masks/snapshot
 
-    sharded = ShardedColumnImprints(
-        column, n_shards=4, n_workers=2, rng=np.random.default_rng(seed)
-    )
-    sharded.attach_group_column("region", labels)
     executor = QueryExecutor({"trips": index}, batch_window=0.0)
 
     sweep = []
@@ -181,7 +175,6 @@ def run_dashboard_study(
                 )
                 for label, got in (
                     ("pushdown", index.aggregate_grouped(predicate, op, "region")),
-                    ("sharded", sharded.aggregate_grouped(predicate, op, "region")),
                     ("executor", executor.aggregate_grouped(
                         "trips", predicate, op, "region"
                     )),
@@ -196,7 +189,6 @@ def run_dashboard_study(
                 reference = _moment_reference(values, ids, op)
                 for label, got in (
                     ("pushdown", index.aggregate(predicate, op)),
-                    ("sharded", sharded.aggregate(predicate, op)),
                     ("executor", executor.aggregate("trips", predicate, op)),
                 ):
                     if got != reference:
@@ -210,7 +202,6 @@ def run_dashboard_study(
             ]
             for label, got in (
                 ("pushdown", index.top_k(predicate, TOP_K)),
-                ("sharded", sharded.top_k(predicate, TOP_K)),
                 ("executor", executor.top_k("trips", predicate, TOP_K)),
             ):
                 if got != topk_reference:
@@ -310,7 +301,6 @@ def run_dashboard_study(
             sweep.append(point)
     finally:
         executor.close()
-        sharded.close()
 
     headline_point = next(
         (p for p in sweep if p["selectivity"] == HEADLINE_SELECTIVITY),

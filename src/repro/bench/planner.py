@@ -108,13 +108,13 @@ def planner_workload(
 
 
 def _build_executor(
-    columns: dict[str, Column], with_planner: bool
-) -> tuple[QueryExecutor, QueryPlanner | None]:
+    columns: dict[str, Column],
+) -> tuple[QueryExecutor, QueryPlanner]:
     indexes = {
         name: MultiBackendIndex.for_column(column)
         for name, column in columns.items()
     }
-    planner = QueryPlanner() if with_planner else None
+    planner = QueryPlanner()
     executor = QueryExecutor(
         indexes,
         planner=planner,
@@ -155,14 +155,15 @@ def run_planner_study(
         for segment, column_name, predicates in segments
     }
 
-    kinds = ("imprints", "zonemap", "wah", "scan")
+    planner_executor, planner = _build_executor(columns)
+    # One static mode per backend of the planner's own backend set.
+    kinds = tuple(planner_executor.index(next(iter(columns))).backends)
     static_executors = {}
     for kind in kinds:
-        executor, planner = _build_executor(columns, with_planner=True)
+        executor, static_planner = _build_executor(columns)
         for name in columns:
-            planner.force(name, kind)
+            static_planner.force(name, kind)
         static_executors[kind] = executor
-    planner_executor, planner = _build_executor(columns, with_planner=True)
 
     def run_segment(executor: QueryExecutor, segment_index: int) -> float:
         segment, column_name, predicates = segments[segment_index]

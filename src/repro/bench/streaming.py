@@ -31,8 +31,6 @@ lands in ``benchmarks/results/BENCH_streaming.json``.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from ..core import ColumnImprints
@@ -90,7 +88,6 @@ def run_streaming_study(
     repeats: int = 7,
     page_size: int = PAGE_SIZE,
     n_shards: int = 4,
-    n_workers: int = 4,
     smoke: bool = False,
 ) -> dict:
     """Sweep selectivities; verify every mode, then time page vs eager.
@@ -101,12 +98,9 @@ def run_streaming_study(
     if smoke:
         n_rows = min(n_rows, 150_000)
         repeats = min(repeats, 3)
-    n_workers = max(1, min(n_workers, os.cpu_count() or 1))
     column, predicates = streaming_workload(n_rows, seed=seed)
     serial = ColumnImprints(column)
-    sharded = ShardedColumnImprints(
-        column, n_shards=n_shards, n_workers=n_workers
-    )
+    sharded = ShardedColumnImprints(column, n_shards=n_shards)
     executor = QueryExecutor(
         {"stream": ColumnImprints(column)}, batch_window=0.0
     )
@@ -204,7 +198,6 @@ def run_streaming_study(
             )
     finally:
         executor.close()
-        sharded.close()
 
     headline = next(
         (
@@ -221,7 +214,6 @@ def run_streaming_study(
             "repeats": repeats,
             "page_size": page_size,
             "n_shards": n_shards,
-            "n_workers": n_workers,
             "selectivities": list(SWEEP_SELECTIVITIES),
         },
         "sweep": sweep,

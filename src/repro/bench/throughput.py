@@ -9,8 +9,8 @@ column:
 
 * ``serial``   — per-query :meth:`ColumnImprints.query` calls, the
   PR-1 state of the art and the baseline;
-* ``sharded``  — per-query :class:`ShardedColumnImprints` evaluation
-  (cacheline-aligned shards on a thread pool);
+* ``sharded``  — per-query :class:`ShardedColumnImprints` evaluation,
+  the guard that the shard class never answers slower than serial;
 * ``executor`` — the full serving stack: :class:`QueryExecutor`
   micro-batching the stream into shared ``query_batch`` passes over the
   sharded index, coalescing duplicate in-flight predicates and caching
@@ -22,7 +22,6 @@ against the serial baseline before any number is reported.
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -125,7 +124,7 @@ def run_throughput_study(
     then cleared, so the timed window measures the serving architecture
     doing real work: hot predicates are answered from cache only after
     the engine computed them once inside the window, the cold tail
-    keeps hitting the batched shard kernels, and duplicate in-flight
+    keeps hitting the batched kernels, and duplicate in-flight
     submissions coalesce.  ``smoke`` shrinks the workload for CI
     wall-clock budgets while exercising every code path.  Returns a
     JSON-ready dict.
@@ -135,18 +134,9 @@ def run_throughput_study(
         n_queries = min(n_queries, 240)
     column, stream = throughput_workload(n_rows, n_queries=n_queries, seed=seed)
 
-    # Thread fan-out beyond the physical cores only adds scheduling
-    # overhead to the shard kernels (the sharded-slower-than-serial
-    # regression this bench once recorded); clamp, and let the index
-    # fall back to inline (delegated) dispatch when one worker remains.
-    shard_workers = max(1, min(n_workers, os.cpu_count() or 1))
     serial_index = ColumnImprints(column)
-    sharded_index = ShardedColumnImprints(
-        column, n_shards=n_shards, n_workers=shard_workers
-    )
-    engine_index = ShardedColumnImprints(
-        column, n_shards=n_shards, n_workers=shard_workers
-    )
+    sharded_index = ShardedColumnImprints(column, n_shards=n_shards)
+    engine_index = ShardedColumnImprints(column, n_shards=n_shards)
     executor = QueryExecutor(
         {"c": engine_index},
         batch_window=0.0005,
@@ -154,7 +144,7 @@ def run_throughput_study(
         cache_size=1024,
         n_workers=n_workers,
     )
-    with sharded_index, engine_index, executor:
+    with executor:
         # --- verification pass (untimed): every mode, every predicate,
         # bit-identical ids *and* stats against the serial baseline.
         reference = [serial_index.query(predicate) for predicate in stream]
@@ -200,18 +190,13 @@ def run_throughput_study(
             "n_queries": n_queries,
             "n_shards": n_shards,
             "n_workers": n_workers,
-            "shard_workers": shard_workers,
             "selectivities": list(SELECTIVITIES),
         },
         "modes": {
             "serial": mode(serial_seconds),
-            "sharded": {
-                **mode(sharded_seconds),
-                "dispatch_mode": sharded_index.dispatch_mode,
-            },
+            "sharded": mode(sharded_seconds),
             "executor": {
                 **mode(executor_seconds),
-                "dispatch_mode": engine_index.dispatch_mode,
                 "coalesced": coalesced,
                 "cache_hits": cache_hits,
                 "kernel_queries": kernel_queries,
@@ -233,16 +218,16 @@ def render_throughput_study(result: dict) -> str:
                 numbers["seconds"],
                 numbers["qps"],
                 f"{numbers['speedup_vs_serial']:.2f}x",
-                numbers.get("dispatch_mode", "-"),
             ]
         )
     table = format_table(
-        headers=["mode", "seconds", "queries/s", "vs serial", "dispatch"],
+        headers=["mode", "seconds", "queries/s", "vs serial"],
         rows=rows,
         title=(
             f"serving throughput: {config['n_rows']:,} rows, "
             f"{config['n_queries']} queries, "
-            f"{config['n_shards']} shards, {config['n_workers']} workers "
+            f"{config['n_shards']} shards, "
+            f"{config['n_workers']} executor workers "
             f"(answers verified bit-identical)"
         ),
     )

@@ -27,9 +27,6 @@ from .aggregates import (
     aggregate_candidates,
     aggregate_rowset,
     candidate_moments,
-    combine_grouped,
-    combine_partials,
-    combine_topk,
     finalize_grouped,
     grouped_candidates,
     grouped_gathered,
@@ -113,8 +110,6 @@ __all__ = [
     "GROUP_OPS",
     "MOMENT_OPS",
     "candidate_moments",
-    "combine_grouped",
-    "combine_topk",
     "finalize_grouped",
     "grouped_candidates",
     "grouped_gathered",
@@ -122,7 +117,6 @@ __all__ = [
     "topk_gathered",
     "aggregate_candidates",
     "aggregate_rowset",
-    "combine_partials",
     "reduce_gathered",
     "expand_ranges",
     "ids_to_ranges",

@@ -73,9 +73,6 @@ __all__ = [
     "aggregate_candidates",
     "aggregate_identity",
     "candidate_moments",
-    "combine_partials",
-    "combine_grouped",
-    "combine_topk",
     "finalize_grouped",
     "grouped_candidates",
     "grouped_gathered",
@@ -818,9 +815,9 @@ def candidate_moments(
 ):
     """(count, sum, sum-of-squares) straight off candidate ranges.
 
-    The shard-combinable moment partial behind ``avg``/``var``/``std``
-    pushdown: same refinement as :func:`aggregate_candidates`, one pass
-    over the straddling lines, no id list.  ``squares=False`` skips the
+    The moment partial behind ``avg``/``var``/``std`` pushdown: same
+    refinement as :func:`aggregate_candidates`, one pass over the
+    straddling lines, no id list.  ``squares=False`` skips the
     sum-of-squares lane (all ``avg`` needs) and returns ``None`` in its
     place.
     """
@@ -935,8 +932,8 @@ def grouped_candidates(
     range, no ids); only lines straddling a predicate bound gather
     their codes and values, and those survivors fold in through one
     ``bincount`` / unbuffered ``add.at``.  Returns per-group arrays of
-    shape ``(n_groups,)`` — shard-combinable by elementwise addition —
-    with ``sums`` ``None`` when not requested (grouped ``count``).
+    shape ``(n_groups,)``, with ``sums`` ``None`` when not requested
+    (grouped ``count``).
     """
     (
         full_starts,
@@ -1044,76 +1041,3 @@ def topk_candidates(ranges, values, predicate, aggregates, k: int) -> list:
     if not collected:
         return []
     return topk_gathered(np.concatenate(collected), k)
-
-
-# ----------------------------------------------------------------------
-# shard recombination
-# ----------------------------------------------------------------------
-def combine_partials(op: str, partials, sum_dtype=None):
-    """Combine per-shard partial aggregates into the global answer.
-
-    ``count`` adds, ``sum`` adds *in the 64-bit accumulator dtype* (so
-    integer wraparound recombines bit-identically to the unsharded
-    answer), ``min``/``max`` take the extremum over the non-``None``
-    partials (``None`` marks an empty shard answer).  For the moment
-    ops each partial is a ``(count, sum, sumsq)`` tuple (as produced by
-    :func:`candidate_moments`); the moments add componentwise in the
-    accumulator dtype and finalise once globally, so sharding never
-    changes the answer.
-    """
-    _check_op(op)
-    partials = list(partials)
-    if op == "count":
-        return int(sum(partials))
-    dtype = np.dtype(sum_dtype) if sum_dtype is not None else np.dtype(_I64)
-    if op == "sum":
-        return np.add.reduce(np.array(partials, dtype=dtype)).item() if partials else (
-            aggregate_identity("sum", dtype)
-        )
-    if op in MOMENT_OPS:
-        present = [p for p in partials if p is not None]
-        count = int(sum(p[0] for p in present))
-        if count == 0:
-            return None
-        total = np.add.reduce(
-            np.array([p[1] for p in present], dtype=dtype)
-        ).item()
-        total_sq = None
-        if op != "avg":
-            total_sq = np.add.reduce(
-                np.array([p[2] for p in present], dtype=dtype)
-            ).item()
-        return _finalize_moments(op, count, total, total_sq)
-    present = [value for value in partials if value is not None]
-    if not present:
-        return None
-    return min(present) if op == "min" else max(present)
-
-
-def combine_grouped(partials):
-    """Elementwise-add per-shard grouped ``(counts, sums)`` partials.
-
-    ``None`` partials (empty shards) are skipped; ``sums`` stays
-    ``None`` when no partial carried one.  Returns ``(counts, sums)``
-    ready for :func:`finalize_grouped`.
-    """
-    counts = sums = None
-    for partial in partials:
-        if partial is None:
-            continue
-        pcounts, psums = partial
-        counts = pcounts if counts is None else counts + pcounts
-        if psums is not None:
-            sums = psums if sums is None else sums + psums
-    if counts is None:
-        counts = np.zeros(0, dtype=_I64)
-    return counts, sums
-
-
-def combine_topk(partials, k: int) -> list:
-    """Merge per-shard top-k lists into the global top-k (descending)."""
-    merged = [value for partial in partials if partial for value in partial]
-    if not merged or k <= 0:
-        return []
-    merged.sort(reverse=True)
-    return merged[:k]

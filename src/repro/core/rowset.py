@@ -15,7 +15,7 @@ by orders of magnitude for high-selectivity answers (a 10% answer over
 2M rows is ~200k ids — 1.6 MB — versus a handful of range endpoints)
 and costs a bulk ``arange`` per query.  ``RowSet`` keeps the compact
 form and supports the operations consumers actually need — counting,
-membership, intersection, union, shard stitching — directly on the
+membership, intersection, union, concatenation — directly on the
 endpoints, in O(ranges + exceptions) instead of O(ids).  The range
 form is also what aggregate pushdown consumes: ``SUM``/``MIN``/``MAX``
 over a row set's ranges come from per-cacheline pre-aggregates
@@ -117,11 +117,10 @@ class RowSet:
     def concatenate(cls, parts, offsets) -> "RowSet":
         """Stitch ordered disjoint parts, shifting each by its offset.
 
-        The sharded engine's O(shards) stitch: per-shard answers are
-        locally sorted and shards cover disjoint ascending id spans, so
-        the global set is a concatenation of shifted endpoints — no id
-        arrays, no sort.  Abutting ranges split by shard boundaries are
-        re-merged.
+        O(parts) stitching of locally sorted answers over disjoint
+        ascending id spans: the global set is a concatenation of shifted
+        endpoints — no id arrays, no sort.  Abutting ranges split by a
+        part boundary are re-merged.
         """
         parts = list(parts)
         offsets = list(offsets)
@@ -237,7 +236,7 @@ class RowSet:
         return RowSet(starts, stops, extras)
 
     def shift(self, offset: int) -> "RowSet":
-        """The same set translated by ``offset`` (shard re-basing)."""
+        """The same set translated by ``offset``."""
         if offset == 0:
             return self
         return RowSet(

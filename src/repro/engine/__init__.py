@@ -1,12 +1,10 @@
-"""The execution engine: sharded parallel serving of imprint queries.
+"""The execution engine: batched, planned serving of imprint queries.
 
 Layers, bottom up:
 
-* :mod:`repro.engine.sharded` — :class:`ShardedColumnImprints` splits
-  the compressed index into cacheline-aligned shard views and runs the
-  compressed-domain kernels per shard on a thread pool, stitching the
-  answers (and Figure 11 counters) back bit-identical to the unsharded
-  index;
+* :mod:`repro.engine.sharded` — :class:`ShardedColumnImprints` slices
+  the compressed index into cacheline-aligned shard views and streams
+  pages shard by shard, evaluating only the shards a page reaches;
 * :mod:`repro.engine.planner` — :class:`QueryPlanner` prices every
   candidate backend for a predicate (cost model × observed statistics)
   and :class:`MultiBackendIndex` hosts several access paths over one

@@ -8,9 +8,7 @@ shapes the kernels below are fastest at:
 * **micro-batching** — submissions against the same column are held for
   a bounded window (or until the batch fills) and then answered by one
   ``query_batch`` pass, which shares the stored-vector mask tests
-  across the whole batch (and, for a
-  :class:`~repro.engine.sharded.ShardedColumnImprints`, fans the pass
-  out over shards);
+  across the whole batch;
 * **request coalescing** — identical predicates inside a batch are
   evaluated once and the result is shared by every waiter;
 * **result caching** — a bounded LRU keyed by
@@ -237,10 +235,9 @@ class QueryExecutor:
         ``backend`` forces the access path for this one submission (the
         per-query escape hatch of the planner seam): the entry bypasses
         the result cache, is never coalesced with differently-routed
-        peers, and is evaluated by the named backend — which requires
-        the column's index to support routing (a
-        :class:`~repro.engine.planner.MultiBackendIndex`, or any index
-        whose ``query_batch`` accepts ``backend=``).  Answers are
+        peers, and is evaluated by the named backend — one of the
+        column's :class:`~repro.engine.planner.MultiBackendIndex`
+        backends, or the kind of a plain index.  Answers are
         bit-identical to the unforced path.
         """
         if self._closed:
@@ -444,11 +441,9 @@ class QueryExecutor:
         aggregated through the index's pre-aggregate sidecar (no kernel
         run); else the index's own
         :meth:`~repro.index_base.SecondaryIndex.aggregate` pushdown
-        runs (shard-parallel for a
-        :class:`~repro.engine.sharded.ShardedColumnImprints`).  The
-        scalar lands in the versioned LRU at a nominal weight, so a
-        byte budget holds practically unlimited aggregate answers and
-        any append/update/rebuild invalidates implicitly.
+        runs.  The scalar lands in the versioned LRU at a nominal
+        weight, so a byte budget holds practically unlimited aggregate
+        answers and any append/update/rebuild invalidates implicitly.
         """
         if op not in AGGREGATE_OPS:
             raise ValueError(
@@ -604,10 +599,7 @@ class QueryExecutor:
         if resolve is not None:
             resolve(backend)  # raises ValueError on unknown kinds
             return
-        kinds = {index.kind}
-        if index.kind == "imprints-sharded":
-            kinds.add("imprints")
-        if backend not in kinds:
+        if backend != index.kind:
             raise ValueError(
                 f"column {name!r} (index kind {index.kind!r}) cannot "
                 f"serve forced backend {backend!r}"
@@ -619,10 +611,9 @@ class QueryExecutor:
 
         ``backend=None`` is the classic path.  A named backend routes
         through the index's dispatch seam
-        (:meth:`~repro.engine.planner.MultiBackendIndex.query_batch` or
-        the :class:`~repro.engine.sharded.ShardedColumnImprints`
-        ``backend=`` override); an index whose only access path *is*
-        the requested kind just runs normally.
+        (:meth:`~repro.engine.planner.MultiBackendIndex.query_batch`);
+        an index whose only access path *is* the requested kind just
+        runs normally.
         """
         if backend is None or not hasattr(index, "resolve"):
             return index.query_batch(predicates)

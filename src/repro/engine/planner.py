@@ -11,7 +11,7 @@ actually happened.
 Three pieces:
 
 * :class:`MultiBackendIndex` — one logical column served by several
-  physical access paths (imprints, zonemap, WAH, scan) over the same
+  physical access paths (imprints, zonemap, scan) over the same
   data.  Mutations fan out to every backend in lockstep; queries route
   through any of them and come back stamped with one shared version
   counter, so the executor's versioned LRU and page cursors are
@@ -616,13 +616,13 @@ class QueryPlanner:
 class MultiBackendIndex(SecondaryIndex):
     """One column, several interchangeable physical access paths.
 
-    Wraps a *primary* index (imprints — plain or sharded — the
-    differential oracle and the aggregate-pushdown path) plus alternate
-    backends over the same column.  All mutations fan out to every
-    backend in lockstep, so any backend can answer any query at any
-    time; every answer is re-stamped with the primary's version counter,
-    which makes executor caching and page cursors identical no matter
-    which backend produced the answer.
+    Wraps a *primary* index (imprints — the differential oracle and
+    the aggregate-pushdown path) plus alternate backends over the same
+    column.  All mutations fan out to every backend in lockstep, so any
+    backend can answer any query at any time; every answer is
+    re-stamped with the primary's version counter, which makes executor
+    caching and page cursors identical no matter which backend produced
+    the answer.
 
     Memory cost is explicit: each backend keeps its own structure (and,
     after mutations, its own column snapshot) — the price of being able
@@ -650,49 +650,22 @@ class MultiBackendIndex(SecondaryIndex):
             self._backends[kind] = backend
 
     @classmethod
-    def for_column(
-        cls,
-        column,
-        kinds=("zonemap", "wah", "scan"),
-        *,
-        n_shards: int | None = None,
-        n_workers: int | None = None,
-        **imprint_kwargs,
-    ) -> "MultiBackendIndex":
+    def for_column(cls, column, **imprint_kwargs) -> "MultiBackendIndex":
         """Build the standard backend set over one column.
 
-        The primary is a :class:`~repro.core.index.ColumnImprints` (or a
-        :class:`~repro.engine.sharded.ShardedColumnImprints` when
-        ``n_shards`` is given); ``kinds`` selects the alternates.  The
-        WAH index reuses the imprints histogram, exactly like the
-        paper's evaluation (identical bins for both bit-binned indexes).
+        The primary is a :class:`~repro.core.index.ColumnImprints`
+        (``imprint_kwargs`` are forwarded to it); zonemap and scan are
+        the alternates.  WAH stays out: it is the paper's Figure 5-11
+        comparison baseline, and as a planner backend it won almost no
+        plans while every mutation paid for its upkeep.
         """
         from ..core.index import ColumnImprints
-        from ..indexes import SequentialScan, WahBitmapIndex, ZoneMap
-        from .sharded import ShardedColumnImprints
+        from ..indexes import SequentialScan, ZoneMap
 
-        if n_shards is not None:
-            primary: SecondaryIndex = ShardedColumnImprints(
-                column, n_shards=n_shards, n_workers=n_workers, **imprint_kwargs
-            )
-            histogram = primary.histogram
-        else:
-            primary = ColumnImprints(column, **imprint_kwargs)
-            histogram = primary.histogram
-        alternates: dict[str, SecondaryIndex] = {}
-        for kind in kinds:
-            if kind == "zonemap":
-                alternates[kind] = ZoneMap(column)
-            elif kind == "wah":
-                alternates[kind] = WahBitmapIndex(column, histogram=histogram)
-            elif kind == "scan":
-                alternates[kind] = SequentialScan(column)
-            else:
-                raise ValueError(
-                    f"unknown backend kind {kind!r}; "
-                    "supported: zonemap, wah, scan"
-                )
-        return cls(primary, alternates)
+        return cls(
+            ColumnImprints(column, **imprint_kwargs),
+            {"zonemap": ZoneMap(column), "scan": SequentialScan(column)},
+        )
 
     # ------------------------------------------------------------------
     # delegation
@@ -707,18 +680,12 @@ class MultiBackendIndex(SecondaryIndex):
         return self._backends
 
     def resolve(self, backend: str | None) -> SecondaryIndex:
-        """The index answering for ``backend`` (``None`` → primary).
-
-        ``"imprints"`` resolves to a sharded primary too, so forced
-        plans need not care whether the column is sharded.
-        """
+        """The index answering for ``backend`` (``None`` → primary)."""
         if backend is None:
             return self._primary
         try:
             return self._backends[backend]
         except KeyError:
-            if backend == "imprints" and self._primary.kind == "imprints-sharded":
-                return self._primary
             raise ValueError(
                 f"unknown backend {backend!r}; have {sorted(self._backends)}"
             ) from None

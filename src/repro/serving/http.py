@@ -437,7 +437,7 @@ class ServingHTTPServer:
                     _required(params, "column"),
                     _number(params, "low"),
                     _number(params, "high"),
-                    limit=_optional_int(params, "limit") or 100,
+                    limit=_optional_int(params, "limit", 100, minimum=1),
                     cursor=params.get("cursor"),
                     timeout=_timeout(params),
                 )
@@ -449,9 +449,9 @@ class ServingHTTPServer:
                 return 200, payload, {}
             if path == "/replicate/wal":
                 payload = self.service.replication_wal(
-                    _optional_int(params, "generation") or 1,
-                    _optional_int(params, "after") or 0,
-                    _optional_int(params, "limit") or 256,
+                    _optional_int(params, "generation", 1, minimum=1),
+                    _optional_int(params, "after", 0, minimum=0),
+                    _optional_int(params, "limit", 256, minimum=1),
                     params.get("follower"),
                     epoch=_optional_int(params, "epoch"),
                 )
@@ -529,16 +529,29 @@ def _number(params: dict[str, str], name: str):
             ) from None
 
 
-def _optional_int(params: dict[str, str], name: str) -> int | None:
+def _optional_int(
+    params: dict[str, str],
+    name: str,
+    default: int | None = None,
+    *,
+    minimum: int | None = None,
+) -> int | None:
+    """An integer parameter; ``default`` only when it is absent, so an
+    explicit ``0`` is checked against ``minimum``, never swallowed."""
     raw = params.get(name)
     if raw is None:
-        return None
+        return default
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise ValueError(
             f"parameter {name!r} must be an integer, got {raw!r}"
         ) from None
+    if minimum is not None and value < minimum:
+        raise ValueError(
+            f"parameter {name!r} must be >= {minimum}, got {value}"
+        )
+    return value
 
 
 def _timeout(params: dict[str, str]) -> float | None:

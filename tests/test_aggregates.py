@@ -2,13 +2,13 @@
 
 The contract under test: ``index.aggregate(pred, op)`` (and the
 ``sum``/``min``/``max``/``count`` conveniences on every layer —
-``QueryResult``, ``ColumnImprints``, ``ShardedColumnImprints``,
-``conjunctive_aggregate``, ``QueryExecutor``) answers **bit-identically
-to NumPy reference aggregation over the forced ids** — across dtypes,
-appends, saturation overlays, 1–8 shards and empty/all-full
-selections.  Integer ``SUM`` is exact even under 64-bit wraparound
-(modular addition is associative); float ``SUM`` is deterministic but
-reassociated, so it is pinned to a tight relative tolerance instead.
+``QueryResult``, ``ColumnImprints``, ``conjunctive_aggregate``,
+``QueryExecutor``) answers **bit-identically to NumPy reference
+aggregation over the forced ids** — across dtypes, appends, saturation
+overlays and empty/all-full selections.  Integer ``SUM`` is exact even
+under 64-bit wraparound (modular addition is associative); float
+``SUM`` is deterministic but reassociated, so it is pinned to a tight
+relative tolerance instead.
 """
 
 from __future__ import annotations
@@ -25,11 +25,10 @@ from repro.core import (
     CachelineAggregates,
     ColumnImprints,
     aggregate_rowset,
-    combine_partials,
     conjunctive_aggregate,
 )
 from repro.core.rowset import RowSet
-from repro.engine import QueryExecutor, ShardedColumnImprints
+from repro.engine import QueryExecutor
 from repro.predicate import RangePredicate
 from repro.storage import Column
 
@@ -227,24 +226,6 @@ class TestIndexAggregates:
                 exact_sum=not column.ctype.is_float,
             )
 
-    @given(seed=st.integers(0, 2**16), n_shards=st.integers(1, 8))
-    @settings(max_examples=25, deadline=None)
-    def test_sharded_matches_reference_and_serial(self, seed, n_shards):
-        rng = np.random.default_rng(seed)
-        values = make_clustered(6_007, np.int32, seed=seed % 97)
-        column = Column(values, name="t.agg")
-        serial = ColumnImprints(column)
-        with ShardedColumnImprints(
-            column, n_shards=n_shards, n_workers=2
-        ) as sharded:
-            for _ in range(5):
-                predicate = random_predicate(values, column.ctype, rng)
-                ids = np.flatnonzero(predicate.matches(values))
-                for op in AGGREGATE_OPS:
-                    want = reference(values, ids, op)
-                    assert sharded.aggregate(predicate, op) == want, op
-                    assert serial.aggregate(predicate, op) == want, op
-
     def test_appends_and_saturation_overlay(self):
         rng = np.random.default_rng(23)
         values = make_clustered(3_000, np.int32, seed=2)
@@ -260,27 +241,6 @@ class TestIndexAggregates:
                 victim = int(rng.integers(0, len(index.column)))
                 index.note_update(victim, int(rng.integers(-2_000, 30_000)))
             check_against_reference(index, predicate, index.column.values)
-
-    def test_sharded_appends_and_overlay(self):
-        rng = np.random.default_rng(29)
-        values = make_clustered(4_096, np.int32, seed=3)
-        with ShardedColumnImprints(
-            Column(values, name="t.smut"), n_shards=4, n_workers=2
-        ) as sharded:
-            predicate = RangePredicate.range(
-                int(values.min()), int(np.median(values)), sharded.column.ctype
-            )
-            sharded.aggregate(predicate, "sum")  # build sidecar pre-mutation
-            sharded.append(rng.integers(-500, 40_000, 300, dtype=np.int32))
-            for _ in range(30):
-                victim = int(rng.integers(0, len(sharded.column)))
-                sharded.note_update(victim, int(rng.integers(-500, 40_000)))
-            current = sharded.column.values
-            ids = np.flatnonzero(predicate.matches(current))
-            for op in AGGREGATE_OPS:
-                assert sharded.aggregate(predicate, op) == reference(
-                    current, ids, op
-                ), op
 
     def test_empty_and_all_full_selections(self):
         values = make_clustered(2_048, np.int32, seed=4)
@@ -452,24 +412,6 @@ class TestAggregateConsumers:
         assert index.aggregate(predicate, "max") == (
             logical.max().item() if logical.size else None
         )
-
-    def test_combine_partials(self):
-        assert combine_partials("count", [1, 2, 3]) == 6
-        assert combine_partials("min", [None, 5, 2, None]) == 2
-        assert combine_partials("max", [None, None]) is None
-        assert combine_partials("sum", [], np.int64) == 0
-        # Wrapping recombination matches a global wrapped sum.
-        big = [2**62, 2**62, 2**62]
-        assert combine_partials("sum", big, np.int64) == np.sum(
-            np.array(big * 1, dtype=np.int64)
-        ).item()
-        # Moment tuples combine componentwise and finalise once.
-        parts = [(2, 10, 52), (0, 0, 0), (2, 6, 20)]
-        assert combine_partials("avg", parts, np.int64) == 4.0
-        assert combine_partials("var", parts, np.int64) == 2.0
-        assert combine_partials("std", parts, np.int64) == math.sqrt(2.0)
-        assert combine_partials("avg", [], np.int64) is None
-        assert combine_partials("var", [(0, 0, 0)], np.int64) is None
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 from repro.core import ColumnImprints, GroupedAggregates, finalize_grouped
 from repro.bench.regression import gate
 from repro.bench.studies import STUDIES
-from repro.engine import QueryExecutor, ShardedColumnImprints
+from repro.engine import QueryExecutor
 from repro.predicate import RangePredicate
 from repro.storage import Column, GroupColumn
 
@@ -104,17 +104,12 @@ class TestGroupedSidecar:
 
     def test_append_widens_domain_across_layers(self):
         values, codes, index = _make_indexed(n_groups=3)
-        sharded = ShardedColumnImprints(
-            Column(values.copy(), name="t.sh"), n_shards=4
-        )
-        sharded.attach_group_column("g", GroupColumn.from_codes(codes.copy(), 3))
         fresh_values = make_clustered(4_096, np.int32, seed=77)
         fresh_codes = np.random.default_rng(77).integers(
             3, 5, size=4_096, dtype=np.int64
         )
-        for layer in (index, sharded):
-            layer.append(fresh_values)
-            layer.append_group("g", codes=fresh_codes)
+        index.append(fresh_values)
+        index.append_group("g", codes=fresh_codes)
         all_values = np.concatenate([values, fresh_values])
         all_codes = np.concatenate([codes, fresh_codes])
         low = int(np.percentile(all_values, 10))
@@ -124,7 +119,8 @@ class TestGroupedSidecar:
             all_values, all_codes, (all_values >= low) & (all_values < high), "sum"
         )
         assert index.aggregate_grouped(predicate, "sum", "g") == want
-        assert sharded.aggregate_grouped(predicate, "sum", "g") == want
+        with QueryExecutor({"col": index}) as executor:
+            assert executor.aggregate_grouped("col", predicate, "sum", "g") == want
 
     def test_update_patches_group_histograms(self):
         values, codes, index = _make_indexed()
@@ -160,16 +156,12 @@ class TestGroupedSidecar:
 class TestTopK:
     def test_matches_sorted_oracle_across_layers(self):
         values, _, index = _make_indexed()
-        sharded = ShardedColumnImprints(
-            Column(values.copy(), name="t.topk"), n_shards=4
-        )
         low = int(np.percentile(values, 30))
         high = int(np.percentile(values, 80))
         predicate = _pred(index, low, high)
         selected = values[(values >= low) & (values < high)]
         want = [int(v) for v in np.sort(selected)[::-1][:25]]
         assert index.top_k(predicate, 25) == want
-        assert sharded.top_k(predicate, 25) == want
         with QueryExecutor({"col": index}) as executor:
             assert executor.top_k("col", predicate, 25) == want
 

@@ -109,7 +109,7 @@ class TestExecutorEquivalence:
         rng = np.random.default_rng(2)
         predicates = predicates_for(column, rng, count=6)
         with QueryExecutor(
-            {"c": ShardedColumnImprints(column, n_shards=3, n_workers=2)},
+            {"c": ShardedColumnImprints(column, n_shards=3)},
             batch_window=0.001,
         ) as executor:
             futures = [executor.submit("c", p) for p in predicates]

@@ -251,7 +251,6 @@ def test_random_programs_agree_with_oracle(dtype, seed_values, n_shards, steps):
     sharded = ShardedColumnImprints(
         Column(mirror.copy(), ctype=ctype, name="fuzz.s"),
         n_shards=n_shards,
-        n_workers=2,
     )
     executor = QueryExecutor(
         {"col": ColumnImprints(Column(mirror.copy(), ctype=ctype, name="fuzz.e"))},
@@ -350,7 +349,6 @@ def test_random_programs_agree_with_oracle(dtype, seed_values, n_shards, steps):
         )
     finally:
         executor.close()
-        sharded.close()
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,8 @@ The self-tuning planner may route any predicate to any backend at any
 time, recalibrate its cost model mid-stream, and be overridden by
 forced plans at two levels.  None of that may ever change an answer:
 this suite replays randomised programs (build → query → append →
-update → re-query, over random dtypes, selectivities and shard counts)
-through every backend and through the planner-routed executor, holding
+update → re-query, over random dtypes and selectivities) through every
+backend and through the planner-routed executor, holding
 the serial imprints index as the oracle:
 
 * the planner's answers are bit-identical to imprints no matter which
@@ -35,7 +35,7 @@ from repro.engine import (
     predicate_shape,
 )
 from repro.bench.regression import gate
-from repro.indexes import SequentialScan, WahBitmapIndex, ZoneMap
+from repro.indexes import SequentialScan, ZoneMap
 from repro.predicate import RangePredicate
 from repro.sim import CostModel
 from repro.storage import DOUBLE, INT, LONG, SHORT, Column
@@ -86,7 +86,6 @@ class TestRandomizedPrograms:
         seed_values=st.lists(
             st.integers(_LOW, _HIGH), min_size=8, max_size=250
         ),
-        n_shards=st.one_of(st.none(), st.integers(1, 4)),
         steps=st.lists(step_st, min_size=1, max_size=7),
     )
     @settings(
@@ -99,16 +98,14 @@ class TestRandomizedPrograms:
         ],
     )
     def test_planner_agrees_with_oracle_and_forced_plans_pairwise(
-        self, dtype, seed_values, n_shards, steps
+        self, dtype, seed_values, steps
     ):
         """The headline property: plan choice never changes answers."""
         ctype, np_dtype = _CTYPES[dtype]
         mirror = np.array(seed_values, dtype=np_dtype)
         oracle = ColumnImprints(Column(mirror.copy(), ctype=ctype, name="o"))
         multi = MultiBackendIndex.for_column(
-            Column(mirror.copy(), ctype=ctype, name="m"),
-            n_shards=n_shards,
-            n_workers=2 if n_shards else None,
+            Column(mirror.copy(), ctype=ctype, name="m")
         )
         planner = QueryPlanner()
         executor = QueryExecutor({"col": multi}, planner=planner, batch_window=0.0)
@@ -319,18 +316,23 @@ class TestFeedbackLoop:
             seconds = 5e-3 if kind == "scan" else 1e-3
             for _ in range(planner.explore_count):
                 planner.statistics.record("f", shape, kind, seconds, 0.1)
-        refreshed = []
+        refreshed, greedy = [], []
         for _ in range(10 * planner.refresh_every):
             choice = planner.choose("f", backends, pred)
             if choice.source == "explore":
                 refreshed.append(choice.backend)
+            else:
+                greedy.append(choice.backend)
             # Reality: scan is actually 10x faster than everything.
             seconds = 1e-4 if choice.backend == "scan" else 1e-3
             planner.observe("f", choice, seconds=seconds, selectivity=0.1)
         # The refresh valve re-measured scan...
         assert "scan" in refreshed
-        # ... and the fresh samples won it the seat.
-        assert planner.choose("f", backends, pred).backend == "scan"
+        # ... and the fresh samples won it the seat.  (Refresh probes of
+        # the losers keep interleaving, one per window, so the seat is
+        # read from the greedy decisions, not from the next call.)
+        assert planner.statistics.get("f", shape).incumbent == "scan"
+        assert greedy[-5:] == ["scan"] * 5
 
     def test_plan_statistics_eviction_is_bounded(self):
         """A high-cardinality shape stream cannot grow the store."""
@@ -358,39 +360,28 @@ class TestFeedbackLoop:
 
 
 class TestForcedPlanSeams:
-    def test_sharded_inline_dispatch_honours_backend_override(self):
-        """Regression (satellite 4): n_workers == 1 puts the sharded
-        index in inline mode, which used to hard-code the inner imprints
-        index and silently ignore overrides.  The delegation seam must
-        run the delegate for real — visible through its stats."""
-        values = (np.arange(5_000, dtype=np.int64) * 37) % 211
-        column = Column(values, ctype=LONG, name="inline")
-        sharded = ShardedColumnImprints(column, n_shards=4, n_workers=1)
-        assert sharded.dispatch_mode == "inline"
-        scan = SequentialScan(column)
-        pred = RangePredicate.range(40, 90, LONG)
-        expected = np.flatnonzero(pred.matches(values)).astype(np.int64)
-
-        routed = sharded.query(pred, backend=scan)
-        assert np.array_equal(routed.ids, expected)
-        # Proof the delegate executed: a scan compares every value.
-        assert routed.stats.value_comparisons == len(column)
-        # The answer is stamped with the *sharded* version counter so
-        # executor caches stay coherent no matter who answered.
-        assert routed.version == sharded.version
-
-        batch = sharded.query_batch([pred, pred], backend=scan)
-        for result in batch:
+    def test_forced_imprints_on_sharded_planner_column(self):
+        """Regression: a planner column whose primary is the shard class
+        must serve a forced ``"imprints"`` plan.  The shard class used
+        to register under its own kind, so the forced plan passed the
+        executor's early check and then failed at batch time as
+        "forced backend not available"."""
+        values = (np.arange(6_000, dtype=np.int64) * 37) % 211
+        column = Column(values, ctype=LONG, name="sharded")
+        multi = MultiBackendIndex(
+            ShardedColumnImprints(column, n_shards=2),
+            {"zonemap": ZoneMap(column), "scan": SequentialScan(column)},
+        )
+        executor = QueryExecutor(
+            {"col": multi}, planner=QueryPlanner(), batch_window=0.0
+        )
+        try:
+            pred = RangePredicate.range(40, 90, LONG)
+            expected = np.flatnonzero(pred.matches(values)).astype(np.int64)
+            result = executor.query("col", pred, backend="imprints")
             assert np.array_equal(result.ids, expected)
-            assert result.version == sharded.version
-
-        # Kind-string forms route to the normal imprints path...
-        for backend in (None, "imprints", "imprints-sharded"):
-            result = sharded.query(pred, backend=backend)
-            assert np.array_equal(result.ids, expected)
-        # ... and typos fail loudly instead of silently running imprints.
-        with pytest.raises(ValueError, match="forced backend"):
-            sharded.query(pred, backend="zonemap")
+        finally:
+            executor.close()
 
     def test_executor_rejects_unservable_forced_backend(self):
         values = np.arange(1_000, dtype=np.int32)
@@ -429,9 +420,9 @@ class TestForcedPlanSeams:
             pred = RangePredicate.range(100, 200, LONG)
             executor.query("col", pred)  # populate the cache
             before = dict(planner.plan_counts)
-            executor.query("col", pred, backend="wah")
+            executor.query("col", pred, backend="zonemap")
             after = dict(planner.plan_counts)
-            assert after.get("wah", 0) == before.get("wah", 0) + 1
+            assert after.get("zonemap", 0) == before.get("zonemap", 0) + 1
         finally:
             executor.close()
 
@@ -472,11 +463,6 @@ class TestMultiBackendIndex:
         short = Column(np.arange(8, dtype=np.int32), ctype=INT, name="s")
         with pytest.raises(ValueError, match="rows"):
             MultiBackendIndex(primary, {"scan": SequentialScan(short)})
-
-    def test_for_column_rejects_unknown_kind(self):
-        column = Column(np.arange(64, dtype=np.int32), ctype=INT, name="u")
-        with pytest.raises(ValueError, match="unknown backend kind"):
-            MultiBackendIndex.for_column(column, kinds=("btree",))
 
     def test_shared_version_stamp_across_backends(self):
         column = Column(np.arange(256, dtype=np.int32), ctype=INT, name="v")

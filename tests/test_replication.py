@@ -419,6 +419,41 @@ class TestHttpTransport:
 
         asyncio.run(body())
 
+    @pytest.mark.parametrize(
+        "params",
+        [{"limit": "0"}, {"after": "-5", "follower": "f1"}, {"generation": "0"}],
+        ids=["limit-0", "after-negative", "generation-0"],
+    )
+    def test_out_of_range_wal_parameters_are_400(self, params):
+        """An explicit out-of-range integer is refused, never read as
+        the default: ``limit=0`` must not ship every frame, a negative
+        ``after`` must not ship or record a follower position, and
+        ``generation=0`` is not generation 1."""
+        primary, _ = make_primary()
+        for mutation in MUTATIONS:
+            apply_mutation(primary, mutation)
+        primary.sync()
+
+        async def body():
+            service = self.make_stack(primary)
+            try:
+                async with ServingHTTPServer(service) as server:
+                    client = ServingClient(*server.address)
+                    response = await client.get("/replicate/wal", params)
+                    assert response.status == 400
+                    assert response.body["error"] == "ValueError"
+                    assert "f1" not in primary.followers
+                    # In range, the same route ships exactly ``limit``.
+                    response = await client.get(
+                        "/replicate/wal", {"after": "0", "limit": "2"}
+                    )
+                    assert response.status == 200
+                    assert len(response.body["frames"]) == 2
+            finally:
+                await service.close()
+
+        asyncio.run(body())
+
     def test_non_primary_refuses_ship_with_409(self):
         primary, _ = make_primary()
         replica = make_follower(primary)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core import ColumnImprints, RowSet, conjunctive_query, disjunctive_query
 from repro.core.query import query_scalar
-from repro.engine import QueryExecutor, ShardedColumnImprints
+from repro.engine import QueryExecutor
 from repro.engine.cache import LRUCache
 from repro.bench.regression import gate
 from repro.index_base import QueryResult
@@ -227,40 +227,6 @@ class TestLazyCombinators:
         assert np.array_equal(disj.ids, truth_or)
 
 
-class TestShardedLazyStitch:
-    @pytest.mark.parametrize("n_shards", [2, 4, 5])
-    def test_stitch_is_lazy_and_identical(self, n_shards):
-        column = Column(make_clustered(30_000, np.int32, seed=12), name="t.s")
-        serial = ColumnImprints(column)
-        with ShardedColumnImprints(
-            column, n_shards=n_shards, n_workers=2
-        ) as sharded:
-            assert sharded.dispatch_mode == "pool"
-            lo = int(np.quantile(column.values, 0.3))
-            hi = int(np.quantile(column.values, 0.7))
-            predicate = RangePredicate.range(lo, hi, column.ctype)
-            local = sharded.query(predicate)
-            assert not local.is_materialized
-            expected = serial.query(predicate)
-            assert local.count() == expected.count()
-            assert np.array_equal(local.ids, expected.ids)
-            assert local.stats == expected.stats
-
-    def test_inline_dispatch_modes(self):
-        column = Column(make_clustered(8_000, np.int32, seed=13), name="t.i")
-        with ShardedColumnImprints(column, n_shards=1, n_workers=4) as one_shard:
-            assert one_shard.dispatch_mode == "inline"
-        with ShardedColumnImprints(column, n_shards=4, n_workers=1) as one_worker:
-            assert one_worker.dispatch_mode == "inline"
-            predicate = RangePredicate.range(9_000, 12_000, column.ctype)
-            inline = one_worker.query(predicate)
-            serial = ColumnImprints(column).query(predicate)
-            assert np.array_equal(inline.ids, serial.ids)
-            assert inline.stats == serial.stats
-            # Inline mode never spun up a pool.
-            assert one_worker._pool is None
-
-
 # ----------------------------------------------------------------------
 # cache accounting: eviction budgets use the compact RowSet.nbytes
 # ----------------------------------------------------------------------
@@ -315,7 +281,7 @@ def gate_fixture(sharded=1.05, executor=3.5, verified=True, **config):
         },
         "modes": {
             "serial": {"speedup_vs_serial": 1.0},
-            "sharded": {"speedup_vs_serial": sharded, "dispatch_mode": "x"},
+            "sharded": {"speedup_vs_serial": sharded},
             "executor": {"speedup_vs_serial": executor},
         },
         "verified_bit_identical": verified,

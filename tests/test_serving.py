@@ -401,9 +401,7 @@ class TestImprintService:
         payload = run(scenario())
         section = payload["planner"]
         assert sum(section["plans"].values()) == 1
-        assert set(section["calibration"]) <= {
-            "imprints", "zonemap", "wah", "scan"
-        }
+        assert set(section["calibration"]) <= {"imprints", "zonemap", "scan"}
         assert section["tracked_shapes"] >= 1
 
 
@@ -486,6 +484,22 @@ class TestHTTP:
             bad = await client.get("/query", {"column": "v"})
             assert bad.body["error"] == "ValueError"
             assert bad.body["status"] == 400
+
+        http_scenario(scenario)
+
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_page_limit_below_one_is_400(self, limit):
+        """An explicit ``limit=0`` is out of range, not "use the default"."""
+
+        async def scenario(service, index, client):
+            params = {"column": "v", "low": LOW, "high": HIGH}
+            response = await client.get("/page", {**params, "limit": limit})
+            assert response.status == 400
+            assert "limit" in response.body["detail"]
+            # Absent, the default page size still applies.
+            response = await client.get("/page", params)
+            assert response.status == 200
+            assert len(response.body["ids"]) == 100
 
         http_scenario(scenario)
 

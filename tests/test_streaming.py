@@ -218,17 +218,13 @@ class TestPagedAnswers:
 
     @pytest.mark.parametrize("n_shards", [1, 3, 5])
     def test_sharded_page_walk_matches_ids(self, column, predicate, n_shards):
-        with ShardedColumnImprints(
-            column, n_shards=n_shards, n_workers=2
-        ) as sharded:
-            expected = sharded.query(predicate).ids
-            paged, _ = drain(
-                lambda k, cur: sharded.page(predicate, k, cur), 113
-            )
-            assert np.array_equal(paged, expected)
-            chunks = list(sharded.iter_chunks(predicate, 113))
-            assert all(c.shape[0] == 113 for c in chunks[:-1])
-            assert np.array_equal(np.concatenate(chunks), expected)
+        sharded = ShardedColumnImprints(column, n_shards=n_shards)
+        expected = sharded.query(predicate).ids
+        paged, _ = drain(lambda k, cur: sharded.page(predicate, k, cur), 113)
+        assert np.array_equal(paged, expected)
+        chunks = list(sharded.iter_chunks(predicate, 113))
+        assert all(c.shape[0] == 113 for c in chunks[:-1])
+        assert np.array_equal(np.concatenate(chunks), expected)
 
     def test_page_of_eager_result(self):
         ids = np.array([3, 7, 8, 20], dtype=np.int64)
@@ -285,13 +281,13 @@ class TestCursorStability:
     def test_sharded_page_cursor_invalidates(
         self, column, predicate, name, mutate
     ):
-        with ShardedColumnImprints(
-            Column(column.values.copy(), name="t.s"), n_shards=3, n_workers=2
-        ) as sharded:
-            _, cursor = sharded.page(predicate, 10)
-            mutate(sharded)
-            with pytest.raises(StaleCursorError):
-                sharded.page(predicate, 10, cursor)
+        sharded = ShardedColumnImprints(
+            Column(column.values.copy(), name="t.s"), n_shards=3
+        )
+        _, cursor = sharded.page(predicate, 10)
+        mutate(sharded)
+        with pytest.raises(StaleCursorError):
+            sharded.page(predicate, 10, cursor)
 
     @pytest.mark.parametrize("name,mutate", _mutations())
     def test_result_page_cursor_invalidates(
@@ -335,12 +331,12 @@ class TestCursorStability:
             index.query(predicate).page(10, index_cursor)
         with pytest.raises(ValueError, match="paging entry point"):
             index.page(predicate, 10, result_cursor)
-        with ShardedColumnImprints(column, n_shards=3, n_workers=2) as sharded:
-            _, shard_cursor = sharded.page(predicate, 10)
-            with pytest.raises(ValueError, match="paging entry point"):
-                index.page(predicate, 10, shard_cursor)
-            with pytest.raises(ValueError, match="paging entry point"):
-                sharded.page(predicate, 10, index_cursor)
+        sharded = ShardedColumnImprints(column, n_shards=3)
+        _, shard_cursor = sharded.page(predicate, 10)
+        with pytest.raises(ValueError, match="paging entry point"):
+            index.page(predicate, 10, shard_cursor)
+        with pytest.raises(ValueError, match="paging entry point"):
+            sharded.page(predicate, 10, index_cursor)
 
     def test_chunk_stream_detects_mid_iteration_mutation(self, column, predicate):
         # Generators are version-guarded like cursors: a mutation mid-
@@ -355,14 +351,14 @@ class TestCursorStability:
     def test_sharded_chunk_stream_detects_mid_iteration_mutation(
         self, column, predicate
     ):
-        with ShardedColumnImprints(
-            Column(column.values.copy(), name="t.gs"), n_shards=3, n_workers=2
-        ) as sharded:
-            stream = sharded.iter_chunks(predicate, 50)
+        sharded = ShardedColumnImprints(
+            Column(column.values.copy(), name="t.gs"), n_shards=3
+        )
+        stream = sharded.iter_chunks(predicate, 50)
+        next(stream)
+        sharded.note_update(0, 9_999)
+        with pytest.raises(StaleCursorError, match="chunk stream"):
             next(stream)
-            sharded.note_update(0, 9_999)
-            with pytest.raises(StaleCursorError, match="chunk stream"):
-                next(stream)
 
     def test_cursor_survives_unrelated_queries(self, column, predicate):
         # Queries do not mutate: a cursor stays valid across them.
