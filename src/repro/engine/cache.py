@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 __all__ = ["LRUCache", "ExecutorStats"]
 
@@ -153,7 +153,8 @@ class ExecutorStats:
     Attributes
     ----------
     submitted:
-        Predicates handed to :meth:`QueryExecutor.submit`.
+        Requests handed to :meth:`QueryExecutor.submit` (and its
+        siblings) or to its aggregate entry points.
     coalesced:
         Submissions answered by sharing another in-flight submission's
         result (identical predicate in the same micro-batch).
@@ -165,9 +166,9 @@ class ExecutorStats:
         Predicates evaluated inside those shared passes — the work that
         actually reached an index kernel.
     expired:
-        Submissions whose deadline passed before their micro-batch ran
-        — answered with :class:`~repro.errors.DeadlineExceeded`, never
-        evaluated.
+        Submissions whose deadline passed before their micro-batch (or
+        aggregate task) ran — answered with
+        :class:`~repro.errors.DeadlineExceeded`, never evaluated.
     """
 
     submitted: int = 0
@@ -177,9 +178,9 @@ class ExecutorStats:
     batches: int = 0
     batched_queries: int = 0
     expired: int = 0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
+
+    def __post_init__(self) -> None:
+        self._lock = threading.Lock()
 
     def bump(self, **deltas: int) -> None:
         """Atomically add the given deltas to the named counters."""
@@ -190,17 +191,5 @@ class ExecutorStats:
     def reset(self) -> None:
         """Zero every counter (benchmark window bookkeeping)."""
         with self._lock:
-            self.submitted = 0
-            self.coalesced = 0
-            self.cache_hits = 0
-            self.cache_misses = 0
-            self.batches = 0
-            self.batched_queries = 0
-            self.expired = 0
-
-    @property
-    def kernel_share(self) -> float:
-        """Fraction of submissions that reached an index kernel."""
-        if self.submitted == 0:
-            return 0.0
-        return self.batched_queries / self.submitted
+            for counter in fields(self):
+                setattr(self, counter.name, 0)

@@ -18,11 +18,11 @@ shapes the kernels below are fastest at:
   re-weighted (:meth:`~repro.engine.cache.LRUCache.reweight`) when a
   consumer forces a cached answer's id array or pages through it, so
   the byte budget keeps tracking the memory actually pinned;
-* **aggregate pushdown** — :meth:`aggregate` answers
-  ``COUNT``/``SUM``/``MIN``/``MAX`` of a predicate through the index's
-  per-cacheline pre-aggregates and caches the *scalar* in the same
-  versioned LRU, so repeated dashboard aggregations cost a dictionary
-  lookup;
+* **aggregate pushdown** — :meth:`aggregate` (and its future form,
+  :meth:`submit_aggregate`) answers ``COUNT``/``SUM``/``MIN``/``MAX``
+  of a predicate through the index's per-cacheline pre-aggregates and
+  caches the *scalar* in the same versioned LRU, so repeated dashboard
+  aggregations cost a dictionary lookup;
 * **table-level parallelism** — :meth:`conjunctive` gathers the
   per-column candidate passes of a multi-attribute query concurrently
   before the merge-join (:meth:`aggregate_conjunctive` does the same
@@ -34,6 +34,7 @@ directly — the executor only re-schedules work, it never changes it.
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -240,48 +241,7 @@ class QueryExecutor:
         backends, or the kind of a plain index.  Answers are
         bit-identical to the unforced path.
         """
-        if self._closed:
-            raise ExecutorClosedError("executor is closed")
-        index = self.index(name)  # fail fast on unknown names
-        if backend is not None:
-            self._check_backend(name, index, backend)
-        fut: Future = Future()
-        # Fast path: a fresh cached result needs no scheduling at all.
-        # Forced-backend submissions skip it — the caller asked for an
-        # actual evaluation on a specific access path.
-        cached = (
-            self._cached_result(name, index, predicate)
-            if backend is None
-            else None
-        )
-        if cached is not None:
-            self.stats.bump(submitted=1, cache_hits=1)
-            fut.set_result(cached)
-            return fut
-        if deadline is not None and deadline <= time.monotonic():
-            self.stats.bump(submitted=1, expired=1)
-            fut.set_exception(
-                DeadlineExceeded(
-                    f"deadline expired before submission of {predicate!r}"
-                )
-            )
-            return fut
-        with self._lock:
-            if self._closed:
-                raise ExecutorClosedError("executor is closed")
-            queue = self._pending.setdefault(name, [])
-            fresh_deadline = not queue
-            if fresh_deadline:
-                self._deadlines[name] = time.monotonic() + self.batch_window
-            queue.append((predicate, fut, deadline, backend))
-            self.stats.bump(submitted=1)
-            if len(queue) >= self.max_batch or self.batch_window == 0:
-                self._dispatch_locked(name)
-            elif fresh_deadline:
-                # Followers piggyback on the leader's deadline; only a
-                # new deadline needs to wake the scheduler.
-                self._wakeup.notify()
-        return fut
+        return self._submit(name, (predicate,), deadline, backend)[0]
 
     def submit_many(
         self, name: str, predicates, *, backend: str | None = None
@@ -294,19 +254,26 @@ class QueryExecutor:
         ``backend`` forces every entry's access path, exactly like
         :meth:`submit`.
         """
+        return self._submit(name, predicates, None, backend)
+
+    def _submit(self, name, predicates, deadline, backend) -> list[Future]:
+        """Answer cache hits and expired entries now; enqueue the rest."""
         if self._closed:
             raise ExecutorClosedError("executor is closed")
-        index = self.index(name)
+        index = self.index(name)  # fail fast on unknown names
         if backend is not None:
             self._check_backend(name, index, backend)
         futures: list[Future] = []
         misses: list[
             tuple[RangePredicate, Future, float | None, str | None]
         ] = []
-        hits = 0
+        hits = expired = 0
         for predicate in predicates:
             fut: Future = Future()
             futures.append(fut)
+            # Fast path: a fresh cached result needs no scheduling at
+            # all.  Forced-backend submissions skip it — the caller
+            # asked for an actual evaluation on a specific access path.
             cached = (
                 self._cached_result(name, index, predicate)
                 if backend is None
@@ -315,9 +282,18 @@ class QueryExecutor:
             if cached is not None:
                 hits += 1
                 fut.set_result(cached)
+            elif deadline is not None and deadline <= time.monotonic():
+                expired += 1
+                fut.set_exception(
+                    DeadlineExceeded(
+                        f"deadline expired before submission of {predicate!r}"
+                    )
+                )
             else:
-                misses.append((predicate, fut, None, backend))
-        self.stats.bump(submitted=len(futures), cache_hits=hits)
+                misses.append((predicate, fut, deadline, backend))
+        self.stats.bump(
+            submitted=len(futures), cache_hits=hits, expired=expired
+        )
         if not misses:
             return futures
         with self._lock:
@@ -343,6 +319,8 @@ class QueryExecutor:
                     self._pending.pop(name, None)
                     self._deadlines.pop(name, None)
             elif fresh_deadline:
+                # Followers piggyback on the leader's deadline; only a
+                # new deadline needs to wake the scheduler.
                 self._deadlines[name] = time.monotonic() + self.batch_window
                 self._wakeup.notify()
         return futures
@@ -435,47 +413,15 @@ class QueryExecutor:
     def aggregate(self, name: str, predicate: RangePredicate, op: str):
         """``COUNT``/``SUM``/``MIN``/``MAX`` of a predicate, cached as a scalar.
 
-        Resolution order mirrors the result cache: a cached *scalar*
-        under ``(column, predicate, op, version)`` answers immediately;
-        else a cached :class:`QueryResult` for the same predicate is
-        aggregated through the index's pre-aggregate sidecar (no kernel
-        run); else the index's own
+        A cached scalar under ``(column, predicate, op, version)``
+        answers immediately; else the index's own
         :meth:`~repro.index_base.SecondaryIndex.aggregate` pushdown
         runs.  The scalar lands in the versioned LRU at a nominal
         weight, so a byte budget holds practically unlimited aggregate
         answers and any append/update/rebuild invalidates implicitly.
         """
-        if op not in AGGREGATE_OPS:
-            raise ValueError(
-                f"unknown aggregate {op!r}; supported: {AGGREGATE_OPS}"
-            )
-        index = self.index(name)
-        version = getattr(index, "version", None)
-        key = (name, predicate, ("aggregate", op), version)
-        if version is not None:
-            hit = self._cache.get(key)
-            if hit is not None:
-                self.stats.bump(submitted=1, cache_hits=1)
-                return hit[0]
-        cached_result = self._cached_result(name, index, predicate)
-        if cached_result is not None:
-            # The whole answer is already cached — reduce it without
-            # touching the kernel (and without expanding ids).
-            value = cached_result.aggregate(
-                op,
-                index.column.values,
-                getattr(index, "cacheline_aggregates", None),
-            )
-            self.stats.bump(submitted=1, cache_hits=1)
-        else:
-            value = index.aggregate(predicate, op)
-            self.stats.bump(submitted=1, cache_misses=1)
-        if version is not None:
-            # Scalars are wrapped in a 1-tuple so a legitimate ``None``
-            # answer (MIN/MAX over an empty selection) is distinguishable
-            # from a cache miss.
-            self._cache.put(key, (value,), weight=_SCALAR_WEIGHT)
-        return value
+        hit, compute = self._lookup_aggregate(name, predicate, op, None, None)
+        return compute() if hit is None else hit[0]
 
     def aggregate_grouped(
         self, name: str, predicate: RangePredicate, op: str, group_by: str
@@ -489,27 +435,8 @@ class QueryExecutor:
         the number of groups so a byte budget stays honest.  Any
         append/update/rebuild invalidates implicitly.
         """
-        if op not in GROUP_OPS:
-            raise ValueError(
-                f"unknown grouped aggregate {op!r}; supported: {GROUP_OPS}"
-            )
-        index = self.index(name)
-        version = getattr(index, "version", None)
-        key = (name, predicate, ("group", op, group_by), version)
-        if version is not None:
-            hit = self._cache.get(key)
-            if hit is not None:
-                self.stats.bump(submitted=1, cache_hits=1)
-                return hit[0]
-        value = index.aggregate_grouped(predicate, op, group_by)
-        self.stats.bump(submitted=1, cache_misses=1)
-        if version is not None:
-            self._cache.put(
-                key,
-                (value,),
-                weight=_SCALAR_WEIGHT + _GROUP_ENTRY_WEIGHT * len(value),
-            )
-        return value
+        hit, compute = self._lookup_aggregate(name, predicate, op, group_by, None)
+        return compute() if hit is None else hit[0]
 
     def top_k(self, name: str, predicate: RangePredicate, k: int) -> list:
         """The ``k`` largest qualifying values (descending), cached.
@@ -519,25 +446,127 @@ class QueryExecutor:
         ``(column, predicate, k, version)``; ``[]`` (an empty answer)
         caches like any other value.
         """
-        if k < 0:
-            raise ValueError(f"top_k k must be >= 0, got {k}")
+        hit, compute = self._lookup_aggregate(name, predicate, None, None, k)
+        return compute() if hit is None else hit[0]
+
+    def submit_aggregate(
+        self,
+        name: str,
+        predicate: RangePredicate,
+        op: str = "count",
+        *,
+        group_by: str | None = None,
+        k: int | None = None,
+        deadline: float | None = None,
+    ) -> Future:
+        """Future of :meth:`aggregate` (``op``), :meth:`aggregate_grouped`
+        (``group_by=``) or :meth:`top_k` (``k=``), through the same LRU.
+
+        A cache hit returns an already-resolved future.  A miss runs on
+        the executor's worker pool, inside a copy of the caller's
+        :mod:`contextvars` context.  ``deadline`` works as in
+        :meth:`submit`: a task that starts after it fails with
+        :class:`~repro.errors.DeadlineExceeded` (counted in
+        ``stats.expired``) without evaluating, and a task whose future
+        was cancelled before it started does nothing.  A bad ``op`` or
+        ``k`` raises here (:meth:`check_aggregate`).
+        """
+        if self._closed:
+            raise ExecutorClosedError("executor is closed")
+        hit, compute = self._lookup_aggregate(name, predicate, op, group_by, k)
+        fut: Future = Future()
+        if hit is not None:
+            fut.set_result(hit[0])
+            return fut
+        context = contextvars.copy_context()
+
+        def run() -> None:
+            expired = deadline is not None and deadline <= time.monotonic()
+            if expired:
+                self.stats.bump(expired=1)
+            if not fut.set_running_or_notify_cancel():
+                return  # the waiter gave up before the task started
+            try:
+                if expired:
+                    raise DeadlineExceeded(
+                        f"deadline expired before {predicate!r} was aggregated"
+                    )
+                fut.set_result(context.run(compute))
+            except BaseException as exc:  # noqa: BLE001 - propagate to waiter
+                fut.set_exception(exc)
+
+        with self._lock:
+            if self._closed:
+                raise ExecutorClosedError("executor is closed")
+            self._pool.submit(run)
+        return fut
+
+    @staticmethod
+    def check_aggregate(
+        op: str | None = "count",
+        *,
+        group_by: str | None = None,
+        k: int | None = None,
+    ) -> tuple:
+        """Refuse an aggregate request no index can answer.
+
+        Raises :class:`ValueError` for an unknown scalar ``op``, an
+        unknown grouped ``op`` (with ``group_by``), a negative ``k``, or
+        ``group_by`` together with ``k``.  Returns the request's tag in
+        the LRU key.
+        """
+        if k is not None:
+            if group_by is not None:
+                raise ValueError("group_by and top-k k are exclusive")
+            if k < 0:
+                raise ValueError(f"top_k k must be >= 0, got {k}")
+            return ("topk", k)
+        if group_by is not None:
+            if op not in GROUP_OPS:
+                raise ValueError(
+                    f"unknown grouped aggregate {op!r}; supported: {GROUP_OPS}"
+                )
+            return ("group", op, group_by)
+        if op not in AGGREGATE_OPS:
+            raise ValueError(
+                f"unknown aggregate {op!r}; supported: {AGGREGATE_OPS}"
+            )
+        return ("aggregate", op)
+
+    def _lookup_aggregate(self, name, predicate, op, group_by, k):
+        """Validate an aggregate request and probe the LRU once.
+
+        Returns ``(hit, compute)``: ``hit`` is the cached answer wrapped
+        in a 1-tuple (so a legitimate ``None`` — MIN/MAX over an empty
+        selection — is distinguishable from a miss) or ``None``;
+        ``compute()`` runs the index's pushdown and caches its answer.
+        The request counts once in :attr:`stats`.
+        """
+        tag = self.check_aggregate(op, group_by=group_by, k=k)
         index = self.index(name)
         version = getattr(index, "version", None)
-        key = (name, predicate, ("topk", k), version)
-        if version is not None:
-            hit = self._cache.get(key)
-            if hit is not None:
-                self.stats.bump(submitted=1, cache_hits=1)
-                return hit[0]
-        value = index.top_k(predicate, k)
-        self.stats.bump(submitted=1, cache_misses=1)
-        if version is not None:
-            self._cache.put(
-                key,
-                (value,),
-                weight=_SCALAR_WEIGHT + _GROUP_ENTRY_WEIGHT * len(value),
-            )
-        return value
+        key = (name, predicate, tag, version)
+        hit = None if version is None else self._cache.get(key)
+        self.stats.bump(
+            submitted=1, **{"cache_misses" if hit is None else "cache_hits": 1}
+        )
+
+        def compute():
+            if k is not None:
+                value = index.top_k(predicate, k)
+            elif group_by is not None:
+                value = index.aggregate_grouped(predicate, op, group_by)
+            else:
+                value = index.aggregate(predicate, op)
+            if version is not None:
+                # Grouped dicts and top-k lists pay per entry.
+                weight = _SCALAR_WEIGHT
+                if tag[0] != "aggregate":
+                    weight += _GROUP_ENTRY_WEIGHT * len(value)
+                self._cache.put(key, (value,), weight=weight)
+            return value
+
+        return hit, compute
 
     def aggregate_conjunctive(
         self, names, predicates, op: str, target: int = 0
@@ -549,14 +578,9 @@ class QueryExecutor:
         then feed the target column's per-cacheline pre-aggregates
         without materialising ids.
         """
-        names = list(names)
-        predicates = list(predicates)
-        indexes = [self.index(name) for name in names]
-        futures = [
-            self._pool.submit(index.candidate_ranges, predicate)
-            for index, predicate in zip(indexes, predicates)
-        ]
-        gathered = [future.result() for future in futures]
+        indexes, predicates, gathered = self._gather_candidates(
+            names, predicates
+        )
         return conjunctive_aggregate(
             indexes, predicates, op, target=target, candidates=gathered
         )
@@ -574,15 +598,21 @@ class QueryExecutor:
         pre-gathered passes in the same column order — ids and stats are
         identical to the serial call, only the scheduling differs.
         """
-        names = list(names)
-        predicates = list(predicates)
+        indexes, predicates, gathered = self._gather_candidates(
+            names, predicates
+        )
+        return conjunctive_query(indexes, predicates, candidates=gathered)
+
+    def _gather_candidates(self, names, predicates):
+        """``(indexes, predicates, candidate passes)``, the passes run
+        concurrently on the worker pool."""
         indexes = [self.index(name) for name in names]
+        predicates = list(predicates)
         futures = [
             self._pool.submit(index.candidate_ranges, predicate)
             for index, predicate in zip(indexes, predicates)
         ]
-        gathered = [future.result() for future in futures]
-        return conjunctive_query(indexes, predicates, candidates=gathered)
+        return indexes, predicates, [future.result() for future in futures]
 
     # ------------------------------------------------------------------
     # internals
@@ -604,20 +634,6 @@ class QueryExecutor:
                 f"column {name!r} (index kind {index.kind!r}) cannot "
                 f"serve forced backend {backend!r}"
             )
-
-    @staticmethod
-    def _query_routed(index, predicates, backend: str | None):
-        """Evaluate a predicate group via the chosen access path.
-
-        ``backend=None`` is the classic path.  A named backend routes
-        through the index's dispatch seam
-        (:meth:`~repro.engine.planner.MultiBackendIndex.query_batch`);
-        an index whose only access path *is* the requested kind just
-        runs normally.
-        """
-        if backend is None or not hasattr(index, "resolve"):
-            return index.query_batch(predicates)
-        return index.query_batch(predicates, backend=backend)
 
     def _dispatch_locked(self, name: str) -> None:
         """Move a pending batch onto the worker pool (lock held)."""
@@ -736,7 +752,14 @@ class QueryExecutor:
                 for backend, members in exec_groups.items():
                     predicates = [key[0] for key, _ in members]
                     started = time.perf_counter()
-                    answers = self._query_routed(index, predicates, backend)
+                    # A named backend routes through the index's
+                    # dispatch seam (MultiBackendIndex.query_batch); an
+                    # index whose only access path *is* that kind just
+                    # runs normally.
+                    if backend is not None and hasattr(index, "resolve"):
+                        answers = index.query_batch(predicates, backend=backend)
+                    else:
+                        answers = index.query_batch(predicates)
                     elapsed = time.perf_counter() - started
                     # The coalescing batcher is the observation point:
                     # the batch's wall-clock (split evenly across its
@@ -811,7 +834,6 @@ class QueryExecutor:
         :class:`~repro.errors.ExecutorClosedError` immediately instead
         of queueing work nothing will ever run.
         """
-        stranded: list[Future] = []
         with self._lock:
             if self._closed:
                 return
@@ -819,31 +841,30 @@ class QueryExecutor:
             if drain:
                 for name in list(self._pending):
                     self._dispatch_locked(name)
-            else:
-                for queue in self._pending.values():
-                    stranded.extend(fut for _, fut, _, _ in queue)
-                self._pending.clear()
-                self._deadlines.clear()
+            stranded = self._take_pending_locked()  # empty once drained
             self._wakeup.notify_all()
-        for fut in stranded:
-            if not fut.done():
-                fut.set_exception(
-                    ExecutorClosedError("executor closed before evaluation")
-                )
+        self._fail_closed(stranded)
         self._scheduler.join(timeout=5.0)
         self._pool.shutdown(wait=True)
         # Backstop: anything that slipped past both paths (a dispatch
         # racing the shutdown, a worker dying mid-batch) must still
         # resolve — a dangling future would hang its waiter forever.
         with self._lock:
-            leftovers = [
-                fut
-                for queue in self._pending.values()
-                for _, fut, _, _ in queue
-            ]
-            self._pending.clear()
-            self._deadlines.clear()
-        for fut in leftovers:
+            leftovers = self._take_pending_locked()
+        self._fail_closed(leftovers)
+
+    def _take_pending_locked(self) -> list[Future]:
+        """Remove every queued entry (lock held); returns their futures."""
+        futures = [
+            fut for queue in self._pending.values() for _, fut, _, _ in queue
+        ]
+        self._pending.clear()
+        self._deadlines.clear()
+        return futures
+
+    @staticmethod
+    def _fail_closed(futures: list[Future]) -> None:
+        for fut in futures:
             if not fut.done():
                 fut.set_exception(
                     ExecutorClosedError("executor closed before evaluation")

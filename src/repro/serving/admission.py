@@ -102,16 +102,6 @@ class AdmissionController:
     def waiting(self) -> int:
         return len(self._waiters)
 
-    @property
-    def saturated(self) -> bool:
-        """True when the wait queue is full — the next arrival bounces."""
-        return len(self._waiters) >= self.max_waiting
-
-    @property
-    def pressure(self) -> float:
-        """Wait-queue occupancy in [0, 1] — the degradation signal."""
-        return self.snapshot().pressure
-
     def snapshot(self) -> AdmissionSnapshot:
         return AdmissionSnapshot(
             inflight=self._inflight,
@@ -166,14 +156,12 @@ class AdmissionController:
             ) from None
         except asyncio.CancelledError:
             self._discard(slot)
+            self.cancelled += 1
             if slot.done() and not slot.cancelled():
                 # The slot was handed over in the same loop step the
                 # caller was cancelled — give it to the next waiter (or
                 # back to the free pool) instead of leaking it.
-                self.cancelled += 1
                 self._handover()
-            else:
-                self.cancelled += 1
             raise
         else:
             # The releaser transferred its slot: _inflight stays put.

@@ -23,17 +23,17 @@ the three robustness behaviours the engine itself deliberately does not:
   for ``mode="full"`` explicitly still get full answers (they opted out
   of degradation), but the response always says how it was served.
 
-The executor's ``concurrent.futures`` futures bridge into awaitables
-via :func:`asyncio.wrap_future`; blocking engine calls with no future
-form (:meth:`~repro.engine.executor.QueryExecutor.aggregate`) run on a
-worker thread via :func:`asyncio.to_thread`.
+Every read runs in one envelope (:meth:`ImprintService._serve`), and
+every engine hand-off is a ``concurrent.futures`` future from the
+executor (``submit``, ``submit_paged``, ``submit_aggregate``), bridged
+into an awaitable via :func:`asyncio.wrap_future`.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ..errors import (
     DeadlineExceeded,
@@ -99,12 +99,13 @@ class ServingConfig:
 class ServingStats:
     """Request-outcome counters (the service-level accounting).
 
-    ``served + rejected + timed_out + failed`` equals the number of
-    requests that entered :meth:`ImprintService.query` /
-    :meth:`aggregate` / :meth:`page` and have finished — the identity
-    the load bench and the regression gate check.  ``degraded`` and
-    ``shed`` sub-count ``served`` (how many answers were downgraded),
-    ``stale_cursors`` sub-counts ``failed``.
+    ``served + rejected + timed_out + failed + cancelled`` equals
+    ``requests`` once every request that entered a read endpoint has
+    finished — the identity the load bench, the chaos storm test and
+    the regression gate check.  Malformed parameters are refused before
+    a request counts.  ``degraded`` and ``shed`` sub-count ``served``
+    (how many answers were downgraded), ``stale_cursors`` sub-counts
+    ``failed``.
     """
 
     requests: int = 0
@@ -118,17 +119,12 @@ class ServingStats:
     cancelled: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "served": self.served,
-            "degraded": self.degraded,
-            "shed": self.shed,
-            "rejected": self.rejected,
-            "timed_out": self.timed_out,
-            "failed": self.failed,
-            "stale_cursors": self.stale_cursors,
-            "cancelled": self.cancelled,
-        }
+        return asdict(self)
+
+
+def _json_number(value):
+    """A NumPy or Python number as the JSON-native ``int`` or ``float``."""
+    return float(value) if isinstance(value, float) else int(value)
 
 
 class ImprintService:
@@ -290,13 +286,15 @@ class ImprintService:
 
         On expiry the wrapped future is cancelled: if the engine entry
         has not been dispatched yet it dies with the cancellation (and
-        the executor skips it at batch time thanks to the propagated
+        the executor skips it at dispatch time thanks to the propagated
         deadline); if it is mid-evaluation the engine's delivery loop
         skips the dead future — either way no scheduler state leaks.
         """
         remaining = deadline - time.monotonic()
         if remaining <= 0:
             raise DeadlineExceeded("request budget exhausted")
+        if future.done():  # a cache hit: no trip through the event loop
+            return future.result()
         try:
             return await asyncio.wait_for(
                 asyncio.wrap_future(future), remaining
@@ -309,10 +307,32 @@ class ImprintService:
     # ------------------------------------------------------------------
     # request bookkeeping
     # ------------------------------------------------------------------
-    def _enter(self) -> None:
+    async def _serve(self, column: str, timeout: float | None, answer):
+        """The one request envelope every read endpoint runs in.
+
+        Derives the deadline (a bad ``timeout`` is refused before the
+        request counts), counts the request, applies the quarantine and
+        replication gates, holds an admission slot while
+        ``await answer(deadline)`` runs, and records the outcome.
+        """
+        deadline = self.deadline_for(timeout)
         if self._closed:
             raise ExecutorClosedError("service is shutting down")
         self.stats.requests += 1
+        exc: BaseException | None = None
+        try:
+            self._check_quarantine(column)
+            self._check_replication(column)
+            await self.admission.acquire(deadline)
+            try:
+                return await answer(deadline)
+            finally:
+                self.admission.release()
+        except BaseException as raised:
+            exc = raised
+            raise
+        finally:
+            self._record_outcome(exc)
 
     def _record_outcome(self, exc: BaseException | None) -> None:
         from ..errors import AdmissionRejected, StaleCursorError
@@ -329,6 +349,20 @@ class ImprintService:
             self.stats.failed += 1
             if isinstance(exc, StaleCursorError):
                 self.stats.stale_cursors += 1
+
+    async def _aggregate(self, column, low, high, timeout, op="count", **shape):
+        """Serve one aggregate (``shape``: ``group_by=`` or ``k=``) in
+        :meth:`_serve`; a bad ``op`` or ``k`` is refused before it counts."""
+        self.executor.check_aggregate(op, **shape)
+
+        async def answer(deadline: float):
+            predicate = self.executor.predicate(column, low, high)
+            future = self.executor.submit_aggregate(
+                column, predicate, op, deadline=deadline, **shape
+            )
+            return await self._await_result(future, deadline)
+
+        return await self._serve(column, timeout, answer)
 
     # ------------------------------------------------------------------
     # endpoints
@@ -362,30 +396,23 @@ class ImprintService:
         limit = min(
             limit or self.config.degraded_page_limit, self.config.max_page_limit
         )
-        self._enter()
-        deadline = self.deadline_for(timeout)
-        exc: BaseException | None = None
-        try:
-            self._check_quarantine(column)
-            self._check_replication(column)
-            await self.admission.acquire(deadline)
-            try:
-                level = self.degradation_level if mode == "auto" else "ok"
-                predicate = self.executor.predicate(column, low, high)
-                if mode == "count" or (mode == "auto" and level == "shedding"):
-                    count = await asyncio.wait_for(
-                        asyncio.to_thread(
-                            self.executor.aggregate, column, predicate, "count"
-                        ),
-                        max(deadline - time.monotonic(), 0.001),
-                    )
-                    body = {"count": int(count), "ids": None, "cursor": None}
-                    served_as = "count"
-                elif mode == "page" or (mode == "auto" and level == "degraded"):
-                    future = self.executor.submit(
-                        column, predicate, deadline=deadline
-                    )
-                    result = await self._await_result(future, deadline)
+
+        async def answer(deadline: float) -> dict:
+            level = self.degradation_level if mode == "auto" else "ok"
+            predicate = self.executor.predicate(column, low, high)
+            if mode == "count" or (mode == "auto" and level == "shedding"):
+                future = self.executor.submit_aggregate(
+                    column, predicate, deadline=deadline
+                )
+                count = await self._await_result(future, deadline)
+                body = {"count": int(count), "ids": None, "cursor": None}
+                served_as = "count"
+            else:
+                future = self.executor.submit(
+                    column, predicate, deadline=deadline
+                )
+                result = await self._await_result(future, deadline)
+                if mode == "page" or (mode == "auto" and level == "degraded"):
                     # count() and the first page are both O(limit +
                     # ranges) on the compressed answer — the degraded
                     # response never pays O(ids).
@@ -397,39 +424,27 @@ class ImprintService:
                     }
                     served_as = "page"
                 else:
-                    future = self.executor.submit(
-                        column, predicate, deadline=deadline
-                    )
-                    result = await self._await_result(future, deadline)
                     body = {
                         "count": int(result.count()),
                         "ids": [int(i) for i in result.ids],
                         "cursor": None,
                     }
                     served_as = "full"
-                if mode == "auto" and served_as == "page":
-                    self.stats.degraded += 1
-                if mode == "auto" and served_as == "count":
-                    self.stats.shed += 1
-                return {
-                    "column": column,
-                    "low": low,
-                    "high": high,
-                    "mode": mode,
-                    "served_as": served_as,
-                    "degraded": mode == "auto" and served_as != "full",
-                    **body,
-                }
-            finally:
-                self.admission.release()
-        except asyncio.TimeoutError as timeout_exc:
-            exc = DeadlineExceeded("request budget exhausted")
-            raise exc from timeout_exc
-        except BaseException as raised:
-            exc = raised
-            raise
-        finally:
-            self._record_outcome(exc)
+            if mode == "auto" and served_as == "page":
+                self.stats.degraded += 1
+            if mode == "auto" and served_as == "count":
+                self.stats.shed += 1
+            return {
+                "column": column,
+                "low": low,
+                "high": high,
+                "mode": mode,
+                "served_as": served_as,
+                "degraded": mode == "auto" and served_as != "full",
+                **body,
+            }
+
+        return await self._serve(column, timeout, answer)
 
     async def aggregate(
         self,
@@ -443,43 +458,14 @@ class ImprintService:
         """``COUNT``/``SUM``/``MIN``/``MAX``/``AVG``/``VAR``/``STD`` of a
         range predicate.  An empty selection answers ``value: null`` for
         the ops with no identity — never an error."""
-        self._enter()
-        deadline = self.deadline_for(timeout)
-        exc: BaseException | None = None
-        try:
-            self._check_quarantine(column)
-            self._check_replication(column)
-            await self.admission.acquire(deadline)
-            try:
-                predicate = self.executor.predicate(column, low, high)
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise DeadlineExceeded("request budget exhausted")
-                value = await asyncio.wait_for(
-                    asyncio.to_thread(
-                        self.executor.aggregate, column, predicate, op
-                    ),
-                    remaining,
-                )
-                if value is not None:
-                    value = float(value) if isinstance(value, float) else int(value)
-                return {
-                    "column": column,
-                    "low": low,
-                    "high": high,
-                    "op": op,
-                    "value": value,
-                }
-            finally:
-                self.admission.release()
-        except asyncio.TimeoutError as timeout_exc:
-            exc = DeadlineExceeded("request budget exhausted")
-            raise exc from timeout_exc
-        except BaseException as raised:
-            exc = raised
-            raise
-        finally:
-            self._record_outcome(exc)
+        value = await self._aggregate(column, low, high, timeout, op)
+        return {
+            "column": column,
+            "low": low,
+            "high": high,
+            "op": op,
+            "value": None if value is None else _json_number(value),
+        }
 
     async def aggregate_grouped(
         self,
@@ -499,50 +485,19 @@ class ImprintService:
         least one matching row appear; an empty selection answers
         ``groups: {}`` — never an error.
         """
-        self._enter()
-        deadline = self.deadline_for(timeout)
-        exc: BaseException | None = None
-        try:
-            self._check_quarantine(column)
-            self._check_replication(column)
-            await self.admission.acquire(deadline)
-            try:
-                predicate = self.executor.predicate(column, low, high)
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise DeadlineExceeded("request budget exhausted")
-                groups = await asyncio.wait_for(
-                    asyncio.to_thread(
-                        self.executor.aggregate_grouped,
-                        column, predicate, op, group_by,
-                    ),
-                    remaining,
-                )
-                return {
-                    "column": column,
-                    "low": low,
-                    "high": high,
-                    "op": op,
-                    "group_by": group_by,
-                    "groups": {
-                        str(key): (
-                            float(value)
-                            if isinstance(value, float)
-                            else int(value)
-                        )
-                        for key, value in groups.items()
-                    },
-                }
-            finally:
-                self.admission.release()
-        except asyncio.TimeoutError as timeout_exc:
-            exc = DeadlineExceeded("request budget exhausted")
-            raise exc from timeout_exc
-        except BaseException as raised:
-            exc = raised
-            raise
-        finally:
-            self._record_outcome(exc)
+        groups = await self._aggregate(
+            column, low, high, timeout, op, group_by=group_by
+        )
+        return {
+            "column": column,
+            "low": low,
+            "high": high,
+            "op": op,
+            "group_by": group_by,
+            "groups": {
+                str(key): _json_number(value) for key, value in groups.items()
+            },
+        }
 
     async def top_k(
         self,
@@ -559,44 +514,14 @@ class ImprintService:
         selection (or ``k == 0``) answers ``values: []`` — never an
         error.  Negative ``k`` is a 400.
         """
-        self._enter()
-        deadline = self.deadline_for(timeout)
-        exc: BaseException | None = None
-        try:
-            self._check_quarantine(column)
-            self._check_replication(column)
-            await self.admission.acquire(deadline)
-            try:
-                predicate = self.executor.predicate(column, low, high)
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise DeadlineExceeded("request budget exhausted")
-                values = await asyncio.wait_for(
-                    asyncio.to_thread(
-                        self.executor.top_k, column, predicate, k
-                    ),
-                    remaining,
-                )
-                return {
-                    "column": column,
-                    "low": low,
-                    "high": high,
-                    "k": int(k),
-                    "values": [
-                        float(value) if isinstance(value, float) else int(value)
-                        for value in values
-                    ],
-                }
-            finally:
-                self.admission.release()
-        except asyncio.TimeoutError as timeout_exc:
-            exc = DeadlineExceeded("request budget exhausted")
-            raise exc from timeout_exc
-        except BaseException as raised:
-            exc = raised
-            raise
-        finally:
-            self._record_outcome(exc)
+        values = await self._aggregate(column, low, high, timeout, k=k)
+        return {
+            "column": column,
+            "low": low,
+            "high": high,
+            "k": int(k),
+            "values": [_json_number(value) for value in values],
+        }
 
     async def page(
         self,
@@ -617,36 +542,23 @@ class ImprintService:
         if limit < 1:
             raise ValueError(f"limit must be >= 1, got {limit}")
         limit = min(limit, self.config.max_page_limit)
-        self._enter()
-        deadline = self.deadline_for(timeout)
-        exc: BaseException | None = None
-        try:
-            self._check_quarantine(column)
-            self._check_replication(column)
-            await self.admission.acquire(deadline)
-            try:
-                predicate = self.executor.predicate(column, low, high)
-                future = self.executor.submit_paged(
-                    column, predicate, limit, cursor, deadline=deadline
-                )
-                ids, next_cursor = await self._await_result(future, deadline)
-                return {
-                    "column": column,
-                    "low": low,
-                    "high": high,
-                    "ids": [int(i) for i in ids],
-                    "cursor": (
-                        None if next_cursor is None else next_cursor.encode()
-                    ),
-                    "exhausted": next_cursor is None,
-                }
-            finally:
-                self.admission.release()
-        except BaseException as raised:
-            exc = raised
-            raise
-        finally:
-            self._record_outcome(exc)
+
+        async def answer(deadline: float) -> dict:
+            predicate = self.executor.predicate(column, low, high)
+            future = self.executor.submit_paged(
+                column, predicate, limit, cursor, deadline=deadline
+            )
+            ids, next_cursor = await self._await_result(future, deadline)
+            return {
+                "column": column,
+                "low": low,
+                "high": high,
+                "ids": [int(i) for i in ids],
+                "cursor": None if next_cursor is None else next_cursor.encode(),
+                "exhausted": next_cursor is None,
+            }
+
+        return await self._serve(column, timeout, answer)
 
     # ------------------------------------------------------------------
     # health and introspection (never admission-controlled: these must
@@ -712,29 +624,15 @@ class ImprintService:
         observed shapes) when the executor routes through a
         :class:`~repro.engine.planner.QueryPlanner`."""
         snap = self.admission.snapshot()
-        engine = self.executor.stats
         cache = self.executor.cache
         payload = {
             "service": self.stats.as_dict(),
             "admission": {
-                "inflight": snap.inflight,
-                "waiting": snap.waiting,
-                "admitted": snap.admitted,
-                "rejected": snap.rejected,
-                "timed_out": snap.timed_out,
-                "cancelled": snap.cancelled,
-                "released": snap.released,
-                "peak_waiting": snap.peak_waiting,
+                key: value
+                for key, value in asdict(snap).items()
+                if not key.startswith("max_")
             },
-            "engine": {
-                "submitted": engine.submitted,
-                "coalesced": engine.coalesced,
-                "cache_hits": engine.cache_hits,
-                "cache_misses": engine.cache_misses,
-                "batches": engine.batches,
-                "batched_queries": engine.batched_queries,
-                "expired": engine.expired,
-            },
+            "engine": asdict(self.executor.stats),
             "cache": {
                 "entries": len(cache),
                 "bytes": cache.bytes,
@@ -763,10 +661,6 @@ class ImprintService:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     async def close(self, *, drain: bool = True) -> None:
         """Refuse new work, fail queued waiters, close the executor."""
         if self._closed:

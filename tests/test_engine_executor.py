@@ -7,11 +7,23 @@ index mutates (appends/updates bump the version, so stale cache
 entries must never be served).
 """
 
+import contextvars
+import sys
+import threading
+import time
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from repro.core import ColumnImprints, conjunctive_query
-from repro.engine import LRUCache, QueryExecutor, ShardedColumnImprints
+from repro.engine import (
+    ExecutorStats,
+    LRUCache,
+    QueryExecutor,
+    ShardedColumnImprints,
+)
+from repro.errors import ExecutorClosedError
 from repro.predicate import RangePredicate
 from repro.storage import INT, Column, Table
 
@@ -82,6 +94,13 @@ class TestLRUCache:
         assert cache.bytes == 8
         cache.put("b", 2, weight=6)  # re-put updates the accounting
         assert cache.bytes == 10
+
+
+def test_stats_reset_zeroes_every_counter():
+    stats = ExecutorStats()
+    stats.bump(submitted=3, cache_hits=2, expired=1)
+    stats.reset()
+    assert asdict(stats) == asdict(ExecutorStats())
 
 
 # ----------------------------------------------------------------------
@@ -354,3 +373,153 @@ class TestDeadlines:
             )
             assert_identical(oracle.query(predicate), future.result(timeout=5))
             assert executor.stats.expired == 0
+
+
+# ----------------------------------------------------------------------
+# aggregates as futures
+# ----------------------------------------------------------------------
+class SlowAggregates:
+    """Delegating proxy whose aggregate stalls and sees the caller's
+    context variables."""
+
+    marker = contextvars.ContextVar("marker", default=None)
+
+    def __init__(self, inner, delay: float = 0.0) -> None:
+        self._inner = inner
+        self._delay = delay
+        self.markers = []
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def aggregate(self, predicate, op):
+        self.markers.append(self.marker.get())
+        time.sleep(self._delay)
+        return self._inner.aggregate(predicate, op)
+
+
+class TestSubmitAggregate:
+    @pytest.mark.parametrize(
+        "shape",
+        [{"op": "sum"}, {"op": "avg", "group_by": "g"}, {"k": 5}],
+        ids=["scalar", "grouped", "top-k"],
+    )
+    def test_miss_counts_once_and_hit_is_resolved_on_return(
+        self, column, shape
+    ):
+        index = ColumnImprints(column)
+        index.attach_group_column("g", np.arange(len(column)) % 3)
+        predicate = RangePredicate.range(9_000, 12_000, INT)
+        if "k" in shape:
+            want = index.top_k(predicate, shape["k"])
+        elif "group_by" in shape:
+            want = index.aggregate_grouped(predicate, shape["op"], "g")
+        else:
+            want = index.aggregate(predicate, shape["op"])
+        with QueryExecutor({"c": index}) as executor:
+            miss = executor.submit_aggregate("c", predicate, **shape)
+            assert miss.result(timeout=5) == want
+            stats, cache = executor.stats, executor.cache
+            assert (stats.submitted, stats.cache_misses, stats.cache_hits) == (
+                1, 1, 0
+            )
+            assert (cache.misses, cache.hits) == (1, 0)
+            hit = executor.submit_aggregate("c", predicate, **shape)
+            assert hit.done()
+            assert hit.result() == want
+            assert (stats.submitted, stats.cache_misses, stats.cache_hits) == (
+                2, 1, 1
+            )
+            assert (cache.misses, cache.hits) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            {"op": "median"},
+            {"op": "max", "group_by": "g"},
+            {"k": -1},
+            {"k": 2, "group_by": "g"},
+        ],
+        ids=["op", "grouped-op", "negative-k", "k-and-group_by"],
+    )
+    def test_bad_op_or_k_raises_synchronously(self, column, shape):
+        with QueryExecutor({"c": ColumnImprints(column)}) as executor:
+            with pytest.raises(ValueError):
+                executor.submit_aggregate(
+                    "c", RangePredicate.range(0, 10, INT), **shape
+                )
+            assert executor.stats.submitted == 0
+
+    def test_miss_runs_in_a_copy_of_the_callers_context(self, column):
+        index = SlowAggregates(ColumnImprints(column))
+        with QueryExecutor({"c": index}) as executor:
+            token = SlowAggregates.marker.set("request-7")
+            try:
+                future = executor.submit_aggregate(
+                    "c", RangePredicate.range(0, 9_000, INT)
+                )
+            finally:
+                SlowAggregates.marker.reset(token)
+            future.result(timeout=5)
+        assert index.markers == ["request-7"]
+
+    def test_after_close_raises_the_typed_error(self, column):
+        executor = QueryExecutor({"c": ColumnImprints(column)})
+        executor.close()
+        with pytest.raises(ExecutorClosedError):
+            executor.submit_aggregate("c", RangePredicate.range(0, 10, INT))
+
+    def test_counts_balance_under_concurrent_submitters(self, column):
+        """More workers than cores, a tiny switch interval: every
+        request still counts once in the stats and once in the LRU."""
+        index = ColumnImprints(column)
+        predicates = [
+            RangePredicate.range(0, 6_000 + 500 * i, INT) for i in range(8)
+        ]
+        want = {p: index.aggregate(p, "sum") for p in predicates}
+        answers, threads_n, per_thread = [], 6, 40
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with QueryExecutor({"c": index}, n_workers=4) as executor:
+
+                def client(seed: int) -> None:
+                    for i in range(per_thread):
+                        predicate = predicates[(seed + i) % len(predicates)]
+                        future = executor.submit_aggregate("c", predicate, "sum")
+                        answers.append((predicate, future.result(timeout=10)))
+
+                threads = [
+                    threading.Thread(target=client, args=(seed,))
+                    for seed in range(threads_n)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                stats, cache = executor.stats, executor.cache
+                total = threads_n * per_thread
+                assert stats.submitted == total
+                assert stats.cache_hits + stats.cache_misses == total
+                assert cache.hits + cache.misses == total
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(answers) == total
+        assert all(value == want[predicate] for predicate, value in answers)
+
+    def test_close_with_drain_resolves_an_in_flight_aggregate(self, column):
+        oracle = ColumnImprints(column)
+        executor = QueryExecutor(
+            {"c": SlowAggregates(ColumnImprints(column), delay=0.2)},
+            n_workers=1,
+        )
+        predicates = [RangePredicate.range(0, 8_000 + k, INT) for k in (0, 1)]
+        futures = [
+            executor.submit_aggregate("c", predicate, "sum")
+            for predicate in predicates
+        ]
+        assert not any(future.done() for future in futures)
+        executor.close(drain=True)
+        for predicate, future in zip(predicates, futures):
+            assert future.result(timeout=0) == oracle.aggregate(predicate, "sum")

@@ -13,6 +13,7 @@ The invariants under test:
 """
 
 import asyncio
+import threading
 import time
 
 import numpy as np
@@ -371,9 +372,72 @@ class TestImprintService:
 
         payload = run(scenario())
         assert set(payload) == {"service", "admission", "engine", "cache"}
+        assert set(payload["service"]) == {
+            "requests", "served", "degraded", "shed", "rejected",
+            "timed_out", "failed", "stale_cursors", "cancelled",
+        }
+        assert set(payload["admission"]) == {
+            "inflight", "waiting", "admitted", "rejected", "timed_out",
+            "cancelled", "released", "peak_waiting",
+        }
+        assert set(payload["engine"]) == {
+            "submitted", "coalesced", "cache_hits", "cache_misses",
+            "batches", "batched_queries", "expired",
+        }
+        assert set(payload["cache"]) == {"entries", "bytes", "hits", "misses"}
         assert payload["service"]["served"] == 1
         assert payload["admission"]["admitted"] == 1
         assert payload["admission"]["released"] == 1
+
+    def test_expired_aggregates_never_start(self):
+        """One engine worker, a 0.3 s aggregate, four 50 ms budgets:
+        the first aggregate runs, the three queued behind it expire
+        unevaluated, and every request frees its admission slot."""
+        from repro.storage import Column
+
+        lock = threading.Lock()
+        calls, running, peak = [], [0], [0]
+
+        class CountedSlowIndex(SlowIndex):
+            def aggregate(self, predicate, op):
+                with lock:
+                    calls.append(predicate)
+                    running[0] += 1
+                    peak[0] = max(peak[0], running[0])
+                try:
+                    return super().aggregate(predicate, op)
+                finally:
+                    with lock:
+                        running[0] -= 1
+
+        index = ColumnImprints(
+            Column(make_clustered(20_000, np.int32, seed=11), name="t.v")
+        )
+        executor = QueryExecutor(
+            {"v": CountedSlowIndex(index, 0.3)}, n_workers=1
+        )
+        service = ImprintService(executor, ServingConfig())
+
+        async def scenario():
+            async with service:
+                outcomes = await asyncio.gather(
+                    *(
+                        service.aggregate(
+                            "v", LOW + i, HIGH, "sum", timeout=0.05
+                        )
+                        for i in range(4)
+                    ),
+                    return_exceptions=True,
+                )
+                assert all(isinstance(o, DeadlineExceeded) for o in outcomes)
+                assert service.admission.inflight == 0
+            # close() drained the engine: every queued task has run
+
+        run(scenario())
+        assert len(calls) == 1
+        assert peak[0] == 1
+        assert executor.stats.expired == 3
+        assert service.stats.timed_out == 4
 
     def test_stats_payload_surfaces_planner_when_routing(self):
         """A planner-routed executor's /stats grows a planner section:
@@ -484,6 +548,43 @@ class TestHTTP:
             bad = await client.get("/query", {"column": "v"})
             assert bad.body["error"] == "ValueError"
             assert bad.body["status"] == 400
+
+        http_scenario(scenario)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            ("mode", "query", {"mode": "nope"}, "/query", {"mode": "nope"}),
+            ("limit", "query", {"limit": 0}, "/query", {"limit": "0"}),
+            ("op", "aggregate", {"op": "median"}, "/aggregate",
+             {"op": "median"}),
+            ("grouped-op", "aggregate_grouped",
+             {"op": "max", "group_by": "g"}, "/aggregate",
+             {"op": "max", "group_by": "g"}),
+            ("k", "top_k", {"k": -3}, "/aggregate", {"top_k": "-3"}),
+        ],
+        ids=lambda case: case[0],
+    )
+    def test_malformed_request_is_refused_before_admission(self, case):
+        """A bad parameter is a 400 that takes no admission slot and
+        leaves the outcome counters untouched."""
+        _, method, kwargs, path, params = case
+
+        async def scenario(service, index, client):
+            def counters():
+                return (
+                    service.stats.as_dict(),
+                    service.admission.snapshot().admitted,
+                )
+
+            before = counters()
+            with pytest.raises(ValueError):
+                await getattr(service, method)("v", LOW, HIGH, **kwargs)
+            response = await client.get(
+                path, {"column": "v", "low": LOW, "high": HIGH, **params}
+            )
+            assert response.status == 400
+            assert counters() == before
 
         http_scenario(scenario)
 
