@@ -282,6 +282,35 @@ class ColumnImprints(SecondaryIndex):
             kind="index",
         )
 
+    def first_page(self, predicate: RangePredicate, limit: int):
+        """``(count, ids, cursor)`` from one candidate pass.
+
+        The same candidate ranges feed the ``COUNT`` pushdown and the
+        :func:`~repro.core.query.take_from_ranges` walk, so the answer
+        is never materialised: a first page costs the kernel, one count
+        and ~``limit`` ids of work.  Equal to the base
+        :meth:`~repro.index_base.SecondaryIndex.first_page`, including
+        the rank cursor, so the page resumes against the full answer.
+        """
+        from .cursor import PageCursor
+
+        if limit < 1:
+            raise ValueError(f"page limit must be >= 1, got {limit}")
+        version = self.version
+        values = self.column.values
+        ranges = self.candidate_ranges(predicate)
+        count = aggregate_candidates(
+            ranges, values, predicate, self.cacheline_aggregates, "count"
+        )
+        ids, _, _ = take_from_ranges(
+            self.data, values, predicate.matches, ranges, 0, 0, limit
+        )
+        if ids.shape[0] >= count:
+            return count, ids, None
+        return count, ids, PageCursor(
+            rank=int(ids.shape[0]), version=version, kind="result"
+        )
+
     def iter_chunks(self, predicate: RangePredicate, size: int):
         """Stream the answer as ``size``-id chunks, materialised lazily.
 

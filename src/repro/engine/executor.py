@@ -22,7 +22,10 @@ shapes the kernels below are fastest at:
   :meth:`submit_aggregate`) answers ``COUNT``/``SUM``/``MIN``/``MAX``
   of a predicate through the index's per-cacheline pre-aggregates and
   caches the *scalar* in the same versioned LRU, so repeated dashboard
-  aggregations cost a dictionary lookup;
+  aggregations cost a dictionary lookup; ``submit_aggregate(...,
+  limit=)`` answers a count plus its first page the same way, through
+  the index's ``first_page`` (one candidate pass on imprints, which
+  never builds the full answer);
 * **table-level parallelism** — :meth:`conjunctive` gathers the
   per-column candidate passes of a multi-attribute query concurrently
   before the merge-join (:meth:`aggregate_conjunctive` does the same
@@ -37,7 +40,7 @@ from __future__ import annotations
 import contextvars
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
 
 from ..errors import DeadlineExceeded, ExecutorClosedError
 from ..index_base import QueryResult, SecondaryIndex
@@ -55,6 +58,25 @@ _SCALAR_WEIGHT = 64
 
 #: Additional LRU weight per group entry / top-k value in a cached answer.
 _GROUP_ENTRY_WEIGHT = 32
+
+
+def _deliver(fut: Future, result=None, exc: BaseException | None = None) -> None:
+    """Answer one waiter, skipping one that is cancelled or done.
+
+    A waiter can cancel between the ``done()`` check and the set (an
+    asyncio deadline cancelling its wrapped future); the set then
+    raises ``InvalidStateError``, which must not stop the caller from
+    answering the waiters after it.
+    """
+    if fut.done():
+        return
+    try:
+        if exc is None:
+            fut.set_result(result)
+        else:
+            fut.set_exception(exc)
+    except InvalidStateError:
+        pass
 
 
 class QueryExecutor:
@@ -376,9 +398,11 @@ class QueryExecutor:
 
         def deliver(done: Future) -> None:
             try:
-                page_future.set_result(done.result().page(limit, cursor))
+                page = done.result().page(limit, cursor)
             except BaseException as exc:  # noqa: BLE001 - propagate to waiter
-                page_future.set_exception(exc)
+                _deliver(page_future, exc=exc)
+            else:
+                _deliver(page_future, page)
 
         inner.add_done_callback(deliver)
         return page_future
@@ -420,7 +444,7 @@ class QueryExecutor:
         weight, so a byte budget holds practically unlimited aggregate
         answers and any append/update/rebuild invalidates implicitly.
         """
-        hit, compute = self._lookup_aggregate(name, predicate, op, None, None)
+        hit, compute = self._lookup_aggregate(name, predicate, op)
         return compute() if hit is None else hit[0]
 
     def aggregate_grouped(
@@ -435,7 +459,9 @@ class QueryExecutor:
         the number of groups so a byte budget stays honest.  Any
         append/update/rebuild invalidates implicitly.
         """
-        hit, compute = self._lookup_aggregate(name, predicate, op, group_by, None)
+        hit, compute = self._lookup_aggregate(
+            name, predicate, op, group_by=group_by
+        )
         return compute() if hit is None else hit[0]
 
     def top_k(self, name: str, predicate: RangePredicate, k: int) -> list:
@@ -446,7 +472,7 @@ class QueryExecutor:
         ``(column, predicate, k, version)``; ``[]`` (an empty answer)
         caches like any other value.
         """
-        hit, compute = self._lookup_aggregate(name, predicate, None, None, k)
+        hit, compute = self._lookup_aggregate(name, predicate, None, k=k)
         return compute() if hit is None else hit[0]
 
     def submit_aggregate(
@@ -457,10 +483,14 @@ class QueryExecutor:
         *,
         group_by: str | None = None,
         k: int | None = None,
+        limit: int | None = None,
         deadline: float | None = None,
     ) -> Future:
         """Future of :meth:`aggregate` (``op``), :meth:`aggregate_grouped`
-        (``group_by=``) or :meth:`top_k` (``k=``), through the same LRU.
+        (``group_by=``), :meth:`top_k` (``k=``) or the index's
+        :meth:`~repro.index_base.SecondaryIndex.first_page` (``limit=``:
+        ``(count, ids, cursor)``, the ``COUNT`` plus its first ``limit``
+        ids), through the same LRU.
 
         A cache hit returns an already-resolved future.  A miss runs on
         the executor's worker pool, inside a copy of the caller's
@@ -468,12 +498,15 @@ class QueryExecutor:
         :meth:`submit`: a task that starts after it fails with
         :class:`~repro.errors.DeadlineExceeded` (counted in
         ``stats.expired``) without evaluating, and a task whose future
-        was cancelled before it started does nothing.  A bad ``op`` or
-        ``k`` raises here (:meth:`check_aggregate`).
+        was cancelled before it started does nothing.  A bad ``op``,
+        ``k`` or ``limit`` raises here (:meth:`check_aggregate`).  A
+        first page's cursor resumes through :meth:`submit_paged`.
         """
         if self._closed:
             raise ExecutorClosedError("executor is closed")
-        hit, compute = self._lookup_aggregate(name, predicate, op, group_by, k)
+        hit, compute = self._lookup_aggregate(
+            name, predicate, op, group_by=group_by, k=k, limit=limit
+        )
         fut: Future = Future()
         if hit is not None:
             fut.set_result(hit[0])
@@ -507,14 +540,24 @@ class QueryExecutor:
         *,
         group_by: str | None = None,
         k: int | None = None,
+        limit: int | None = None,
     ) -> tuple:
         """Refuse an aggregate request no index can answer.
 
         Raises :class:`ValueError` for an unknown scalar ``op``, an
-        unknown grouped ``op`` (with ``group_by``), a negative ``k``, or
-        ``group_by`` together with ``k``.  Returns the request's tag in
-        the LRU key.
+        unknown grouped ``op`` (with ``group_by``), a negative ``k``,
+        ``group_by`` together with ``k``, a ``limit`` below 1, or
+        ``limit`` together with ``group_by``, ``k`` or an ``op`` other
+        than ``count``.  Returns the request's tag in the LRU key.
         """
+        if limit is not None:
+            if group_by is not None or k is not None:
+                raise ValueError("limit excludes group_by and top-k k")
+            if op != "count":
+                raise ValueError(f"a first page counts; got op {op!r}")
+            if limit < 1:
+                raise ValueError(f"page limit must be >= 1, got {limit}")
+            return ("page", limit)
         if k is not None:
             if group_by is not None:
                 raise ValueError("group_by and top-k k are exclusive")
@@ -533,7 +576,9 @@ class QueryExecutor:
             )
         return ("aggregate", op)
 
-    def _lookup_aggregate(self, name, predicate, op, group_by, k):
+    def _lookup_aggregate(
+        self, name, predicate, op, *, group_by=None, k=None, limit=None
+    ):
         """Validate an aggregate request and probe the LRU once.
 
         Returns ``(hit, compute)``: ``hit`` is the cached answer wrapped
@@ -542,7 +587,7 @@ class QueryExecutor:
         ``compute()`` runs the index's pushdown and caches its answer.
         The request counts once in :attr:`stats`.
         """
-        tag = self.check_aggregate(op, group_by=group_by, k=k)
+        tag = self.check_aggregate(op, group_by=group_by, k=k, limit=limit)
         index = self.index(name)
         version = getattr(index, "version", None)
         key = (name, predicate, tag, version)
@@ -552,16 +597,22 @@ class QueryExecutor:
         )
 
         def compute():
-            if k is not None:
+            if limit is not None:
+                value = index.first_page(predicate, limit)
+                value[1].setflags(write=False)  # shared through the LRU
+            elif k is not None:
                 value = index.top_k(predicate, k)
             elif group_by is not None:
                 value = index.aggregate_grouped(predicate, op, group_by)
             else:
                 value = index.aggregate(predicate, op)
             if version is not None:
-                # Grouped dicts and top-k lists pay per entry.
+                # First pages pay for their ids; grouped dicts and top-k
+                # lists per entry.
                 weight = _SCALAR_WEIGHT
-                if tag[0] != "aggregate":
+                if limit is not None:
+                    weight += int(value[1].nbytes)
+                elif tag[0] != "aggregate":
                     weight += _GROUP_ENTRY_WEIGHT * len(value)
                 self._cache.put(key, (value,), weight=weight)
             return value
@@ -687,13 +738,13 @@ class QueryExecutor:
             for predicate, fut, deadline, forced in entries:
                 if deadline is not None and deadline <= now:
                     expired += 1
-                    if not fut.done():
-                        fut.set_exception(
-                            DeadlineExceeded(
-                                f"deadline expired while {predicate!r} "
-                                f"waited for its micro-batch"
-                            )
-                        )
+                    _deliver(
+                        fut,
+                        exc=DeadlineExceeded(
+                            f"deadline expired while {predicate!r} "
+                            f"waited for its micro-batch"
+                        ),
+                    )
                 else:
                     live.append((predicate, fut, forced))
             if expired:
@@ -799,15 +850,10 @@ class QueryExecutor:
 
             for key, futures in groups.items():
                 for fut in futures:
-                    # A waiter may have given up while the batch ran
-                    # (asyncio deadline cancelling its wrapped future);
-                    # delivery must not die on it and strand the rest.
-                    if not fut.done():
-                        fut.set_result(results[key])
+                    _deliver(fut, results[key])
         except BaseException as exc:  # noqa: BLE001 - propagate to waiters
             for _, fut, _, _ in entries:
-                if not fut.done():
-                    fut.set_exception(exc)
+                _deliver(fut, exc=exc)
 
     # ------------------------------------------------------------------
     # cache control / lifecycle
@@ -865,10 +911,9 @@ class QueryExecutor:
     @staticmethod
     def _fail_closed(futures: list[Future]) -> None:
         for fut in futures:
-            if not fut.done():
-                fut.set_exception(
-                    ExecutorClosedError("executor closed before evaluation")
-                )
+            _deliver(
+                fut, exc=ExecutorClosedError("executor closed before evaluation")
+            )
 
     def __enter__(self) -> "QueryExecutor":
         return self

@@ -755,6 +755,11 @@ class MultiBackendIndex(SecondaryIndex):
         """Aggregate pushdown always rides the primary (the sidecar)."""
         return self._primary.aggregate(predicate, op)
 
+    def first_page(self, predicate: RangePredicate, limit: int):
+        """Count plus first page always ride the primary (one candidate
+        pass, no answer built)."""
+        return self._primary.first_page(predicate, limit)
+
     def attach_group_column(self, name: str, group) -> None:
         """GROUP BY columns ride the primary only: grouped pushdown
         always resolves there (one set of group histograms, not one per

@@ -497,6 +497,21 @@ class SecondaryIndex(ABC):
         """
         return self.query(predicate).count()
 
+    def first_page(self, predicate: RangePredicate, limit: int):
+        """``(count, ids, cursor)``: the answer size plus its first page.
+
+        Equal to ``query(predicate).count()`` and
+        ``query(predicate).page(limit)``: ``cursor`` is the rank cursor
+        :meth:`QueryResult.page` hands out (``None`` when the page holds
+        the whole answer), so a consumer resumes it against the cached
+        full answer.  This default runs one :meth:`query`;
+        :class:`~repro.core.index.ColumnImprints` answers from one
+        candidate pass instead and never builds the answer.
+        """
+        result = self.query(predicate)
+        ids, cursor = result.page(limit)
+        return result.count(), ids, cursor
+
     # ------------------------------------------------------------------
     # aggregate pushdown
     # ------------------------------------------------------------------

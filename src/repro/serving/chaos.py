@@ -40,9 +40,9 @@ __all__ = ["ChaosConfig", "ChaosIndex", "install_chaos"]
 class ChaosConfig:
     """What to inject, how often.  ``0`` disables an injector.
 
-    Frequencies count *kernel evaluations* (``query_batch`` /
-    ``aggregate`` / ``candidate_ranges`` calls), so runs are
-    reproducible regardless of timing.
+    Frequencies count *kernel evaluations* (``query`` / ``query_batch``
+    / ``aggregate`` / ``first_page`` / ``candidate_ranges`` calls), so
+    runs are reproducible regardless of timing.
     """
 
     kernel_latency: float = 0.0
@@ -167,6 +167,10 @@ class ChaosIndex:
     def aggregate(self, predicate, op: str):
         self._tick()
         return self._inner.aggregate(predicate, op)
+
+    def first_page(self, predicate, limit: int):
+        self._tick()
+        return self._inner.first_page(predicate, limit)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -385,7 +385,10 @@ class ImprintService:
           degraded; count-only when shedding;
         * ``"full"`` — always the full id list (opts out of degradation);
         * ``"count"`` — count only (never materialises ids);
-        * ``"page"`` — first ``limit`` ids plus a resume cursor.
+        * ``"page"`` — count, first ``limit`` ids and a resume cursor
+          from the index's ``first_page`` (one candidate pass on
+          imprints, never the full answer); the degraded level
+          answers the same way.
         """
         if mode not in QUERY_MODES:
             raise ValueError(
@@ -407,29 +410,30 @@ class ImprintService:
                 count = await self._await_result(future, deadline)
                 body = {"count": int(count), "ids": None, "cursor": None}
                 served_as = "count"
+            elif mode == "page" or (mode == "auto" and level == "degraded"):
+                # first_page: on imprints one candidate pass answers
+                # the count and the page; the full answer is never built.
+                future = self.executor.submit_aggregate(
+                    column, predicate, limit=limit, deadline=deadline
+                )
+                count, ids, cursor = await self._await_result(future, deadline)
+                body = {
+                    "count": int(count),
+                    "ids": ids.tolist(),
+                    "cursor": None if cursor is None else cursor.encode(),
+                }
+                served_as = "page"
             else:
                 future = self.executor.submit(
                     column, predicate, deadline=deadline
                 )
                 result = await self._await_result(future, deadline)
-                if mode == "page" or (mode == "auto" and level == "degraded"):
-                    # count() and the first page are both O(limit +
-                    # ranges) on the compressed answer — the degraded
-                    # response never pays O(ids).
-                    ids, cursor = result.page(limit)
-                    body = {
-                        "count": int(result.count()),
-                        "ids": [int(i) for i in ids],
-                        "cursor": None if cursor is None else cursor.encode(),
-                    }
-                    served_as = "page"
-                else:
-                    body = {
-                        "count": int(result.count()),
-                        "ids": [int(i) for i in result.ids],
-                        "cursor": None,
-                    }
-                    served_as = "full"
+                body = {
+                    "count": int(result.count()),
+                    "ids": result.ids.tolist(),
+                    "cursor": None,
+                }
+                served_as = "full"
             if mode == "auto" and served_as == "page":
                 self.stats.degraded += 1
             if mode == "auto" and served_as == "count":
@@ -553,7 +557,7 @@ class ImprintService:
                 "column": column,
                 "low": low,
                 "high": high,
-                "ids": [int(i) for i in ids],
+                "ids": ids.tolist(),
                 "cursor": None if next_cursor is None else next_cursor.encode(),
                 "exhausted": next_cursor is None,
             }

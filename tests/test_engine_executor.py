@@ -11,6 +11,7 @@ import contextvars
 import sys
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import asdict
 
 import numpy as np
@@ -375,6 +376,50 @@ class TestDeadlines:
             assert executor.stats.expired == 0
 
 
+class CancelsAfterTheCheck(Future):
+    """A waiter that gives up between delivery's ``done()`` check and
+    its set: ``done()`` answers the state from before it cancels."""
+
+    def done(self):
+        answer = super().done()
+        self.cancel()
+        return answer
+
+
+class FailingKernel:
+    """Delegating proxy whose batch kernel raises."""
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def query_batch(self, predicates):
+        raise RuntimeError("kernel failed")
+
+
+class TestBatchDelivery:
+    @pytest.mark.parametrize("fails", [False, True], ids=["answer", "failure"])
+    def test_a_waiter_cancelling_mid_delivery_strands_no_peer(
+        self, column, fails
+    ):
+        oracle = ColumnImprints(column)
+        index = FailingKernel(oracle) if fails else oracle
+        predicate = RangePredicate.range(0, 9_000, INT)
+        racy, normal = CancelsAfterTheCheck(), Future()
+        with QueryExecutor({"c": index}) as executor:
+            executor._run_batch(
+                "c", [(predicate, racy, None, None), (predicate, normal, None, None)]
+            )
+        assert racy.cancelled()
+        if fails:
+            with pytest.raises(RuntimeError, match="kernel failed"):
+                normal.result(timeout=0)
+        else:
+            assert_identical(oracle.query(predicate), normal.result(timeout=0))
+
+
 # ----------------------------------------------------------------------
 # aggregates as futures
 # ----------------------------------------------------------------------
@@ -398,11 +443,19 @@ class SlowAggregates:
         return self._inner.aggregate(predicate, op)
 
 
+def comparable(answer):
+    """A first page's id array as a list, so answers compare with ==."""
+    if isinstance(answer, tuple):
+        count, ids, cursor = answer
+        return count, ids.tolist(), cursor
+    return answer
+
+
 class TestSubmitAggregate:
     @pytest.mark.parametrize(
         "shape",
-        [{"op": "sum"}, {"op": "avg", "group_by": "g"}, {"k": 5}],
-        ids=["scalar", "grouped", "top-k"],
+        [{"op": "sum"}, {"op": "avg", "group_by": "g"}, {"k": 5}, {"limit": 7}],
+        ids=["scalar", "grouped", "top-k", "first-page"],
     )
     def test_miss_counts_once_and_hit_is_resolved_on_return(
         self, column, shape
@@ -410,15 +463,18 @@ class TestSubmitAggregate:
         index = ColumnImprints(column)
         index.attach_group_column("g", np.arange(len(column)) % 3)
         predicate = RangePredicate.range(9_000, 12_000, INT)
-        if "k" in shape:
+        if "limit" in shape:
+            want = index.first_page(predicate, shape["limit"])
+        elif "k" in shape:
             want = index.top_k(predicate, shape["k"])
         elif "group_by" in shape:
             want = index.aggregate_grouped(predicate, shape["op"], "g")
         else:
             want = index.aggregate(predicate, shape["op"])
+        want = comparable(want)
         with QueryExecutor({"c": index}) as executor:
             miss = executor.submit_aggregate("c", predicate, **shape)
-            assert miss.result(timeout=5) == want
+            assert comparable(miss.result(timeout=5)) == want
             stats, cache = executor.stats, executor.cache
             assert (stats.submitted, stats.cache_misses, stats.cache_hits) == (
                 1, 1, 0
@@ -426,7 +482,7 @@ class TestSubmitAggregate:
             assert (cache.misses, cache.hits) == (1, 0)
             hit = executor.submit_aggregate("c", predicate, **shape)
             assert hit.done()
-            assert hit.result() == want
+            assert comparable(hit.result()) == want
             assert (stats.submitted, stats.cache_misses, stats.cache_hits) == (
                 2, 1, 1
             )
@@ -439,8 +495,19 @@ class TestSubmitAggregate:
             {"op": "max", "group_by": "g"},
             {"k": -1},
             {"k": 2, "group_by": "g"},
+            {"limit": 0},
+            {"limit": 5, "group_by": "g"},
+            {"limit": 5, "k": 2},
         ],
-        ids=["op", "grouped-op", "negative-k", "k-and-group_by"],
+        ids=[
+            "op",
+            "grouped-op",
+            "negative-k",
+            "k-and-group_by",
+            "limit-below-one",
+            "limit-and-group_by",
+            "limit-and-k",
+        ],
     )
     def test_bad_op_or_k_raises_synchronously(self, column, shape):
         with QueryExecutor({"c": ColumnImprints(column)}) as executor:

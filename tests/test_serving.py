@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core import ColumnImprints
-from repro.engine import QueryExecutor
+from repro.engine import MultiBackendIndex, QueryExecutor, QueryPlanner
 from repro.errors import (
     AdmissionRejected,
     DeadlineExceeded,
@@ -525,6 +525,45 @@ class TestHTTP:
             assert collected == expected
 
         http_scenario(scenario)
+
+    def test_page_mode_cursor_resumes_through_the_page_route(self):
+        """A planner-routed ``mode=page`` answer (one candidate pass)
+        hands out the cursor ``/page`` resumes against the full answer."""
+        from repro.storage import Column
+
+        values = np.random.default_rng(5).integers(0, 50_000, 20_000)
+        index = MultiBackendIndex.for_column(
+            Column(values.astype(np.int32), name="t.u")
+        )
+        executor = QueryExecutor(
+            {"u": index}, batch_window=0.001, planner=QueryPlanner()
+        )
+        service = ImprintService(executor)
+        expected = index.query(executor.predicate("u", 10_000, 30_000)).ids
+
+        async def body():
+            try:
+                async with ServingHTTPServer(service) as server:
+                    client = ServingClient(*server.address)
+                    first = await client.query(
+                        "u", 10_000, 30_000, mode="page", limit=700
+                    )
+                    assert first.body["served_as"] == "page"
+                    assert first.body["count"] == expected.shape[0]
+                    collected = list(first.body["ids"])
+                    cursor = first.body["cursor"]
+                    while cursor is not None:
+                        page = await client.page(
+                            "u", 10_000, 30_000, limit=700, cursor=cursor
+                        )
+                        assert page.status == 200
+                        collected.extend(page.body["ids"])
+                        cursor = page.body["cursor"]
+                    return collected
+            finally:
+                await service.close()
+
+        assert run(body()) == expected.tolist()
 
     def test_error_table(self):
         async def scenario(service, index, client):

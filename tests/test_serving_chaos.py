@@ -92,6 +92,18 @@ class TestChaosIndex:
         assert wrapper.mutations == 2  # ticks 3, 6
         assert index.version > before  # mutations really bumped it
 
+    def test_first_page_is_a_faulted_evaluation(self):
+        service, index, wrapper = make_stack(ChaosConfig())
+
+        async def scenario():
+            async with service:
+                return await service.query("v", LOW, HIGH, mode="page", limit=10)
+
+        payload = asyncio.run(scenario())
+        assert payload["served_as"] == "page"
+        assert payload["count"] == index.query_range(LOW, HIGH).n_ids
+        assert wrapper.evaluations == 1
+
     def test_config_is_validated(self):
         with pytest.raises(ValueError):
             ChaosConfig(kernel_latency=-0.1)

@@ -15,18 +15,29 @@ Contract under test, layer by layer:
   page;
 * :meth:`QueryResult.count` computes once (frozen ``.ids`` length when
   materialised, one range walk otherwise) — regression-pinned by call
-  counts.
+  counts;
+* ``first_page`` equals the full answer's count, first page and cursor
+  token on every index kind, under appends, updates and deletes, and
+  the ``COUNT`` pushdown equals NumPy on both sides of its dense/sparse
+  choice.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from repro.core import ColumnImprints, PageCursor, RowSet, StaleCursorError
-from repro.engine import QueryExecutor, ShardedColumnImprints
+from repro.core import (
+    ColumnImprints,
+    DeltaAwareImprints,
+    PageCursor,
+    RowSet,
+    StaleCursorError,
+)
+from repro.core.aggregates import dense_count_span
+from repro.engine import MultiBackendIndex, QueryExecutor, ShardedColumnImprints
 from repro.index_base import QueryResult
 from repro.predicate import RangePredicate
 from repro.storage import Column
@@ -440,3 +451,149 @@ class TestCountMemo:
         lazy_count = result.count()
         assert result.ids.shape[0] == lazy_count
         assert result.count() == lazy_count
+
+
+# ----------------------------------------------------------------------
+# first pages — one candidate pass, equal to the full answer's page
+# ----------------------------------------------------------------------
+def _first_page_values(shape: str, dtype, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if shape == "uniform":
+        values = rng.integers(-5_000, 5_000, n)
+    elif shape == "clustered":
+        values = np.cumsum(rng.integers(-40, 41, n))
+    else:
+        values = np.sort(rng.integers(-5_000, 5_000, n))
+    return values.astype(dtype)
+
+
+def _first_page_index(kind: str, column: Column):
+    if kind == "imprints":
+        return ColumnImprints(column)
+    if kind == "sharded":
+        return ShardedColumnImprints(column, n_shards=3)
+    if kind == "multi":
+        return MultiBackendIndex.for_column(column)
+    return DeltaAwareImprints(column)  # the base-class default
+
+
+def _mutate(index, kind: str, where: float, value) -> None:
+    delta = isinstance(index, DeltaAwareImprints)
+    n = index.n_rows if delta else len(index.column)
+    value_id = min(int(where * n), n - 1)
+    if kind == "append":
+        index.append(np.full(17, value, dtype=index.column.values.dtype))
+    elif delta:
+        if value_id in index.delta.deleted_ids:
+            return  # a deleted row can be neither updated nor deleted
+        if kind == "update":
+            index.update(value_id, value)
+        else:
+            index.delete(value_id)
+    elif kind == "update":
+        index.note_update(value_id, value)  # saturates the overlay
+    else:
+        index.note_delete(value_id)
+
+
+def _matching(index, predicate) -> int:
+    """NumPy oracle: how many current rows satisfy the predicate."""
+    if isinstance(index, DeltaAwareImprints):
+        values = index.values_at(np.arange(index.n_rows))
+        keep = np.ones(values.shape[0], dtype=bool)
+        keep[index.delta.deleted_ids] = False
+        return int(np.count_nonzero(predicate.matches(values) & keep))
+    # Imprints ignore deletes: the answer keeps a deleted row's id.
+    return int(np.count_nonzero(predicate.matches(index.column.values)))
+
+
+def _token(cursor):
+    return None if cursor is None else cursor.encode()
+
+
+mutation_st = st.tuples(
+    st.sampled_from(["append", "update", "delete"]),
+    st.floats(0.0, 1.0, allow_nan=False),
+    st.integers(-6_000, 6_000),
+)
+
+
+class TestFirstPage:
+    @given(
+        kind=st.sampled_from(["imprints", "sharded", "multi", "delta"]),
+        shape=st.sampled_from(["uniform", "clustered", "sorted"]),
+        dtype=st.sampled_from([np.int32, np.float64]),
+        n=st.integers(20, 3_000),
+        seed=st.integers(0, 2**16),
+        mutations=st.lists(mutation_st, max_size=6),
+        bounds=st.lists(
+            st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+            min_size=1,
+            max_size=4,
+        ),
+        small=st.integers(2, 40),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_first_page_equals_the_full_answers_page(
+        self, kind, shape, dtype, n, seed, mutations, bounds, small
+    ):
+        column = Column(_first_page_values(shape, dtype, n, seed), name="t.fp")
+        index = _first_page_index(kind, column)
+        for mutation, (q_lo, q_hi) in zip(
+            [None, *mutations], bounds * (len(mutations) + 1)
+        ):
+            if mutation is not None:
+                _mutate(index, *mutation)
+            ordered = np.sort(index.column.values)
+            low, high = sorted(
+                (
+                    ordered[min(int(q * ordered.shape[0]), ordered.shape[0] - 1)]
+                    for q in (q_lo, q_hi)
+                )
+            )
+            predicate = RangePredicate.range(low, high, index.column.ctype)
+            result = index.query(predicate)
+            count = _matching(index, predicate)
+            assert result.count() == count
+            assert index.aggregate(predicate, "count") == count
+            if hasattr(index, "candidate_ranges"):
+                ranges = index.candidate_ranges(predicate)
+                span = dense_count_span(
+                    ranges,
+                    index.column.values_per_cacheline,
+                    len(index.column),
+                )
+                event(f"count {'dense' if span else 'sparse'}")
+            for limit in (1, small, count + 1 + small):
+                got_count, ids, cursor = index.first_page(predicate, limit)
+                want_ids, want_cursor = result.page(limit)
+                assert got_count == count
+                assert np.array_equal(ids, want_ids)
+                assert _token(cursor) == _token(want_cursor)
+
+    @pytest.mark.parametrize(
+        "shape,low,high,dense",
+        [
+            ("uniform", -2_000, 2_000, True),
+            ("uniform", -5_000, 4_999, False),
+            ("clustered", 50, 400, True),
+            ("clustered", -3_000, 3_000, False),
+            ("sorted", -1_000, 1_000, False),
+        ],
+    )
+    def test_count_pushdown_matches_numpy_on_both_sides(
+        self, shape, low, high, dense
+    ):
+        values = _first_page_values(shape, np.int32, 40_000, seed=3)
+        index = ColumnImprints(Column(values, name="t.count"))
+        index.note_update(123, low)  # an overlaid line among the candidates
+        predicate = RangePredicate.range(low, high, index.column.ctype)
+        span = dense_count_span(
+            index.candidate_ranges(predicate),
+            index.column.values_per_cacheline,
+            len(index.column),
+        )
+        assert (span is not None) == dense
+        want = int(np.count_nonzero(predicate.matches(index.column.values)))
+        assert index.aggregate(predicate, "count") == want
+        assert index.first_page(predicate, 10)[0] == want
