@@ -73,7 +73,6 @@ __all__ = [
     "aggregate_candidates",
     "aggregate_identity",
     "candidate_moments",
-    "dense_count_span",
     "finalize_grouped",
     "grouped_candidates",
     "grouped_gathered",
@@ -845,35 +844,6 @@ def candidate_moments(
     return count, total, total_sq
 
 
-#: A ``COUNT`` scans the candidates' covering span densely once partial
-#: cachelines make up at least this share of it.  Measured on 4M-row
-#: int32 columns (16 values per cacheline, 2-vCPU VM): the dense pass
-#: costs ~23 ns per spanned cacheline, the sparse refinement ~140 ns
-#: per partial cacheline when the lines straddle a predicate bound
-#: (uniform data) and ~45 ns when the sidecar bounds promote or drop
-#: them (clustered data).  The break-even share is therefore 0.16-0.5;
-#: a quarter sits between the two.
-DENSE_COUNT_SHARE = 0.25
-
-
-def dense_count_span(ranges, vpc: int, n_values: int):
-    """The value span ``[lo, hi)`` a dense ``COUNT`` scans, or ``None``.
-
-    Counting ``predicate.matches`` over the whole covering span of the
-    candidates is exact: a cacheline outside the candidates holds no
-    qualifying value and a full one qualifies entirely.  It is chosen
-    when partial cachelines cover at least :data:`DENSE_COUNT_SHARE` of
-    the span, where one contiguous pass beats refining every partial
-    line through the sidecar and gathering the straddling ones.
-    """
-    if not ranges.n_ranges:
-        return None
-    first, last = int(ranges.starts[0]), int(ranges.stops[-1])
-    if ranges.n_partial_cachelines < DENSE_COUNT_SHARE * (last - first):
-        return None
-    return first * vpc, min(last * vpc, n_values)
-
-
 def aggregate_candidates(ranges, values, predicate, aggregates, op: str):
     """Fused aggregate straight off candidate cacheline ranges.
 
@@ -892,9 +862,9 @@ def aggregate_candidates(ranges, values, predicate, aggregates, op: str):
     miss the predicate is dropped outright, and only lines genuinely
     straddling a predicate bound gather their values for the
     false-positive check — typically a small constant per answer run
-    instead of every bin-level false positive.  A ``COUNT`` whose
-    candidates are mostly partial skips that refinement and counts the
-    covering span in one contiguous pass (:func:`dense_count_span`).
+    instead of every bin-level false positive.  (A ``COUNT`` whose
+    stored-vector test finds mostly partial lines never gets here: see
+    :func:`~repro.core.query.dense_span_or_ranges`.)
 
     Answers are identical to aggregating the equivalent
     :class:`RowSet` (and therefore to NumPy reference aggregation over
@@ -907,10 +877,6 @@ def aggregate_candidates(ranges, values, predicate, aggregates, op: str):
             ranges, values, predicate, aggregates, squares=op != "avg"
         )
         return _finalize_moments(op, count, total, total_sq)
-    if op == "count":
-        span = dense_count_span(ranges, aggregates.vpc, aggregates.n_values)
-        if span is not None:
-            return predicate.count(values[span[0] : span[1]])
 
     (
         full_starts,

@@ -163,6 +163,14 @@ class CachelineDictionary:
         spans = np.where(self.repeats[entries], self.counts[entries].astype(np.int64), 1)
         return starts, starts + spans
 
+    def row_run_lengths(self) -> np.ndarray:
+        """Cachelines covered by each stored imprint row (cached)."""
+        return self._cached("row_run_lengths", self._compute_run_lengths)
+
+    def _compute_run_lengths(self) -> np.ndarray:
+        starts, stops = self.row_cacheline_spans()
+        return stops - starts
+
     def rows_of_cachelines(self, cachelines: np.ndarray) -> np.ndarray:
         """Stored-row index of each given cacheline (vectorised).
 

@@ -42,6 +42,8 @@ from .dictionary import MAX_CNT
 from .query import (
     CachelineCandidates,
     _overlay_state,
+    dense_span_or_ranges,
+    first_page_of_span,
     query_batch,
     query_cachelines,
     query_ranges,
@@ -283,14 +285,18 @@ class ColumnImprints(SecondaryIndex):
         )
 
     def first_page(self, predicate: RangePredicate, limit: int):
-        """``(count, ids, cursor)`` from one candidate pass.
+        """``(count, ids, cursor)`` without building the answer.
 
-        The same candidate ranges feed the ``COUNT`` pushdown and the
-        :func:`~repro.core.query.take_from_ranges` walk, so the answer
-        is never materialised: a first page costs the kernel, one count
-        and ~``limit`` ids of work.  Equal to the base
-        :meth:`~repro.index_base.SecondaryIndex.first_page`, including
-        the rank cursor, so the page resumes against the full answer.
+        One stored-vector test decides the side
+        (:func:`~repro.core.query.dense_span_or_ranges`).  On the dense
+        side one pass over the covering span gives the count and the
+        first ids, and neither candidate ranges nor the aggregate
+        sidecar are built.  On the sparse side the same candidate ranges
+        feed the ``COUNT`` pushdown and the
+        :func:`~repro.core.query.take_from_ranges` walk.  Equal to the
+        base :meth:`~repro.index_base.SecondaryIndex.first_page`,
+        including the rank cursor, so the page resumes against the full
+        answer.
         """
         from .cursor import PageCursor
 
@@ -298,13 +304,18 @@ class ColumnImprints(SecondaryIndex):
             raise ValueError(f"page limit must be >= 1, got {limit}")
         version = self.version
         values = self.column.values
-        ranges = self.candidate_ranges(predicate)
-        count = aggregate_candidates(
-            ranges, values, predicate, self.cacheline_aggregates, "count"
-        )
-        ids, _, _ = take_from_ranges(
-            self.data, values, predicate.matches, ranges, 0, 0, limit
-        )
+        span, ranges = self._dense_span_or_ranges(predicate)
+        if span is not None:
+            count, ids = first_page_of_span(
+                values, predicate.matches, span, limit
+            )
+        else:
+            count = aggregate_candidates(
+                ranges, values, predicate, self.cacheline_aggregates, "count"
+            )
+            ids, _, _ = take_from_ranges(
+                self.data, values, predicate.matches, ranges, 0, 0, limit
+            )
         if ids.shape[0] >= count:
             return count, ids, None
         return count, ids, PageCursor(
@@ -352,10 +363,19 @@ class ColumnImprints(SecondaryIndex):
         partial candidates are refined through the sidecar's exact
         per-cacheline bounds (sharper than the bin-resolution
         innermask), and only lines straddling a predicate bound touch
-        values — no id list, no :class:`RowSet`, no re-gather.
+        values — no id list, no :class:`RowSet`, no re-gather.  A
+        ``COUNT`` takes the dense side of :meth:`first_page`'s decision
+        when the stored-vector test picks it: one pass over the
+        covering span, no ranges, no sidecar.
         """
+        if op != "count":
+            ranges = self.candidate_ranges(predicate)
+        else:
+            span, ranges = self._dense_span_or_ranges(predicate)
+            if span is not None:
+                return predicate.count(self.column.values[span[0] : span[1]])
         return aggregate_candidates(
-            self.candidate_ranges(predicate),
+            ranges,
             self.column.values,
             predicate,
             self.cacheline_aggregates,
@@ -440,6 +460,11 @@ class ColumnImprints(SecondaryIndex):
         before fetching any values.
         """
         return query_ranges(
+            self.data, predicate, overlay_state=self.overlay_state()
+        )
+
+    def _dense_span_or_ranges(self, predicate: RangePredicate):
+        return dense_span_or_ranges(
             self.data, predicate, overlay_state=self.overlay_state()
         )
 

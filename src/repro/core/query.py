@@ -21,6 +21,9 @@ returns :class:`~repro.core.ranges.CandidateRanges`.
 the same answer (Section 3's late-materialisation intermediate) for
 consumers that want id lists.  :func:`query_batch` shares the stored-
 vector pass across many predicates — the traffic-serving shape.
+:func:`dense_span_or_ranges` decides from the same stored-vector test
+whether a count or a first page scans the candidates' covering span
+once instead of building ranges (:func:`first_page_of_span`).
 
 All production paths return their answer as a lazy compressed
 :class:`~repro.core.rowset.RowSet`-backed result — full cacheline runs
@@ -55,6 +58,9 @@ __all__ = [
     "query_cachelines",
     "query_batch",
     "ranges_for_masks",
+    "dense_span_or_ranges",
+    "first_page_of_span",
+    "DENSE_SHARE",
     "materialize_ranges",
     "take_from_ranges",
     "CachelineCandidates",
@@ -279,6 +285,122 @@ def query_ranges(
         overlay,
         overlay_state=overlay_state,
     )
+
+
+#: A first page or ``COUNT`` scans the candidates' covering span densely
+#: once partial cachelines make up at least this share of it.  Measured
+#: on 4M-row int32 columns (16 values per cacheline, 2-vCPU VM): the
+#: dense side costs ~10 ns per spanned cacheline.  The sparse side
+#: builds the candidate ranges and refines every partial line through
+#: the aggregate sidecar: a count costs ~60-90 ns per partial line when
+#: the sidecar bounds promote or drop it (clustered data) and ~130 ns
+#: when it straddles a predicate bound (uniform data); a first page
+#: adds the range walk, up to ~370 ns per partial line.  Break-even is
+#: therefore a share of 0.03-0.1 for first pages and 0.08-0.2 for
+#: counts.  At 0.1, served page predicates (shares 0.56-1.0 on uniform
+#: columns) go dense and clustered dashboard counts (shares <= 0.05)
+#: stay sparse.
+DENSE_SHARE = 0.1
+
+
+def _dense_span(
+    data: ImprintsData,
+    hit_rows: np.ndarray,
+    full_rows: np.ndarray,
+    mask64: np.uint64,
+    overlay_state: tuple[np.ndarray, np.ndarray] | None,
+) -> tuple[int, int] | None:
+    """The value span ``[lo, hi)`` to scan densely, or ``None``."""
+    # Partial cachelines: hit-but-not-full rows weighted by run length.
+    dictionary = data.dictionary
+    partial_rows = hit_rows & ~full_rows
+    if dictionary.n_imprint_rows == dictionary.n_cachelines:  # no repeats
+        partial = int(np.count_nonzero(partial_rows))
+    else:
+        partial = int(dictionary.row_run_lengths()[partial_rows].sum())
+    if partial == 0:
+        return None
+    row_starts, row_stops = dictionary.row_cacheline_spans()
+    lo = int(row_starts[hit_rows.argmax()])
+    hi = int(row_stops[hit_rows.shape[0] - 1 - hit_rows[::-1].argmax()])
+    if overlay_state is not None:
+        # An update can make a cacheline qualify that its stored vector
+        # does not: widen the span by the overlay's hit lines (sorted).
+        lines, vectors = overlay_state
+        hit_lines = lines[(vectors & mask64) != 0]
+        if hit_lines.shape[0]:
+            lo = min(lo, int(hit_lines[0]))
+            hi = max(hi, int(hit_lines[-1]) + 1)
+    if partial < DENSE_SHARE * (hi - lo):
+        return None
+    vpc = data.values_per_cacheline
+    return lo * vpc, min(hi * vpc, data.n_values)
+
+
+def dense_span_or_ranges(
+    data: ImprintsData,
+    predicate: RangePredicate,
+    overlay_state: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[tuple[int, int] | None, CandidateRanges | None]:
+    """Decide dense vs. sparse once, before any candidate range exists.
+
+    One stored-vector test gives the hit and full rows.  Their covering
+    span (first to last hit cacheline, widened by the saturation
+    overlay) holds every qualifying value, so when partial cachelines
+    cover at least :data:`DENSE_SHARE` of it, one contiguous pass over
+    ``values[lo:hi]`` answers a count or a first page exactly and
+    ``(span, None)`` comes back.  Otherwise the candidate ranges are
+    built from the same hit and full rows and ``(None, ranges)`` comes
+    back, equal to :func:`query_ranges`.
+    """
+    mask, innermask = cached_masks(data.histogram, predicate)
+    stats = fresh_query_stats(data)
+    if mask == 0 or data.n_cachelines == 0:
+        return None, _empty_ranges(stats)
+    mask64 = _U64(mask)
+    not_inner64 = _U64(~innermask & _LOW64)
+    vectors = data.imprints
+    hit_rows = (vectors & mask64) != 0
+    full_rows = hit_rows & ((vectors & not_inner64) == 0)
+    span = _dense_span(data, hit_rows, full_rows, mask64, overlay_state)
+    if span is not None:
+        return span, None
+    return None, ranges_for_masks(
+        data,
+        mask64,
+        not_inner64,
+        stats,
+        hit_rows=hit_rows,
+        full_rows=full_rows,
+        overlay_state=overlay_state,
+    )
+
+
+def first_page_of_span(
+    values: np.ndarray, matches, span: tuple[int, int], limit: int
+) -> tuple[int, np.ndarray]:
+    """``(count, first ids)`` of a dense span in one pass over its values.
+
+    The count comes from one ``matches`` pass over ``values[lo:hi]``;
+    the first ``limit`` ids are found by scanning that pass's mask
+    forward from ``lo`` in geometrically growing blocks (the first one
+    twice the expected reach), so a page never forces the whole answer.
+    """
+    lo, hi = span
+    matched = matches(values[lo:hi])
+    count = int(np.count_nonzero(matched))
+    need = min(limit, count)
+    if need == 0:
+        return count, np.empty(0, dtype=np.int64)
+    out: list[np.ndarray] = []
+    start, block = 0, 2 * need * (hi - lo) // count + 1
+    while need:
+        found = np.flatnonzero(matched[start : start + block])[:need]
+        out.append(found + (lo + start))
+        need -= found.shape[0]
+        start += block
+        block *= 2
+    return count, out[0] if len(out) == 1 else np.concatenate(out)
 
 
 def materialize_ranges(

@@ -15,7 +15,7 @@ by orders of magnitude for high-selectivity answers (a 10% answer over
 2M rows is ~200k ids — 1.6 MB — versus a handful of range endpoints)
 and costs a bulk ``arange`` per query.  ``RowSet`` keeps the compact
 form and supports the operations consumers actually need — counting,
-membership, intersection, union, concatenation — directly on the
+membership, intersection, union, difference — directly on the
 endpoints, in O(ranges + exceptions) instead of O(ids).  The range
 form is also what aggregate pushdown consumes: ``SUM``/``MIN``/``MAX``
 over a row set's ranges come from per-cacheline pre-aggregates
@@ -38,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ranges import (
-    coalesce_ranges,
     difference_ranges,
     expand_ranges,
     ids_to_ranges,
@@ -112,29 +111,6 @@ class RowSet:
         """
         starts, stops = ids_to_ranges(ids)
         return cls(starts, stops, _EMPTY)
-
-    @classmethod
-    def concatenate(cls, parts, offsets) -> "RowSet":
-        """Stitch ordered disjoint parts, shifting each by its offset.
-
-        O(parts) stitching of locally sorted answers over disjoint
-        ascending id spans: the global set is a concatenation of shifted
-        endpoints — no id arrays, no sort.  Abutting ranges split by a
-        part boundary are re-merged.
-        """
-        parts = list(parts)
-        offsets = list(offsets)
-        if len(parts) != len(offsets):
-            raise ValueError("need exactly one offset per part")
-        if not parts:
-            return cls.empty()
-        if len(parts) == 1:
-            return parts[0].shift(offsets[0])
-        starts = np.concatenate([p.starts + off for p, off in zip(parts, offsets)])
-        stops = np.concatenate([p.stops + off for p, off in zip(parts, offsets)])
-        extras = np.concatenate([p.extras + off for p, off in zip(parts, offsets)])
-        starts, stops = coalesce_ranges(starts, stops)
-        return cls(starts, stops, extras)
 
     # ------------------------------------------------------------------
     # cheap (O(ranges + extras)) observers
@@ -234,14 +210,6 @@ class RowSet:
             starts, stops, _ = difference_ranges(starts, stops, holes, holes + 1)
         extras = self.extras[~other.contains_many(self.extras)]
         return RowSet(starts, stops, extras)
-
-    def shift(self, offset: int) -> "RowSet":
-        """The same set translated by ``offset``."""
-        if offset == 0:
-            return self
-        return RowSet(
-            self.starts + offset, self.stops + offset, self.extras + offset
-        )
 
     # ------------------------------------------------------------------
     # streaming consumption — positional (rank) access in O(k)

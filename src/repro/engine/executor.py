@@ -24,8 +24,9 @@ shapes the kernels below are fastest at:
   caches the *scalar* in the same versioned LRU, so repeated dashboard
   aggregations cost a dictionary lookup; ``submit_aggregate(...,
   limit=)`` answers a count plus its first page the same way, through
-  the index's ``first_page`` (one candidate pass on imprints, which
-  never builds the full answer);
+  the index's ``first_page``, which on imprints never builds the full
+  answer: one stored-vector test, then one scan of the covering span
+  where the imprint cannot prune, else one candidate pass;
 * **table-level parallelism** — :meth:`conjunctive` gathers the
   per-column candidate passes of a multi-attribute query concurrently
   before the merge-join (:meth:`aggregate_conjunctive` does the same

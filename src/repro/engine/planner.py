@@ -756,8 +756,8 @@ class MultiBackendIndex(SecondaryIndex):
         return self._primary.aggregate(predicate, op)
 
     def first_page(self, predicate: RangePredicate, limit: int):
-        """Count plus first page always ride the primary (one candidate
-        pass, no answer built)."""
+        """Count plus first page always ride the primary (no answer
+        built)."""
         return self._primary.first_page(predicate, limit)
 
     def attach_group_column(self, name: str, group) -> None:

@@ -505,8 +505,8 @@ class SecondaryIndex(ABC):
         :meth:`QueryResult.page` hands out (``None`` when the page holds
         the whole answer), so a consumer resumes it against the cached
         full answer.  This default runs one :meth:`query`;
-        :class:`~repro.core.index.ColumnImprints` answers from one
-        candidate pass instead and never builds the answer.
+        :class:`~repro.core.index.ColumnImprints` never builds the
+        answer (one scan of the covering span or one candidate pass).
         """
         result = self.query(predicate)
         ids, cursor = result.page(limit)

@@ -169,6 +169,11 @@ class RangePredicate:
         values = np.asarray(values)
         if self.is_empty:
             return np.zeros(values.shape, dtype=bool)
+        if not (self.low_unbounded or self.high_unbounded):
+            # Two-sided: the first comparison is the result buffer.
+            result = values >= self.low
+            result &= values < self.high
+            return result
         result = np.ones(values.shape, dtype=bool)
         if not self.low_unbounded:
             result &= values >= self.low

@@ -386,9 +386,9 @@ class ImprintService:
         * ``"full"`` — always the full id list (opts out of degradation);
         * ``"count"`` — count only (never materialises ids);
         * ``"page"`` — count, first ``limit`` ids and a resume cursor
-          from the index's ``first_page`` (one candidate pass on
-          imprints, never the full answer); the degraded level
-          answers the same way.
+          from the index's ``first_page`` (on imprints one scan of the
+          covering span or one candidate pass, never the full answer);
+          the degraded level answers the same way.
         """
         if mode not in QUERY_MODES:
             raise ValueError(
@@ -411,8 +411,10 @@ class ImprintService:
                 body = {"count": int(count), "ids": None, "cursor": None}
                 served_as = "count"
             elif mode == "page" or (mode == "auto" and level == "degraded"):
-                # first_page: on imprints one candidate pass answers
-                # the count and the page; the full answer is never built.
+                # first_page: on imprints one scan of the covering span
+                # (where the imprint cannot prune) or one candidate pass
+                # answers the count and the page; the full answer is
+                # never built.
                 future = self.executor.submit_aggregate(
                     column, predicate, limit=limit, deadline=deadline
                 )

@@ -114,7 +114,12 @@ def test_canonical_matches_naive_predicate(
     low_inclusive=st.booleans(),
     high_inclusive=st.booleans(),
     data=st.lists(
-        st.floats(-2e6, 2e6, allow_nan=False, width=64), min_size=1, max_size=50
+        st.one_of(
+            st.floats(-2e6, 2e6, allow_nan=False, width=64),
+            st.just(float("nan")),
+        ),
+        min_size=1,
+        max_size=50,
     ),
 )
 def test_canonical_matches_naive_predicate_floats(
@@ -129,3 +134,8 @@ def test_canonical_matches_naive_predicate_floats(
     expected &= (values >= low) if low_inclusive else (values > low)
     expected &= (values <= high) if high_inclusive else (values < high)
     assert np.array_equal(predicate.matches(values), expected)
+    # NaN matches neither the two-sided nor the one-sided evaluation.
+    at_least = RangePredicate(low=predicate.low, high=float("inf"))
+    below = RangePredicate(low=float("-inf"), high=predicate.high)
+    assert np.array_equal(at_least.matches(values), values >= predicate.low)
+    assert np.array_equal(below.matches(values), values < predicate.high)

@@ -75,19 +75,6 @@ class TestRowSetAlgebra:
         assert rowset.n_ranges == 3
         assert rowset.count() == 7
 
-    def test_shift_and_concatenate(self):
-        a = RowSet.from_ranges([0], [4], [7])
-        b = RowSet.from_ranges([1], [3], [5])
-        stitched = RowSet.concatenate([a, b], [0, 10])
-        stitched.validate()
-        assert list(stitched.to_ids()) == [0, 1, 2, 3, 7, 11, 12, 15]
-        # Abutting ranges split at a boundary are re-merged.
-        left = RowSet.from_ranges([0], [8], [])
-        right = RowSet.from_ranges([0], [5], [])
-        merged = RowSet.concatenate([left, right], [0, 8])
-        assert merged.n_ranges == 1
-        assert merged.count() == 13
-
     def test_nbytes_is_compact(self):
         dense = RowSet.from_ranges([0], [1_000_000], [])
         assert dense.count() == 1_000_000

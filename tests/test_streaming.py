@@ -36,7 +36,8 @@ from repro.core import (
     RowSet,
     StaleCursorError,
 )
-from repro.core.aggregates import dense_count_span
+from repro.core.binning import binning
+from repro.core.query import dense_span_or_ranges
 from repro.engine import MultiBackendIndex, QueryExecutor, ShardedColumnImprints
 from repro.index_base import QueryResult
 from repro.predicate import RangePredicate
@@ -511,6 +512,26 @@ def _token(cursor):
     return None if cursor is None else cursor.encode()
 
 
+def _side(index, predicate) -> str | None:
+    """The side of the dense/sparse decision ``first_page`` and
+    ``aggregate(p, "count")`` take (``None``: no imprint decides)."""
+    imprints = getattr(index, "primary", index)
+    if not isinstance(imprints, ColumnImprints):
+        return None
+    span, _ = dense_span_or_ranges(
+        imprints.data, predicate, imprints.overlay_state()
+    )
+    return "sparse" if span is None else "dense"
+
+
+def _side_case(shape, low, high, dense, *, n=40_000, limit=10, name=None):
+    """One input of ``test_count_pushdown_matches_numpy_on_both_sides``;
+    the default id is the one the first five cases have always had."""
+    return pytest.param(
+        shape, n, low, high, limit, dense, id=name or f"{shape}-{low}-{high}-{dense}"
+    )
+
+
 mutation_st = st.tuples(
     st.sampled_from(["append", "update", "delete"]),
     st.floats(0.0, 1.0, allow_nan=False),
@@ -556,14 +577,9 @@ class TestFirstPage:
             count = _matching(index, predicate)
             assert result.count() == count
             assert index.aggregate(predicate, "count") == count
-            if hasattr(index, "candidate_ranges"):
-                ranges = index.candidate_ranges(predicate)
-                span = dense_count_span(
-                    ranges,
-                    index.column.values_per_cacheline,
-                    len(index.column),
-                )
-                event(f"count {'dense' if span else 'sparse'}")
+            side = _side(index, predicate)
+            if side is not None:
+                event(f"count {side}")
             for limit in (1, small, count + 1 + small):
                 got_count, ids, cursor = index.first_page(predicate, limit)
                 want_ids, want_cursor = result.page(limit)
@@ -572,28 +588,83 @@ class TestFirstPage:
                 assert _token(cursor) == _token(want_cursor)
 
     @pytest.mark.parametrize(
-        "shape,low,high,dense",
+        "shape,n,low,high,limit,dense",
         [
-            ("uniform", -2_000, 2_000, True),
-            ("uniform", -5_000, 4_999, False),
-            ("clustered", 50, 400, True),
-            ("clustered", -3_000, 3_000, False),
-            ("sorted", -1_000, 1_000, False),
+            _side_case("uniform", -2_000, 2_000, True),
+            _side_case("uniform", -5_000, 4_999, False),
+            _side_case("clustered", 50, 400, True),
+            _side_case("clustered", -3_000, 3_000, False),
+            _side_case("sorted", -1_000, 1_000, False),
+            _side_case("uniform", -2_000, 2_000, False, n=0, name="empty-column"),
+            _side_case("uniform", 7, 7, False, name="mask-zero"),
+            _side_case("uniform", None, None, False, name="everything"),
+            _side_case(
+                "uniform", -2_000, 2_000, True, limit=40_000, name="limit-over-count"
+            ),
         ],
     )
     def test_count_pushdown_matches_numpy_on_both_sides(
-        self, shape, low, high, dense
+        self, shape, n, low, high, limit, dense
     ):
-        values = _first_page_values(shape, np.int32, 40_000, seed=3)
-        index = ColumnImprints(Column(values, name="t.count"))
-        index.note_update(123, low)  # an overlaid line among the candidates
-        predicate = RangePredicate.range(low, high, index.column.ctype)
-        span = dense_count_span(
-            index.candidate_ranges(predicate),
-            index.column.values_per_cacheline,
-            len(index.column),
+        # Binned from the 40k-row column, so an empty column can be
+        # indexed too.
+        histogram = binning(
+            Column(_first_page_values(shape, np.int32, 40_000, seed=3))
         )
-        assert (span is not None) == dense
+        values = _first_page_values(shape, np.int32, n, seed=3)
+        index = ColumnImprints(Column(values, name="t.count"), histogram=histogram)
+        if n:
+            # An overlaid line among the candidates.
+            index.note_update(123, 0 if low is None else low)
+        predicate = (
+            RangePredicate.everything()
+            if low is None
+            else RangePredicate.range(low, high, index.column.ctype)
+        )
+        assert _side(index, predicate) == ("dense" if dense else "sparse")
         want = int(np.count_nonzero(predicate.matches(index.column.values)))
         assert index.aggregate(predicate, "count") == want
-        assert index.first_page(predicate, 10)[0] == want
+        count, ids, cursor = index.first_page(predicate, limit)
+        want_ids, want_cursor = index.query(predicate).page(limit)
+        assert count == want
+        assert np.array_equal(ids, want_ids)
+        assert _token(cursor) == _token(want_cursor)
+
+    def test_overlay_widens_the_dense_span(self):
+        # The first half is a constant outside the predicate, so the
+        # stored vectors put the dense span on the uniform second half
+        # (a sorted column would take the sparse side instead).
+        rng = np.random.default_rng(5)
+        values = np.concatenate(
+            [np.full(20_000, -1_000), rng.integers(0, 1_000, 20_000)]
+        ).astype(np.int32)
+        index = ColumnImprints(Column(values, name="t.overlay"))
+        predicate = RangePredicate.range(200, 600, index.column.ctype)
+        assert _side(index, predicate) == "dense"
+        index.note_update(0, 300)  # only the overlay knows line 0 qualifies
+        assert _side(index, predicate) == "dense"
+        want = int(np.count_nonzero(predicate.matches(index.column.values)))
+        count, ids, _ = index.first_page(predicate, 100)
+        assert count == want
+        assert index.aggregate(predicate, "count") == want
+        assert index.count(predicate) == want
+        assert ids[0] == 0
+        assert np.array_equal(ids, index.query(predicate).page(100)[0])
+
+    @pytest.mark.parametrize("call", ["first_page", "count"])
+    def test_dense_side_builds_no_sidecar_and_no_ranges(self, monkeypatch, call):
+        values = _first_page_values("uniform", np.int32, 40_000, seed=3)
+        index = ColumnImprints(Column(values, name="t.fresh"))
+        predicate = RangePredicate.range(-2_000, 2_000, index.column.ctype)
+        assert _side(index, predicate) == "dense"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dense side built it")
+
+        monkeypatch.setattr("repro.core.index.CachelineAggregates", refuse)
+        monkeypatch.setattr(ColumnImprints, "candidate_ranges", refuse)
+        want = int(np.count_nonzero(predicate.matches(values)))
+        if call == "first_page":
+            assert index.first_page(predicate, 100)[0] == want
+        else:
+            assert index.aggregate(predicate, "count") == want
