@@ -86,7 +86,7 @@ def run_aggregate_study(
     aggregates = index.cacheline_aggregates  # build the sidecar up front
     index.query(predicates[SWEEP_SELECTIVITIES[0]])  # warm masks/snapshot
 
-    executor = QueryExecutor({"bench": index}, batch_window=0.0)
+    executor = QueryExecutor({"bench": index})
 
     sweep = []
     verified = True

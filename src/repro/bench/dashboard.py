@@ -153,7 +153,7 @@ def run_dashboard_study(
     aggregates = index.cacheline_aggregates
     index.query(predicates[SWEEP_SELECTIVITIES[0]])  # warm masks/snapshot
 
-    executor = QueryExecutor({"trips": index}, batch_window=0.0)
+    executor = QueryExecutor({"trips": index})
 
     sweep = []
     verified = True

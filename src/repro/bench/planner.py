@@ -115,12 +115,7 @@ def _build_executor(
         for name, column in columns.items()
     }
     planner = QueryPlanner()
-    executor = QueryExecutor(
-        indexes,
-        planner=planner,
-        batch_window=0.0,
-        cache_size=64,
-    )
+    executor = QueryExecutor(indexes, planner=planner, cache_size=64)
     return executor, planner
 
 

@@ -227,9 +227,7 @@ def run_serving_study(
     ]
 
     async def study() -> dict:
-        executor = QueryExecutor(
-            {"serve": index}, batch_window=0.001, max_batch=32
-        )
+        executor = QueryExecutor({"serve": index}, max_batch=32)
         service = ImprintService(
             executor,
             ServingConfig(

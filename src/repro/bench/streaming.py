@@ -101,9 +101,7 @@ def run_streaming_study(
     column, predicates = streaming_workload(n_rows, seed=seed)
     serial = ColumnImprints(column)
     sharded = ShardedColumnImprints(column, n_shards=n_shards)
-    executor = QueryExecutor(
-        {"stream": ColumnImprints(column)}, batch_window=0.0
-    )
+    executor = QueryExecutor({"stream": ColumnImprints(column)})
     serial.query(predicates[SWEEP_SELECTIVITIES[0]])  # warm masks/snapshot
 
     sweep = []

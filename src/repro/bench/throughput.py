@@ -139,7 +139,6 @@ def run_throughput_study(
     engine_index = ShardedColumnImprints(column, n_shards=n_shards)
     executor = QueryExecutor(
         {"c": engine_index},
-        batch_window=0.0005,
         max_batch=128,
         cache_size=1024,
         n_workers=n_workers,

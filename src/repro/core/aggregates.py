@@ -390,45 +390,51 @@ class GroupedAggregates:
             )
         return codes
 
-    def _recompute_from(self, codes, values, first_line: int) -> None:
-        """(Re)build the histograms from cacheline ``first_line`` on.
+    def _histograms(self, codes, values) -> tuple[np.ndarray, np.ndarray]:
+        """Per-(group, cacheline) counts and sums of a block that starts
+        on a cacheline boundary, each shaped ``(n_groups, n_lines)``.
 
-        One stable sort of ``line*n_groups + code`` keys over the
-        affected suffix, one ``reduceat`` per lane — O(suffix log
-        suffix), never O(column).  The stable sort keeps per-cell float
-        sums in row order, so results are deterministic.
+        One ``bincount`` for the counts and one ``np.add.at`` into the
+        64-bit accumulator for the sums — O(block), no sort.  Integer
+        sums stay exact (no float weights); float sums add up in row
+        order.  Group-major cells keep each group's lines contiguous,
+        so the prefix sums run along rows.
         """
+        n_lines = -(-codes.shape[0] // self.vpc)
+        cells = codes * n_lines
+        cells += np.repeat(np.arange(n_lines, dtype=_I64), self.vpc)[: codes.shape[0]]
+        size = self.n_groups * n_lines
+        counts = np.bincount(cells, minlength=size).astype(_I64, copy=False)
+        sums = np.zeros(size, dtype=self.sum_dtype)
+        np.add.at(sums, cells, values.astype(self.sum_dtype, copy=False))
+        return (
+            counts.reshape(self.n_groups, n_lines),
+            sums.reshape(self.n_groups, n_lines),
+        )
+
+    @staticmethod
+    def _extended(prefix: np.ndarray, first_line: int, per_line: np.ndarray):
+        """``prefix`` up to row ``first_line``, then the running totals
+        of the group-major ``per_line`` histograms (summed in place)."""
+        np.cumsum(per_line, axis=1, out=per_line)
+        out = np.empty(
+            (first_line + 1 + per_line.shape[1], prefix.shape[1]),
+            dtype=prefix.dtype,
+        )
+        out[: first_line + 1] = prefix[: first_line + 1]
+        np.add(per_line.T, prefix[first_line], out=out[first_line + 1 :])
+        return out
+
+    def _recompute_from(self, codes, values, first_line: int) -> None:
+        """(Re)build the histograms from cacheline ``first_line`` on —
+        O(suffix), never O(column)."""
         start = first_line * self.vpc
-        block_codes = self._check_codes(np.asarray(codes)[start:])
-        block_values = np.asarray(values)[start:]
-        n_lines = -(-block_codes.shape[0] // self.vpc)
-        lines = np.arange(block_codes.shape[0], dtype=_I64) // self.vpc
-        combined = lines * self.n_groups + block_codes
-        order = np.argsort(combined, kind="stable")
-        sorted_keys = combined[order]
-        bounds = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
-        keys = sorted_keys[bounds]
-        counts = np.zeros(n_lines * self.n_groups, dtype=_I64)
-        sums = np.zeros(n_lines * self.n_groups, dtype=self.sum_dtype)
-        counts[keys] = np.diff(np.r_[bounds, sorted_keys.shape[0]])
-        sums[keys] = np.add.reduceat(
-            block_values.astype(self.sum_dtype, copy=False)[order], bounds
+        counts, sums = self._histograms(
+            self._check_codes(np.asarray(codes)[start:]),
+            np.asarray(values)[start:],
         )
-        counts = counts.reshape(n_lines, self.n_groups)
-        sums = sums.reshape(n_lines, self.n_groups)
-        self.prefix_counts = np.concatenate(
-            [
-                self.prefix_counts[: first_line + 1],
-                self.prefix_counts[first_line] + np.cumsum(counts, axis=0),
-            ]
-        )
-        self.prefix_sums = np.concatenate(
-            [
-                self.prefix_sums[: first_line + 1],
-                self.prefix_sums[first_line]
-                + np.cumsum(sums, axis=0, dtype=self.sum_dtype),
-            ]
-        )
+        self.prefix_counts = self._extended(self.prefix_counts, first_line, counts)
+        self.prefix_sums = self._extended(self.prefix_sums, first_line, sums)
         self.n_values = int(np.asarray(codes).shape[0])
 
     def widen(self, n_groups: int) -> None:
@@ -478,19 +484,14 @@ class GroupedAggregates:
             )
         start = cacheline * self.vpc
         stop = min(start + self.vpc, self.n_values)
-        block_codes = self._check_codes(np.asarray(codes)[start:stop])
-        block_values = np.asarray(values)[start:stop]
-        new_counts = np.bincount(block_codes, minlength=self.n_groups).astype(_I64)
-        new_sums = np.zeros(self.n_groups, dtype=self.sum_dtype)
-        np.add.at(
-            new_sums,
-            block_codes,
-            block_values.astype(self.sum_dtype, copy=False),
+        new_counts, new_sums = self._histograms(
+            self._check_codes(np.asarray(codes)[start:stop]),
+            np.asarray(values)[start:stop],
         )
         old_counts = self.prefix_counts[cacheline + 1] - self.prefix_counts[cacheline]
         old_sums = self.prefix_sums[cacheline + 1] - self.prefix_sums[cacheline]
-        self.prefix_counts[cacheline + 1 :] += new_counts - old_counts
-        self.prefix_sums[cacheline + 1 :] += new_sums - old_sums
+        self.prefix_counts[cacheline + 1 :] += new_counts[:, 0] - old_counts
+        self.prefix_sums[cacheline + 1 :] += new_sums[:, 0] - old_sums
 
     # ------------------------------------------------------------------
     # range reductions

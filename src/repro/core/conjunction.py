@@ -52,7 +52,6 @@ def _intersect_id_ranges(
     indexes: list[ColumnImprints],
     predicates: list[RangePredicate],
     stats: QueryStats,
-    candidates=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Id ranges surviving the merge-join of per-column candidates.
 
@@ -61,21 +60,14 @@ def _intersect_id_ranges(
     merge happens in id space, the common coordinate system) and
     intersected pairwise, propagating the *full* flags: a surviving
     piece is flagged full only if every predicate's innermask proved
-    its whole span — those ids need no value check at all.
-    ``candidates`` optionally holds the per-column
-    :class:`CandidateRanges` computed elsewhere (the execution engine
-    gathers them concurrently); when omitted they are produced lazily,
-    which lets the serial path stop probing indexes after the
+    its whole span — those ids need no value check at all.  Candidates
+    are produced lazily, column by column, so probing stops once the
     intersection empties.  Returns ``(starts, stops, all_full)``.
     """
     n_rows = len(indexes[0].column)
     alive: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-    for position, (index, predicate) in enumerate(zip(indexes, predicates)):
-        ranges = (
-            candidates[position]
-            if candidates is not None
-            else index.candidate_ranges(predicate)
-        )
+    for index, predicate in zip(indexes, predicates):
+        ranges = index.candidate_ranges(predicate)
         stats.merge(ranges.stats)
         spans = ranges.id_spans(index.column.values_per_cacheline, n_rows)
         if alive is None:
@@ -96,7 +88,6 @@ def _intersect_id_ranges(
 def conjunctive_query(
     indexes: list[ColumnImprints],
     predicates: list[RangePredicate],
-    candidates=None,
 ) -> QueryResult:
     """AND of range predicates via candidate merge-join.
 
@@ -105,23 +96,16 @@ def conjunctive_query(
     :class:`RowSet` as ranges — unexpanded and uncheckable by
     construction.  Value checks run only on ids of the remaining
     survivor spans — the "smaller set of qualifying ids" the paper
-    expects from combining selective predicates.  ``candidates``
-    optionally supplies the per-column candidate ranges (one per
-    predicate, in order) when a serving layer already computed them —
-    concurrently, say — instead of the default lazy per-column passes.
+    expects from combining selective predicates.
     """
     if not indexes or len(indexes) != len(predicates):
         raise ValueError("need one predicate per index, at least one each")
-    if candidates is not None and len(candidates) != len(predicates):
-        raise ValueError("need one precomputed candidate set per predicate")
     n_rows = len(indexes[0].column)
     if any(len(ix.column) != n_rows for ix in indexes):
         raise ValueError("conjunctive queries require equally long columns")
 
     stats = QueryStats()
-    starts, stops, all_full = _intersect_id_ranges(
-        indexes, predicates, stats, candidates
-    )
+    starts, stops, all_full = _intersect_id_ranges(indexes, predicates, stats)
     if starts.size == 0:
         stats.ids_materialized = 0
         return QueryResult(rowset=RowSet.empty(), stats=stats)
@@ -148,7 +132,6 @@ def conjunctive_aggregate(
     predicates: list[RangePredicate],
     op: str,
     target: int = 0,
-    candidates=None,
 ):
     """Aggregate one column over a multi-attribute conjunction.
 
@@ -157,11 +140,9 @@ def conjunctive_aggregate(
     all-full survivor spans land in the answer's :class:`RowSet` as
     unexpanded id ranges, which feed ``indexes[target]``'s per-cacheline
     pre-aggregates directly — only the checked-survivor exception chunk
-    scans the target column's values.  ``candidates`` passes through to
-    :func:`conjunctive_query` (the execution engine gathers the
-    per-column candidate passes concurrently).
+    scans the target column's values.
     """
-    result = conjunctive_query(indexes, predicates, candidates=candidates)
+    result = conjunctive_query(indexes, predicates)
     if op == "count":
         return result.count()
     index = indexes[target]

@@ -9,12 +9,12 @@ Layers, bottom up:
   candidate backend for a predicate (cost model × observed statistics)
   and :class:`MultiBackendIndex` hosts several access paths over one
   column, mutated in lockstep so any of them can serve any query;
-* :mod:`repro.engine.executor` — :class:`QueryExecutor` micro-batches
-  concurrent submissions per column into shared ``query_batch`` passes,
-  coalesces identical in-flight predicates, caches hot results in a
-  version-keyed LRU, picks each batch's access path through the planner
-  at dispatch time, and parallelises the per-column candidate passes of
-  conjunctive table queries;
+* :mod:`repro.engine.executor` — :class:`QueryExecutor` sends a miss
+  to its worker pool at once when the column is idle and batches the
+  misses that arrive while one of the column's batches runs into the
+  next shared ``query_batch`` pass, coalesces identical in-flight
+  predicates, caches hot results in a version-keyed LRU, and picks each
+  batch's access path through the planner at dispatch time;
 * :mod:`repro.engine.cache` — the bounded LRU and the serving counters.
 """
 

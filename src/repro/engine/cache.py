@@ -159,7 +159,8 @@ class ExecutorStats:
         Submissions answered by sharing another in-flight submission's
         result (identical predicate in the same micro-batch).
     cache_hits / cache_misses:
-        Result-cache outcomes for the batch leaders (after coalescing).
+        Result-cache outcomes: at submission, then once per distinct
+        predicate of a batch (after coalescing).
     batches:
         Shared ``query_batch`` passes executed.
     batched_queries:

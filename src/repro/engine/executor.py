@@ -5,10 +5,12 @@ index; it arrives as a concurrent stream across many columns, with
 heavy repetition.  :class:`QueryExecutor` turns that stream into the
 shapes the kernels below are fastest at:
 
-* **micro-batching** — submissions against the same column are held for
-  a bounded window (or until the batch fills) and then answered by one
-  ``query_batch`` pass, which shares the stored-vector mask tests
-  across the whole batch;
+* **micro-batching** — a miss on a column with no batch running
+  leaves for the worker pool at once; misses that arrive while one
+  runs queue up and leave together, in ``max_batch`` chunks, when the
+  column's running batches end (group commit: the batches clock
+  themselves, no timer waits).  Each batch is one ``query_batch``
+  pass, which shares the stored-vector mask tests across the batch;
 * **request coalescing** — identical predicates inside a batch are
   evaluated once and the result is shared by every waiter;
 * **result caching** — a bounded LRU keyed by
@@ -26,11 +28,7 @@ shapes the kernels below are fastest at:
   limit=)`` answers a count plus its first page the same way, through
   the index's ``first_page``, which on imprints never builds the full
   answer: one stored-vector test, then one scan of the covering span
-  where the imprint cannot prune, else one candidate pass;
-* **table-level parallelism** — :meth:`conjunctive` gathers the
-  per-column candidate passes of a multi-attribute query concurrently
-  before the merge-join (:meth:`aggregate_conjunctive` does the same
-  and reduces the survivors to one scalar).
+  where the imprint cannot prune, else one candidate pass.
 
 Answers are bit-identical to calling ``index.query(predicate)``
 directly — the executor only re-schedules work, it never changes it.
@@ -47,7 +45,6 @@ from ..errors import DeadlineExceeded, ExecutorClosedError
 from ..index_base import QueryResult, SecondaryIndex
 from ..predicate import RangePredicate
 from ..core.aggregates import AGGREGATE_OPS, GROUP_OPS
-from ..core.conjunction import conjunctive_aggregate, conjunctive_query
 from ..core.parallel import default_workers
 from .cache import ExecutorStats, LRUCache
 from .planner import QueryPlanner
@@ -59,6 +56,9 @@ _SCALAR_WEIGHT = 64
 
 #: Additional LRU weight per group entry / top-k value in a cached answer.
 _GROUP_ENTRY_WEIGHT = 32
+
+#: A queued miss: its predicate, its waiter's future, its deadline.
+_Entry = tuple[RangePredicate, Future, float | None]
 
 
 def _deliver(fut: Future, result=None, exc: BaseException | None = None) -> None:
@@ -90,14 +90,9 @@ class QueryExecutor:
         :class:`SecondaryIndex`; column imprints get the fused batch
         kernel, others fall back to per-query evaluation inside the
         batch).
-    batch_window:
-        Seconds a batch leader waits for followers before dispatch.
-        ``0`` dispatches every submission immediately (no scheduler
-        latency, no cross-request sharing beyond what is already
-        pending).
     max_batch:
-        Dispatch a column's batch as soon as it holds this many
-        submissions, regardless of the window.
+        Most submissions one batch carries; a longer queue leaves as
+        several batches.
     cache_size:
         Capacity of the whole-result LRU (0 disables result caching).
     cache_bytes:
@@ -135,36 +130,29 @@ class QueryExecutor:
         self,
         indexes: dict[str, SecondaryIndex] | None = None,
         *,
-        batch_window: float = 0.002,
         max_batch: int = 64,
         cache_size: int = 1024,
         cache_bytes: int = 256 << 20,
         n_workers: int | None = None,
         planner: QueryPlanner | None = None,
     ) -> None:
-        if batch_window < 0:
-            raise ValueError(f"batch_window must be >= 0, got {batch_window}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        self.batch_window = batch_window
         self.max_batch = max_batch
         self.planner = planner
         self._indexes: dict[str, SecondaryIndex] = {}
         self._cache = LRUCache(cache_size, max_bytes=cache_bytes)
         self.stats = ExecutorStats()
         self._lock = threading.Lock()
-        self._wakeup = threading.Condition(self._lock)
-        self._pending: dict[str, list[tuple[RangePredicate, Future]]] = {}
-        self._deadlines: dict[str, float] = {}
+        # Per column: misses queued behind running batches, and how many
+        # of its batches are on the pool.
+        self._pending: dict[str, list[_Entry]] = {}
+        self._running: dict[str, int] = {}
         self._closed = False
         self._pool = ThreadPoolExecutor(
             max_workers=n_workers if n_workers is not None else default_workers(),
             thread_name_prefix="imprint-exec",
         )
-        self._scheduler = threading.Thread(
-            target=self._run_scheduler, name="imprint-batcher", daemon=True
-        )
-        self._scheduler.start()
         for name, index in (indexes or {}).items():
             self.register(name, index)
 
@@ -175,39 +163,6 @@ class QueryExecutor:
         """Attach an index under ``name`` (replaces any previous one)."""
         with self._lock:
             self._indexes[name] = index
-
-    @classmethod
-    def for_table(cls, table, index_factory=None, **kwargs) -> "QueryExecutor":
-        """An executor serving every column of a
-        :class:`~repro.storage.table.Table`.
-
-        ``index_factory`` builds the per-column index (default:
-        :class:`~repro.core.index.ColumnImprints`).  It may also be a
-        ``{column name: factory}`` mapping, so a table can mix backends
-        per column — an imprints column next to a zonemap column next to
-        a planner-routed :class:`~repro.engine.planner.MultiBackendIndex`
-        column; columns absent from the mapping get imprints.  Remaining
-        keyword arguments configure the executor (including
-        ``planner=``).  This is the natural entry point for the
-        table-level :meth:`conjunctive` path.
-        """
-        from ..core.index import ColumnImprints
-
-        if index_factory is None:
-            index_factory = ColumnImprints
-        if isinstance(index_factory, dict):
-            factories = index_factory
-            return cls(
-                {
-                    name: factories.get(name, ColumnImprints)(column)
-                    for name, column in table
-                },
-                **kwargs,
-            )
-        return cls(
-            {name: index_factory(column) for name, column in table},
-            **kwargs,
-        )
 
     def index(self, name: str) -> SecondaryIndex:
         try:
@@ -239,12 +194,13 @@ class QueryExecutor:
         predicate: RangePredicate,
         *,
         deadline: float | None = None,
-        backend: str | None = None,
     ) -> Future:
         """Enqueue one predicate; returns a future of its QueryResult.
 
         The future resolves once the predicate's micro-batch executed
-        (or instantly on a result-cache hit shared with the batch).
+        (or instantly on a result-cache hit).  The batch leaves at once
+        when the column has no batch running, else as soon as the
+        column's running batches end.
 
         ``deadline`` is an optional absolute ``time.monotonic()``
         timestamp: if it passes before the entry's batch runs, the
@@ -255,53 +211,32 @@ class QueryExecutor:
         result it stopped waiting for.  An already-expired deadline
         fails the future immediately (the future is still returned, so
         callers have one uniform consumption path).
-
-        ``backend`` forces the access path for this one submission (the
-        per-query escape hatch of the planner seam): the entry bypasses
-        the result cache, is never coalesced with differently-routed
-        peers, and is evaluated by the named backend — one of the
-        column's :class:`~repro.engine.planner.MultiBackendIndex`
-        backends, or the kind of a plain index.  Answers are
-        bit-identical to the unforced path.
         """
-        return self._submit(name, (predicate,), deadline, backend)[0]
+        return self._submit(name, (predicate,), deadline)[0]
 
-    def submit_many(
-        self, name: str, predicates, *, backend: str | None = None
-    ) -> list[Future]:
+    def submit_many(self, name: str, predicates) -> list[Future]:
         """Enqueue a burst of predicates under one lock acquisition.
 
         The bulk entry point for clients that already hold a request
-        list: cache hits resolve immediately, the rest join the batcher
-        in ``max_batch``-sized chunks without per-call locking.
-        ``backend`` forces every entry's access path, exactly like
-        :meth:`submit`.
+        list: cache hits resolve immediately, the rest leave in
+        ``max_batch``-sized batches without per-call locking.
         """
-        return self._submit(name, predicates, None, backend)
+        return self._submit(name, predicates, None)
 
-    def _submit(self, name, predicates, deadline, backend) -> list[Future]:
+    def _submit(self, name, predicates, deadline) -> list[Future]:
         """Answer cache hits and expired entries now; enqueue the rest."""
         if self._closed:
             raise ExecutorClosedError("executor is closed")
         index = self.index(name)  # fail fast on unknown names
-        if backend is not None:
-            self._check_backend(name, index, backend)
+        version = getattr(index, "version", None)
         futures: list[Future] = []
-        misses: list[
-            tuple[RangePredicate, Future, float | None, str | None]
-        ] = []
+        misses: list[_Entry] = []
         hits = expired = 0
         for predicate in predicates:
             fut: Future = Future()
             futures.append(fut)
-            # Fast path: a fresh cached result needs no scheduling at
-            # all.  Forced-backend submissions skip it — the caller
-            # asked for an actual evaluation on a specific access path.
-            cached = (
-                self._cached_result(name, index, predicate)
-                if backend is None
-                else None
-            )
+            # Fast path: a fresh cached result needs no scheduling at all.
+            cached = self._cached_result(name, version, predicate)
             if cached is not None:
                 hits += 1
                 fut.set_result(cached)
@@ -313,7 +248,7 @@ class QueryExecutor:
                     )
                 )
             else:
-                misses.append((predicate, fut, deadline, backend))
+                misses.append((predicate, fut, deadline))
         self.stats.bump(
             submitted=len(futures), cache_hits=hits, expired=expired
         )
@@ -322,41 +257,14 @@ class QueryExecutor:
         with self._lock:
             if self._closed:
                 raise ExecutorClosedError("executor is closed")
-            queue = self._pending.setdefault(name, [])
-            fresh_deadline = not queue
-            queue.extend(misses)
-            if self.batch_window == 0:
+            self._pending.setdefault(name, []).extend(misses)
+            if name not in self._running:
                 self._dispatch_locked(name)
-            elif len(queue) >= self.max_batch:
-                while len(queue) >= self.max_batch:
-                    self._pool.submit(
-                        self._run_batch, name, queue[: self.max_batch]
-                    )
-                    del queue[: self.max_batch]
-                if queue:
-                    self._deadlines[name] = (
-                        time.monotonic() + self.batch_window
-                    )
-                    self._wakeup.notify()
-                else:
-                    self._pending.pop(name, None)
-                    self._deadlines.pop(name, None)
-            elif fresh_deadline:
-                # Followers piggyback on the leader's deadline; only a
-                # new deadline needs to wake the scheduler.
-                self._deadlines[name] = time.monotonic() + self.batch_window
-                self._wakeup.notify()
         return futures
 
-    def query(
-        self,
-        name: str,
-        predicate: RangePredicate,
-        *,
-        backend: str | None = None,
-    ) -> QueryResult:
+    def query(self, name: str, predicate: RangePredicate) -> QueryResult:
         """Blocking convenience: submit and wait."""
-        return self.submit(name, predicate, backend=backend).result()
+        return self.submit(name, predicate).result()
 
     # ------------------------------------------------------------------
     # streaming consumption
@@ -418,19 +326,6 @@ class QueryExecutor:
         """Submit many predicates against one column; gather in order."""
         futures = self.submit_many(name, predicates)
         return [future.result() for future in futures]
-
-    def flush(self) -> None:
-        """Dispatch every pending batch immediately and wait for them."""
-        with self._lock:
-            futures = [
-                fut
-                for queue in self._pending.values()
-                for _, fut, _, _ in queue
-            ]
-            for name in list(self._pending):
-                self._dispatch_locked(name)
-        for future in futures:
-            future.exception()  # wait without raising here
 
     # ------------------------------------------------------------------
     # aggregate pushdown
@@ -620,108 +515,37 @@ class QueryExecutor:
 
         return hit, compute
 
-    def aggregate_conjunctive(
-        self, names, predicates, op: str, target: int = 0
-    ):
-        """Aggregate one column over a multi-attribute AND.
-
-        The per-column candidate passes run concurrently (exactly like
-        :meth:`conjunctive`); the merge-join's all-full survivor spans
-        then feed the target column's per-cacheline pre-aggregates
-        without materialising ids.
-        """
-        indexes, predicates, gathered = self._gather_candidates(
-            names, predicates
-        )
-        return conjunctive_aggregate(
-            indexes, predicates, op, target=target, candidates=gathered
-        )
-
-    # ------------------------------------------------------------------
-    # the table-level path
-    # ------------------------------------------------------------------
-    def conjunctive(self, names, predicates) -> QueryResult:
-        """AND of predicates across columns, candidate passes parallel.
-
-        Each column's compressed-domain candidate pass runs as its own
-        worker task; the merge-join and the false-positive weeding then
-        proceed exactly like
-        :func:`repro.core.conjunction.conjunctive_query`, consuming the
-        pre-gathered passes in the same column order — ids and stats are
-        identical to the serial call, only the scheduling differs.
-        """
-        indexes, predicates, gathered = self._gather_candidates(
-            names, predicates
-        )
-        return conjunctive_query(indexes, predicates, candidates=gathered)
-
-    def _gather_candidates(self, names, predicates):
-        """``(indexes, predicates, candidate passes)``, the passes run
-        concurrently on the worker pool."""
-        indexes = [self.index(name) for name in names]
-        predicates = list(predicates)
-        futures = [
-            self._pool.submit(index.candidate_ranges, predicate)
-            for index, predicate in zip(indexes, predicates)
-        ]
-        return indexes, predicates, [future.result() for future in futures]
-
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _cached_result(self, name, index, predicate) -> QueryResult | None:
-        version = getattr(index, "version", None)
+    def _cached_result(self, name, version, predicate) -> QueryResult | None:
         if version is None:
             return None
         return self._cache.get((name, predicate, version))
 
-    def _check_backend(self, name: str, index, backend: str) -> None:
-        """Fail fast if the column cannot serve a forced backend."""
-        resolve = getattr(index, "resolve", None)
-        if resolve is not None:
-            resolve(backend)  # raises ValueError on unknown kinds
-            return
-        if backend != index.kind:
-            raise ValueError(
-                f"column {name!r} (index kind {index.kind!r}) cannot "
-                f"serve forced backend {backend!r}"
+    def _dispatch_locked(self, name: str) -> None:
+        """Move a column's queue onto the pool in ``max_batch`` chunks
+        (lock held)."""
+        queue = self._pending.pop(name, [])
+        for start in range(0, len(queue), self.max_batch):
+            self._running[name] = self._running.get(name, 0) + 1
+            self._pool.submit(
+                self._clocked_batch, name, queue[start : start + self.max_batch]
             )
 
-    def _dispatch_locked(self, name: str) -> None:
-        """Move a pending batch onto the worker pool (lock held)."""
-        entries = self._pending.pop(name, [])
-        self._deadlines.pop(name, None)
-        if entries:
-            self._pool.submit(self._run_batch, name, entries)
-
-    def _run_scheduler(self) -> None:
-        while True:
+    def _clocked_batch(self, name: str, entries: list[_Entry]) -> None:
+        """Run one batch; the column's last running batch to end
+        dispatches the misses that queued behind it."""
+        try:
+            self._run_batch(name, entries)
+        finally:
             with self._lock:
-                if self._closed and not self._pending:
-                    return
-                now = time.monotonic()
-                due = [
-                    name
-                    for name, deadline in self._deadlines.items()
-                    if deadline <= now
-                ]
-                for name in due:
+                self._running[name] -= 1
+                if not self._running[name]:
+                    del self._running[name]
                     self._dispatch_locked(name)
-                if self._deadlines:
-                    timeout = max(
-                        0.0, min(self._deadlines.values()) - time.monotonic()
-                    )
-                    self._wakeup.wait(timeout)
-                else:
-                    self._wakeup.wait(0.05 if self._closed else None)
 
-    def _run_batch(
-        self,
-        name: str,
-        entries: list[
-            tuple[RangePredicate, Future, float | None, str | None]
-        ],
-    ) -> None:
+    def _run_batch(self, name: str, entries: list[_Entry]) -> None:
         try:
             index = self._indexes[name]
             version = getattr(index, "version", None)
@@ -734,9 +558,9 @@ class QueryExecutor:
             # timeout (its caller stopped waiting), while the live
             # peer's evaluation proceeds untouched.
             now = time.monotonic()
-            live: list[tuple[RangePredicate, Future, str | None]] = []
+            groups: dict[RangePredicate, list[Future]] = {}
             expired = 0
-            for predicate, fut, deadline, forced in entries:
+            for predicate, fut, deadline in entries:
                 if deadline is not None and deadline <= now:
                     expired += 1
                     _deliver(
@@ -747,81 +571,60 @@ class QueryExecutor:
                         ),
                     )
                 else:
-                    live.append((predicate, fut, forced))
+                    # Coalesce: one evaluation per distinct predicate.
+                    groups.setdefault(predicate, []).append(fut)
             if expired:
                 self.stats.bump(expired=expired)
-            if not live:
+            if not groups:
                 return
-            # Coalesce: one evaluation per distinct (predicate, forced
-            # backend) pair — a forced submission never shares an
-            # evaluation with a differently-routed peer, even though
-            # the answers would be bit-identical, because the caller
-            # asked for that specific access path to actually run.
-            groups: dict[tuple[RangePredicate, str | None], list[Future]] = {}
-            for predicate, fut, forced in live:
-                groups.setdefault((predicate, forced), []).append(fut)
-            self.stats.bump(coalesced=len(live) - len(groups))
+            self.stats.bump(coalesced=len(entries) - expired - len(groups))
 
-            results: dict[tuple[RangePredicate, str | None], QueryResult] = {}
-            to_run: list[tuple[RangePredicate, str | None]] = []
-            for key in groups:
-                predicate, forced = key
-                cached = (
-                    self._cache.get((name, predicate, version))
-                    if version is not None and forced is None
-                    else None
-                )
+            results: dict[RangePredicate, QueryResult] = {}
+            to_run: list[RangePredicate] = []
+            for predicate in groups:
+                cached = self._cached_result(name, version, predicate)
                 if cached is not None:
-                    results[key] = cached
+                    results[predicate] = cached
                     self.stats.bump(cache_hits=1)
                 else:
-                    to_run.append(key)
+                    to_run.append(predicate)
                     self.stats.bump(cache_misses=1)
 
             if to_run:
                 # Dispatch-time access-path choice: with a planner and a
                 # multi-backend column, every distinct predicate picks
-                # its backend here; forced entries short-circuit but are
-                # validated the same way.  Each backend's sub-batch is
+                # its backend here.  Each backend's sub-batch is
                 # evaluated (and timed) as one ``query_batch`` pass.
                 planner = self.planner
                 backends = getattr(index, "backends", None)
-                routed = planner is not None and backends is not None
                 exec_groups: dict[str | None, list[tuple]] = {}
-                for key in to_run:
-                    predicate, forced = key
-                    if routed:
-                        choice = planner.choose(
-                            name, backends, predicate, forced=forced
-                        )
+                for predicate in to_run:
+                    if planner is not None and backends is not None:
+                        choice = planner.choose(name, backends, predicate)
                         exec_groups.setdefault(choice.backend, []).append(
-                            (key, choice)
+                            (predicate, choice)
                         )
                     else:
-                        exec_groups.setdefault(forced, []).append((key, None))
+                        exec_groups.setdefault(None, []).append((predicate, None))
 
                 n_rows = len(index.column)
                 for backend, members in exec_groups.items():
-                    predicates = [key[0] for key, _ in members]
+                    predicates = [predicate for predicate, _ in members]
                     started = time.perf_counter()
-                    # A named backend routes through the index's
-                    # dispatch seam (MultiBackendIndex.query_batch); an
-                    # index whose only access path *is* that kind just
-                    # runs normally.
-                    if backend is not None and hasattr(index, "resolve"):
-                        answers = index.query_batch(predicates, backend=backend)
-                    else:
+                    if backend is None:
                         answers = index.query_batch(predicates)
+                    else:
+                        answers = index.query_batch(predicates, backend=backend)
                     elapsed = time.perf_counter() - started
-                    # The coalescing batcher is the observation point:
+                    # The batch is the observation point:
                     # the batch's wall-clock (split evenly across its
                     # predicates — they shared one pass) and each
                     # answer's observed selectivity feed the planner's
                     # EWMA statistics and model recalibration.
                     share = elapsed / max(1, len(predicates))
-                    for (key, choice), result in zip(members, answers):
+                    for (predicate, choice), result in zip(members, answers):
                         result.freeze()
-                        results[key] = result
+                        results[predicate] = result
                         if choice is not None:
                             planner.observe(
                                 name,
@@ -838,7 +641,7 @@ class QueryExecutor:
                             # ``.ids`` or pages (memoising rank arrays),
                             # the hook re-charges the entry its real
                             # pinned footprint, keeping the budget honest.
-                            cache_key = (name, key[0], version)
+                            cache_key = (name, predicate, version)
                             self._cache.put(
                                 cache_key, result, weight=int(result.nbytes)
                             )
@@ -849,11 +652,11 @@ class QueryExecutor:
                             )
                 self.stats.bump(batches=1, batched_queries=len(to_run))
 
-            for key, futures in groups.items():
+            for predicate, futures in groups.items():
                 for fut in futures:
-                    _deliver(fut, results[key])
+                    _deliver(fut, results[predicate])
         except BaseException as exc:  # noqa: BLE001 - propagate to waiters
-            for _, fut, _, _ in entries:
+            for _, fut, _ in entries:
                 _deliver(fut, exc=exc)
 
     # ------------------------------------------------------------------
@@ -867,17 +670,17 @@ class QueryExecutor:
         self._cache.clear()
 
     def close(self, *, drain: bool = True) -> None:
-        """Stop the scheduler and workers; idempotent.
+        """Stop the workers; idempotent.
 
-        With ``drain=True`` (the default) pending batches are
-        dispatched and their answers delivered before the pool shuts
-        down — the graceful path.  With ``drain=False`` pending entries
-        are failed immediately with
-        :class:`~repro.errors.ExecutorClosedError` and only batches
-        already on the worker pool finish — the fast path a serving
-        process takes on abort.  Either way no future is ever left
-        dangling: after shutdown a final sweep fails anything still
-        unresolved, and later :meth:`submit` calls raise
+        With ``drain=True`` (the default) queued misses are dispatched
+        and their answers delivered before the pool shuts down — the
+        graceful path.  With ``drain=False`` queued misses are failed
+        immediately with :class:`~repro.errors.ExecutorClosedError` and
+        only batches already on the worker pool finish — the fast path
+        a serving process takes on abort.  Either way no future is left
+        dangling: nothing can queue once the executor is closed, so a
+        batch that ends during shutdown finds no queue to dispatch, and
+        later :meth:`submit` calls raise
         :class:`~repro.errors.ExecutorClosedError` immediately instead
         of queueing work nothing will ever run.
         """
@@ -888,33 +691,15 @@ class QueryExecutor:
             if drain:
                 for name in list(self._pending):
                     self._dispatch_locked(name)
-            stranded = self._take_pending_locked()  # empty once drained
-            self._wakeup.notify_all()
-        self._fail_closed(stranded)
-        self._scheduler.join(timeout=5.0)
-        self._pool.shutdown(wait=True)
-        # Backstop: anything that slipped past both paths (a dispatch
-        # racing the shutdown, a worker dying mid-batch) must still
-        # resolve — a dangling future would hang its waiter forever.
-        with self._lock:
-            leftovers = self._take_pending_locked()
-        self._fail_closed(leftovers)
-
-    def _take_pending_locked(self) -> list[Future]:
-        """Remove every queued entry (lock held); returns their futures."""
-        futures = [
-            fut for queue in self._pending.values() for _, fut, _, _ in queue
-        ]
-        self._pending.clear()
-        self._deadlines.clear()
-        return futures
-
-    @staticmethod
-    def _fail_closed(futures: list[Future]) -> None:
-        for fut in futures:
+            stranded = [
+                fut for queue in self._pending.values() for _, fut, _ in queue
+            ]
+            self._pending.clear()
+        for fut in stranded:
             _deliver(
                 fut, exc=ExecutorClosedError("executor closed before evaluation")
             )
+        self._pool.shutdown(wait=True)
 
     def __enter__(self) -> "QueryExecutor":
         return self
@@ -925,6 +710,5 @@ class QueryExecutor:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"QueryExecutor(columns={len(self._indexes)}, "
-            f"window={self.batch_window * 1e3:.1f}ms, "
             f"max_batch={self.max_batch}, cache={self._cache!r})"
         )

@@ -41,9 +41,8 @@ Three pieces:
   column, the least-observed one runs next.  (Per *column*, not per
   shape: calibration generalises across shapes, and a rare shape must
   not pay its own exploration tax inside the measured stream.)
-  Forced-plan escape hatches exist at every level (``force()`` per
-  column, ``backend=`` per query) and never change answers — only
-  timings.
+  Forced plans (``force()`` per column, ``backend=`` per call on
+  :class:`MultiBackendIndex`) never change answers — only timings.
 """
 
 from __future__ import annotations
@@ -439,8 +438,6 @@ class QueryPlanner:
         name: str,
         backends: dict[str, SecondaryIndex],
         predicate: RangePredicate,
-        *,
-        forced: str | None = None,
     ) -> PlanChoice:
         """Pick the access path for one predicate.
 
@@ -449,15 +446,14 @@ class QueryPlanner:
         scaled by the backend's calibration factor.  While any backend
         has fewer than :attr:`explore_count` observed queries on this
         column, the least-observed one runs instead (``source ==
-        "explore"``) so greedy pricing cannot starve it.  A forced
-        backend (argument, or a column pinned via :meth:`force`)
-        short-circuits the decision but is validated against the
-        available backends.
+        "explore"``) so greedy pricing cannot starve it.  A column pinned
+        via :meth:`force` short-circuits the decision, validated against
+        the available backends.
         """
         if not backends:
             raise ValueError(f"no backends registered for column {name!r}")
         with self._lock:
-            forced = forced if forced is not None else self._forced.get(name)
+            forced = self._forced.get(name)
             if forced is not None and forced not in backends:
                 raise ValueError(
                     f"forced backend {forced!r} not available for column "

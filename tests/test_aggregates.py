@@ -357,20 +357,6 @@ class TestAggregateConsumers:
             assert ex.aggregate("col", predicate, "min") is None
             assert ex.stats.cache_misses == misses
 
-    def test_aggregate_conjunctive_through_executor(self):
-        a = make_clustered(2_048, np.int32, seed=11)
-        b = make_clustered(2_048, np.int32, seed=12)
-        with QueryExecutor(
-            {"a": ColumnImprints(Column(a)), "b": ColumnImprints(Column(b))}
-        ) as executor:
-            pred_a = executor.predicate("a", int(a.min()), int(np.median(a)))
-            pred_b = executor.predicate("b", int(b.min()), int(np.median(b)))
-            both = np.flatnonzero(pred_a.matches(a) & pred_b.matches(b))
-            got = executor.aggregate_conjunctive(
-                ["a", "b"], [pred_a, pred_b], "sum"
-            )
-            assert got == reference(a, both, "sum")
-
     def test_baseline_indexes_share_the_contract(self):
         from repro.indexes import SequentialScan, ZoneMap
 

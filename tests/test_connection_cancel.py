@@ -48,7 +48,7 @@ def make_service(max_inflight=1, max_waiting=0, kernel_latency=KERNEL_LATENCY):
         ColumnImprints(Column(BASE, name="t.x")),
         ChaosConfig(kernel_latency=kernel_latency),
     )
-    executor = QueryExecutor({"x": index}, batch_window=0.001, max_batch=16)
+    executor = QueryExecutor({"x": index}, max_batch=16)
     service = ImprintService(
         executor,
         ServingConfig(

@@ -51,17 +51,38 @@ def _oracle_grouped(values, codes, mask, op):
     return out
 
 
+def _make_huge_int64(n=4_003, seed=5, n_groups=4):
+    """int64 values above 2**53 (both signs), where float64 sums round."""
+    rng = np.random.default_rng(seed)
+    magnitudes = 2**53 + rng.integers(1, 1 << 20, size=n, dtype=np.int64)
+    values = np.where(rng.random(n) < 0.5, -magnitudes, magnitudes)
+    codes = rng.integers(0, n_groups, size=n, dtype=np.int64)
+    index = ColumnImprints(Column(values, name="t.huge"))
+    index.attach_group_column("g", GroupColumn.from_codes(codes, n_groups))
+    return values, codes, index
+
+
 class TestGroupedSidecar:
     def test_prefix_tables_match_bincount(self):
-        values, codes, index = _make_indexed()
-        grouped = index.grouped_aggregates("g")
-        assert isinstance(grouped, GroupedAggregates)
-        vpc = grouped.vpc
-        for line in (0, 1, grouped.n_cachelines - 1):
-            lo, hi = line * vpc, min((line + 1) * vpc, values.shape[0])
-            want_counts = np.bincount(codes[lo:hi], minlength=grouped.n_groups)
-            got = grouped.prefix_counts[line + 1] - grouped.prefix_counts[line]
-            assert np.array_equal(got, want_counts)
+        """Every line's counts and exact sums, on int32 values and on
+        int64 values above 2**53, where float64 sums would round."""
+        for values, codes, index in (_make_indexed(), _make_huge_int64()):
+            grouped = index.grouped_aggregates("g")
+            assert isinstance(grouped, GroupedAggregates)
+            vpc, n_groups = grouped.vpc, grouped.n_groups
+            for line in range(grouped.n_cachelines):
+                lo, hi = line * vpc, min((line + 1) * vpc, values.shape[0])
+                block, block_codes = values[lo:hi].astype(object), codes[lo:hi]
+                counts, sums = (
+                    table[line + 1] - table[line]
+                    for table in (grouped.prefix_counts, grouped.prefix_sums)
+                )
+                assert np.array_equal(
+                    counts, np.bincount(block_codes, minlength=n_groups)
+                )
+                assert sums.tolist() == [
+                    int(block[block_codes == g].sum()) for g in range(n_groups)
+                ], f"cacheline {line}"
 
     def test_nbytes_counts_both_tables(self):
         _, _, index = _make_indexed()

@@ -183,7 +183,7 @@ class TestCheckpoint:
         mirror = rng.integers(0, 1_000, 10_000).astype(np.int32)
         store.create_column("x", mirror)
         predicate = RangePredicate.range(100, 400, store.index("x").column.ctype)
-        with QueryExecutor({"x": store.index("x")}, batch_window=0.0) as ex:
+        with QueryExecutor({"x": store.index("x")}) as ex:
             for _ in range(8):
                 batch = rng.integers(0, 1_000, 1_000).astype(np.int32)
                 store.append("x", batch)
@@ -197,7 +197,7 @@ class TestCheckpoint:
         store = seed_store(fs)
         store.append("x", np.arange(100, 120, dtype=np.int32))
         predicate = RangePredicate.range(0, 150, store.index("x").column.ctype)
-        with QueryExecutor({"x": store.index("x")}, batch_window=0.0) as ex:
+        with QueryExecutor({"x": store.index("x")}) as ex:
             page, cursor = ex.query_paged("x", predicate, 10)
             assert page.tolist() == list(range(10))
             store.checkpoint()  # "x" has a pending append: rebased

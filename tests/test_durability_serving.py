@@ -62,7 +62,6 @@ def apply_mutation(durable, mutation):
 def make_service(durable, columns=("x",), **config):
     executor = QueryExecutor(
         {name: durable.index(name) for name in columns},
-        batch_window=0.001,
         max_batch=16,
     )
     service = ImprintService(executor, ServingConfig(**config))

@@ -1,4 +1,4 @@
-"""The serving layer: coalescing, caching, invalidation, parallel AND.
+"""The serving layer: batching, coalescing, caching, invalidation.
 
 The executor's contract is scheduling-only: every answer must be
 bit-identical to calling the index directly, no matter how requests
@@ -17,7 +17,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from repro.core import ColumnImprints, conjunctive_query
+from repro.core import ColumnImprints
 from repro.engine import (
     ExecutorStats,
     LRUCache,
@@ -26,9 +26,9 @@ from repro.engine import (
 )
 from repro.errors import ExecutorClosedError
 from repro.predicate import RangePredicate
-from repro.storage import INT, Column, Table
+from repro.storage import INT, Column
 
-from .conftest import make_clustered, make_random
+from .conftest import make_clustered
 
 
 @pytest.fixture
@@ -108,16 +108,27 @@ def test_stats_reset_zeroes_every_counter():
 # differential: the executor only reschedules, never changes answers
 # ----------------------------------------------------------------------
 class TestExecutorEquivalence:
-    @pytest.mark.parametrize("window", [0.0, 0.002])
-    def test_answers_match_direct_queries(self, column, window):
+    @pytest.mark.parametrize("gap", [0.0, 0.002])
+    def test_answers_match_direct_queries(self, column, gap):
+        # gap is the pause between submissions: 0.0 sends one burst,
+        # a positive gap trickles them in, so most arrive while their
+        # column has no batch running or just one
         oracle = ColumnImprints(column)
         rng = np.random.default_rng(1)
         predicates = predicates_for(column, rng)
         stream = predicates * 3  # repetition: coalescing + cache paths
         with QueryExecutor(
-            {"c": ColumnImprints(column)}, batch_window=window, max_batch=8
+            {"c": ColumnImprints(column)}, max_batch=8
         ) as executor:
-            for predicate, result in zip(stream, executor.map("c", stream)):
+            if gap:
+                futures = []
+                for predicate in stream:
+                    futures.append(executor.submit("c", predicate))
+                    time.sleep(gap)
+                results = [future.result() for future in futures]
+            else:
+                results = executor.map("c", stream)
+            for predicate, result in zip(stream, results):
                 assert_identical(oracle.query(predicate), result)
             assert executor.stats.submitted == len(stream)
             # repetition must not reach the kernels in full
@@ -129,8 +140,7 @@ class TestExecutorEquivalence:
         rng = np.random.default_rng(2)
         predicates = predicates_for(column, rng, count=6)
         with QueryExecutor(
-            {"c": ShardedColumnImprints(column, n_shards=3)},
-            batch_window=0.001,
+            {"c": ShardedColumnImprints(column, n_shards=3)}
         ) as executor:
             futures = [executor.submit("c", p) for p in predicates]
             for predicate, future in zip(predicates, futures):
@@ -138,9 +148,7 @@ class TestExecutorEquivalence:
 
     def test_cached_results_are_shared_and_readonly(self, column):
         predicate = RangePredicate.range(9_000, 12_000, INT)
-        with QueryExecutor(
-            {"c": ColumnImprints(column)}, batch_window=0.0
-        ) as executor:
+        with QueryExecutor({"c": ColumnImprints(column)}) as executor:
             first = executor.query("c", predicate)
             second = executor.query("c", predicate)
             assert second is first  # cache hit shares the result object
@@ -150,7 +158,7 @@ class TestExecutorEquivalence:
     def test_mutation_invalidates_cached_results(self, column):
         predicate = RangePredicate.range(8_000, 20_000, INT)
         index = ColumnImprints(column)
-        with QueryExecutor({"c": index}, batch_window=0.0) as executor:
+        with QueryExecutor({"c": index}) as executor:
             before = executor.query("c", predicate)
             # append values inside the predicate's range
             index.append(np.full(64, 9_500, dtype=np.int32))
@@ -171,18 +179,6 @@ class TestExecutorEquivalence:
             rebuilt = executor.query("c", predicate)
             assert np.array_equal(updated.ids, rebuilt.ids)
 
-    def test_flush_resolves_pending(self, column):
-        with QueryExecutor(
-            {"c": ColumnImprints(column)}, batch_window=60.0, max_batch=10_000
-        ) as executor:
-            futures = [
-                executor.submit("c", RangePredicate.range(0, 5_000 + k, INT))
-                for k in range(5)
-            ]
-            assert not any(f.done() for f in futures)
-            executor.flush()
-            assert all(f.done() for f in futures)
-
     def test_unknown_column_and_closed_executor(self, column):
         executor = QueryExecutor({"c": ColumnImprints(column)})
         with pytest.raises(KeyError, match="no index registered"):
@@ -197,7 +193,7 @@ class TestExecutorEquivalence:
         rng = np.random.default_rng(5)
         predicates = predicates_for(column, rng, count=30)
         with QueryExecutor(
-            {"c": ColumnImprints(column)}, batch_window=0.001, max_batch=7
+            {"c": ColumnImprints(column)}, max_batch=7
         ) as executor:
             futures = executor.submit_many("c", predicates)
             for predicate, future in zip(predicates, futures):
@@ -205,38 +201,127 @@ class TestExecutorEquivalence:
 
 
 # ----------------------------------------------------------------------
-# the table-level conjunctive path
+# dispatch: batches clock themselves
 # ----------------------------------------------------------------------
-class TestParallelConjunctive:
-    def test_matches_serial_conjunctive_query(self):
-        rng = np.random.default_rng(3)
-        table = Table.from_arrays(
-            "t",
-            {
-                "a": make_random(6_000, np.int32, seed=31),
-                "b": make_clustered(6_000, np.int32, seed=32),
-                "c": make_random(6_000, np.int32, seed=33),
-            },
-        )
-        with QueryExecutor.for_table(table) as executor:
-            names = table.column_names
-            for _ in range(8):
-                predicates = [
-                    predicates_for(table.column(name), rng, count=1)[0]
-                    for name in names
-                ]
-                expected = conjunctive_query(
-                    [executor.index(n) for n in names], predicates
-                )
-                got = executor.conjunctive(names, predicates)
-                assert_identical(expected, got)
+class HoldsFirstBatch:
+    """Delegating proxy whose first batch waits inside the kernel until
+    ``release`` is set, so its column has a batch running."""
 
-    def test_precomputed_candidates_validated(self):
-        column = Column(make_random(2_000, np.int32, seed=40))
-        index = ColumnImprints(column)
-        predicate = RangePredicate.range(0, 50_000, INT)
-        with pytest.raises(ValueError, match="one precomputed candidate"):
-            conjunctive_query([index], [predicate], candidates=[])
+    def __init__(self, inner) -> None:
+        self._inner = inner
+        self.held = threading.Event()
+        self.release = threading.Event()
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def query_batch(self, predicates):
+        if not self.held.is_set():
+            self.held.set()
+            self.release.wait(timeout=5)
+        return self._inner.query_batch(predicates)
+
+
+def hold_a_batch(executor, kernel) -> Future:
+    """Put one batch on the pool and wait until the kernel holds it."""
+    future = executor.submit("c", RangePredicate.range(-1_000, -900, INT))
+    assert kernel.held.wait(timeout=5)
+    return future
+
+
+class TestGroupCommit:
+    def test_misses_queued_behind_a_batch_leave_together(self, column):
+        oracle = ColumnImprints(column)
+        kernel = HoldsFirstBatch(ColumnImprints(column))
+        predicates = [
+            RangePredicate.range(0, 4_000 + 1_000 * k, INT) for k in range(3)
+        ]
+        stream = predicates + predicates[:1]  # one duplicate
+        with QueryExecutor({"c": kernel}) as executor:
+            held = hold_a_batch(executor, kernel)
+            futures = [executor.submit("c", p) for p in stream]
+            assert not any(f.done() for f in futures)
+            kernel.release.set()
+            held.result(timeout=5)
+            for predicate, future in zip(stream, futures):
+                answer = future.result(timeout=5)
+                assert_identical(oracle.query(predicate), answer)
+            # The held batch, then one batch for all four queued misses,
+            # the duplicate coalesced into its peer's evaluation.
+            assert executor.stats.batches == 2
+            assert executor.stats.coalesced == 1
+            assert executor.stats.batched_queries == 1 + len(predicates)
+
+    def test_max_batch_caps_a_queued_batch(self, column):
+        kernel = HoldsFirstBatch(ColumnImprints(column))
+        max_batch = 4
+        with QueryExecutor({"c": kernel}, max_batch=max_batch) as executor:
+            hold_a_batch(executor, kernel)
+            futures = [
+                executor.submit("c", RangePredicate.range(0, 4_000 + k, INT))
+                for k in range(max_batch + 1)
+            ]
+            kernel.release.set()
+            for future in futures:
+                future.result(timeout=5)
+            assert executor.stats.batches == 1 + 2  # held, then 4 + 1
+
+    def test_concurrent_submitters_leave_no_column_busy(self, column):
+        """More workers than cores, a tiny switch interval: every miss
+        is answered, each submission counts once, and afterwards a
+        fresh miss still leaves at once (a lost batch-end update would
+        strand it in the queue)."""
+        oracle = ColumnImprints(column)
+        predicates = [
+            RangePredicate.range(0, 2_000 + 700 * i, INT) for i in range(40)
+        ]
+        threads_n, per_thread = 6, 30
+        answers = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with QueryExecutor(
+                {"c": ColumnImprints(column)}, n_workers=4, max_batch=3
+            ) as executor:
+
+                def client(seed: int) -> None:
+                    for i in range(per_thread):
+                        predicate = predicates[(7 * seed + i) % len(predicates)]
+                        future = executor.submit("c", predicate)
+                        answers.append((predicate, future.result(timeout=10)))
+
+                threads = [
+                    threading.Thread(target=client, args=(seed,))
+                    for seed in range(threads_n)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                stats = executor.stats
+                assert stats.submitted == threads_n * per_thread
+                assert stats.submitted == (
+                    stats.cache_hits + stats.coalesced + stats.batched_queries
+                )
+                fresh = RangePredicate.range(-1_000, -900, INT)
+                answer = executor.submit("c", fresh).result(timeout=5)
+                assert_identical(oracle.query(fresh), answer)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(answers) == threads_n * per_thread
+        for predicate, answer in answers:
+            assert np.array_equal(oracle.query(predicate).ids, answer.ids)
+
+    def test_a_miss_on_an_idle_column_needs_no_timer(self, column):
+        oracle = ColumnImprints(column)
+        predicate = RangePredicate.range(0, 9_000, INT)
+        with QueryExecutor({"c": ColumnImprints(column)}) as executor:
+            future = executor.submit("c", predicate)
+            answer = future.result(timeout=5)
+            assert_identical(oracle.query(predicate), answer)
+            names = {thread.name for thread in threading.enumerate()}
+            assert "imprint-batcher" not in names
 
 
 # ----------------------------------------------------------------------
@@ -262,29 +347,44 @@ class TestCloseLifecycle:
 
     def test_close_with_drain_answers_pending_futures(self, column):
         oracle = ColumnImprints(column)
-        executor = QueryExecutor(
-            {"c": ColumnImprints(column)}, batch_window=60.0, max_batch=10_000
-        )
+        kernel = HoldsFirstBatch(ColumnImprints(column))
+        executor = QueryExecutor({"c": kernel}, n_workers=2)
+        held = hold_a_batch(executor, kernel)
         predicate = RangePredicate.range(0, 8_000, INT)
         future = executor.submit("c", predicate)
         assert not future.done()
-        executor.close(drain=True)
-        assert_identical(oracle.query(predicate), future.result(timeout=5))
+        closer = threading.Thread(target=executor.close)  # drain=True
+        closer.start()
+        try:
+            # Answered by the drain while the held batch still runs.
+            assert_identical(oracle.query(predicate), future.result(timeout=5))
+        finally:
+            kernel.release.set()
+            closer.join(timeout=5)
+        held.result(timeout=5)
 
     def test_close_without_drain_fails_pending_futures(self, column):
         from repro.errors import ExecutorClosedError
 
-        executor = QueryExecutor(
-            {"c": ColumnImprints(column)}, batch_window=60.0, max_batch=10_000
-        )
+        kernel = HoldsFirstBatch(ColumnImprints(column))
+        executor = QueryExecutor({"c": kernel})
+        held = hold_a_batch(executor, kernel)
         futures = [
             executor.submit("c", RangePredicate.range(0, 5_000 + k, INT))
             for k in range(4)
         ]
-        executor.close(drain=False)
-        for future in futures:
-            with pytest.raises(ExecutorClosedError):
-                future.result(timeout=5)
+        closer = threading.Thread(
+            target=executor.close, kwargs={"drain": False}
+        )
+        closer.start()
+        try:
+            for future in futures:
+                with pytest.raises(ExecutorClosedError):
+                    future.result(timeout=5)
+        finally:
+            kernel.release.set()
+            closer.join(timeout=5)
+        held.result(timeout=5)  # the batch already on the pool finishes
 
 
 # ----------------------------------------------------------------------
@@ -315,33 +415,29 @@ class TestDeadlines:
         from repro.errors import DeadlineExceeded
 
         oracle = ColumnImprints(column)
-        executor = QueryExecutor(
-            {"c": ColumnImprints(column)}, batch_window=60.0, max_batch=10_000
-        )
-        try:
+        kernel = HoldsFirstBatch(ColumnImprints(column))
+        with QueryExecutor({"c": kernel}) as executor:
+            hold_a_batch(executor, kernel)
             predicate = RangePredicate.range(0, 8_000, INT)
             patient = executor.submit("c", predicate)
             hurried = executor.submit(
                 "c", predicate, deadline=time.monotonic() + 0.01
             )
             time.sleep(0.05)  # let the hurried waiter's budget lapse
-            executor.flush()  # dispatch: both were coalesced in one batch
+            kernel.release.set()  # both leave, coalesced, in one batch
             assert_identical(oracle.query(predicate), patient.result(timeout=5))
             with pytest.raises(DeadlineExceeded):
                 hurried.result(timeout=5)
             assert executor.stats.expired == 1
-        finally:
-            executor.close()
 
     def test_batch_of_only_expired_waiters_skips_evaluation(self, column):
         import time
 
         from repro.errors import DeadlineExceeded
 
-        executor = QueryExecutor(
-            {"c": ColumnImprints(column)}, batch_window=60.0, max_batch=10_000
-        )
-        try:
+        kernel = HoldsFirstBatch(ColumnImprints(column))
+        with QueryExecutor({"c": kernel}) as executor:
+            held = hold_a_batch(executor, kernel)
             futures = [
                 executor.submit(
                     "c",
@@ -351,23 +447,21 @@ class TestDeadlines:
                 for k in range(3)
             ]
             time.sleep(0.05)
-            executor.flush()
+            kernel.release.set()
             for future in futures:
                 with pytest.raises(DeadlineExceeded):
                     future.result(timeout=5)
+            held.result(timeout=5)
             assert executor.stats.expired == 3
-            # nothing was evaluated for the dead batch: no cache entry
-            assert executor.stats.batched_queries == 0
-        finally:
-            executor.close()
+            # nothing was evaluated for the dead batch: only the held
+            # batch's one predicate reached the kernel
+            assert executor.stats.batched_queries == 1
 
     def test_live_deadline_still_gets_a_correct_answer(self, column):
         import time
 
         oracle = ColumnImprints(column)
-        with QueryExecutor(
-            {"c": ColumnImprints(column)}, batch_window=0.001
-        ) as executor:
+        with QueryExecutor({"c": ColumnImprints(column)}) as executor:
             predicate = RangePredicate.range(0, 9_000, INT)
             future = executor.submit(
                 "c", predicate, deadline=time.monotonic() + 30.0
@@ -410,7 +504,7 @@ class TestBatchDelivery:
         racy, normal = CancelsAfterTheCheck(), Future()
         with QueryExecutor({"c": index}) as executor:
             executor._run_batch(
-                "c", [(predicate, racy, None, None), (predicate, normal, None, None)]
+                "c", [(predicate, racy, None), (predicate, normal, None)]
             )
         assert racy.cancelled()
         if fails:

@@ -254,7 +254,6 @@ def test_random_programs_agree_with_oracle(dtype, seed_values, n_shards, steps):
     )
     executor = QueryExecutor(
         {"col": ColumnImprints(Column(mirror.copy(), ctype=ctype, name="fuzz.e"))},
-        batch_window=0.0,
     )
     for index in (serial, sharded, executor.index("col")):
         index.attach_group_column("g", gcodes)

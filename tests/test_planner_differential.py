@@ -1,8 +1,8 @@
 """Differential plan-equivalence harness — the planner never changes answers.
 
 The self-tuning planner may route any predicate to any backend at any
-time, recalibrate its cost model mid-stream, and be overridden by
-forced plans at two levels.  None of that may ever change an answer:
+time, recalibrate its cost model mid-stream, and be overridden by a
+forced plan per column.  None of that may ever change an answer:
 this suite replays randomised programs (build → query → append →
 update → re-query, over random dtypes and selectivities) through every
 backend and through the planner-routed executor, holding
@@ -10,7 +10,8 @@ the serial imprints index as the oracle:
 
 * the planner's answers are bit-identical to imprints no matter which
   plan it picked;
-* forced-plan overrides agree pairwise across all backends;
+* every backend, forced through ``MultiBackendIndex.query(backend=)``,
+  agrees with the oracle after every append and update;
 * recalibration (even from wildly mispriced models) changes only
   pricing and timings, never ids;
 * the feedback loop converges away from a mispriced backend within a
@@ -31,11 +32,10 @@ from repro.engine import (
     PlanStatistics,
     QueryExecutor,
     QueryPlanner,
-    ShardedColumnImprints,
     predicate_shape,
 )
 from repro.bench.regression import gate
-from repro.indexes import SequentialScan, ZoneMap
+from repro.indexes import SequentialScan
 from repro.predicate import RangePredicate
 from repro.sim import CostModel
 from repro.storage import DOUBLE, INT, LONG, SHORT, Column
@@ -108,7 +108,7 @@ class TestRandomizedPrograms:
             Column(mirror.copy(), ctype=ctype, name="m")
         )
         planner = QueryPlanner()
-        executor = QueryExecutor({"col": multi}, planner=planner, batch_window=0.0)
+        executor = QueryExecutor({"col": multi}, planner=planner)
         kinds = sorted(multi.backends)
         try:
             for step in steps:
@@ -126,9 +126,7 @@ class TestRandomizedPrograms:
                     assert np.array_equal(routed.ids, expected), "planner"
                     # Forced plans: every backend, pairwise identical.
                     for forced in kinds:
-                        forced_result = executor.query(
-                            "col", pred, backend=forced
-                        )
+                        forced_result = multi.query(pred, backend=forced)
                         assert np.array_equal(
                             forced_result.ids, expected
                         ), f"forced {forced}"
@@ -154,7 +152,7 @@ class TestRandomizedPrograms:
             assert np.array_equal(executor.query("col", pred).ids, expected)
             for forced in kinds:
                 assert np.array_equal(
-                    executor.query("col", pred, backend=forced).ids, expected
+                    multi.query(pred, backend=forced).ids, expected
                 ), f"forced {forced} after mutations"
         finally:
             executor.close()
@@ -183,9 +181,7 @@ class TestRandomizedPrograms:
                 Column(values.copy(), ctype=INT, name="r")
             )
             planner = QueryPlanner(model=model)
-            executor = QueryExecutor(
-                {"col": multi}, planner=planner, batch_window=0.0
-            )
+            executor = QueryExecutor({"col": multi}, planner=planner)
             try:
                 run = [executor.query("col", p).ids for p in preds]
                 # Re-query after the feedback loop has observations:
@@ -360,72 +356,6 @@ class TestFeedbackLoop:
 
 
 class TestForcedPlanSeams:
-    def test_forced_imprints_on_sharded_planner_column(self):
-        """Regression: a planner column whose primary is the shard class
-        must serve a forced ``"imprints"`` plan.  The shard class used
-        to register under its own kind, so the forced plan passed the
-        executor's early check and then failed at batch time as
-        "forced backend not available"."""
-        values = (np.arange(6_000, dtype=np.int64) * 37) % 211
-        column = Column(values, ctype=LONG, name="sharded")
-        multi = MultiBackendIndex(
-            ShardedColumnImprints(column, n_shards=2),
-            {"zonemap": ZoneMap(column), "scan": SequentialScan(column)},
-        )
-        executor = QueryExecutor(
-            {"col": multi}, planner=QueryPlanner(), batch_window=0.0
-        )
-        try:
-            pred = RangePredicate.range(40, 90, LONG)
-            expected = np.flatnonzero(pred.matches(values)).astype(np.int64)
-            result = executor.query("col", pred, backend="imprints")
-            assert np.array_equal(result.ids, expected)
-        finally:
-            executor.close()
-
-    def test_executor_rejects_unservable_forced_backend(self):
-        values = np.arange(1_000, dtype=np.int32)
-        executor = QueryExecutor(
-            {"col": ColumnImprints(Column(values, ctype=INT, name="x"))},
-            batch_window=0.0,
-        )
-        try:
-            pred = RangePredicate.range(10, 20, INT)
-            # The plain imprints kind is servable...
-            result = executor.query("col", pred, backend="imprints")
-            assert np.array_equal(
-                result.ids, np.arange(10, 20, dtype=np.int64)
-            )
-            # ... anything else raises before anything is enqueued.
-            with pytest.raises(ValueError, match="cannot serve"):
-                executor.submit("col", pred, backend="zonemap")
-        finally:
-            executor.close()
-
-    def test_forced_submissions_bypass_cache_reads(self):
-        """A forced backend must actually execute — a cached answer from
-        another plan may be bit-identical but would defeat the point of
-        forcing (measuring or debugging one access path)."""
-        values = ((np.arange(8_000, dtype=np.int64) * 13) % 503).astype(
-            np.int64
-        )
-        multi = MultiBackendIndex.for_column(
-            Column(values, ctype=LONG, name="c")
-        )
-        planner = QueryPlanner()
-        executor = QueryExecutor(
-            {"col": multi}, planner=planner, batch_window=0.0
-        )
-        try:
-            pred = RangePredicate.range(100, 200, LONG)
-            executor.query("col", pred)  # populate the cache
-            before = dict(planner.plan_counts)
-            executor.query("col", pred, backend="zonemap")
-            after = dict(planner.plan_counts)
-            assert after.get("zonemap", 0) == before.get("zonemap", 0) + 1
-        finally:
-            executor.close()
-
     def test_planner_force_pins_column(self):
         planner, backends = TestFeedbackLoop()._mispricing_planner()
         pred = RangePredicate.range(10, 20, LONG)
@@ -435,8 +365,9 @@ class TestForcedPlanSeams:
         assert choice.source == "forced"
         planner.force("f", None)
         assert planner.choose("f", backends, pred).source != "forced"
+        planner.force("f", "btree")
         with pytest.raises(ValueError, match="not available"):
-            planner.choose("f", backends, pred, forced="btree")
+            planner.choose("f", backends, pred)
 
 
 class TestMultiBackendIndex:

@@ -375,7 +375,6 @@ class TestHttpTransport:
     def make_stack(self, node, columns=("x",), **config):
         executor = QueryExecutor(
             {name: node.store.index(name) for name in columns},
-            batch_window=0.001,
             max_batch=16,
         )
         service = ImprintService(executor, ServingConfig(**config))

@@ -224,7 +224,7 @@ class TestCompactCacheAccounting:
         )
         index = ColumnImprints(column)
         with QueryExecutor(
-            {"c": index}, batch_window=0.0, cache_size=64, cache_bytes=64_000
+            {"c": index}, cache_size=64, cache_bytes=64_000
         ) as executor:
             # ~50% selectivity: ids would be 100k * 8 B = 800 kB — far
             # over the byte budget — but the RowSet (range endpoints +
@@ -249,7 +249,7 @@ class TestCompactCacheAccounting:
 
     def test_frozen_results_protect_shared_arrays(self):
         column = Column(np.arange(10_000, dtype=np.int32), name="cache.frozen")
-        with QueryExecutor({"c": ColumnImprints(column)}, batch_window=0.0) as ex:
+        with QueryExecutor({"c": ColumnImprints(column)}) as ex:
             result = ex.query("c", ex.predicate("c", 10, 5_000))
             with pytest.raises(ValueError):
                 result.row_set.starts[0] = 99

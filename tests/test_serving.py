@@ -68,7 +68,7 @@ def make_service(n=20_000, slow: float = 0.0, **config):
 
     index = ColumnImprints(Column(column_values, name="t.v"))
     backend = SlowIndex(index, slow) if slow else index
-    executor = QueryExecutor({"v": backend}, batch_window=0.001, max_batch=16)
+    executor = QueryExecutor({"v": backend}, max_batch=16)
     service = ImprintService(executor, ServingConfig(**config))
     return service, index
 
@@ -452,7 +452,6 @@ class TestImprintService:
         executor = QueryExecutor(
             {"v": MultiBackendIndex.for_column(column)},
             planner=planner,
-            batch_window=0.001,
             max_batch=16,
         )
         service = ImprintService(executor, ServingConfig())
@@ -535,9 +534,7 @@ class TestHTTP:
         index = MultiBackendIndex.for_column(
             Column(values.astype(np.int32), name="t.u")
         )
-        executor = QueryExecutor(
-            {"u": index}, batch_window=0.001, planner=QueryPlanner()
-        )
+        executor = QueryExecutor({"u": index}, planner=QueryPlanner())
         service = ImprintService(executor)
         expected = index.query(executor.predicate("u", 10_000, 30_000)).ids
 

@@ -43,7 +43,7 @@ def make_stack(chaos: ChaosConfig | None = None, **config):
     index = ColumnImprints(
         Column(make_clustered(20_000, np.int32, seed=21), name="t.v")
     )
-    executor = QueryExecutor({"v": index}, batch_window=0.001, max_batch=16)
+    executor = QueryExecutor({"v": index}, max_batch=16)
     wrapper = (
         install_chaos(executor, "v", chaos) if chaos is not None else None
     )

@@ -318,7 +318,7 @@ class TestCursorStability:
         self, column, predicate, name, mutate
     ):
         index = ColumnImprints(Column(column.values.copy(), name="t.e"))
-        with QueryExecutor({"col": index}, batch_window=0.0) as executor:
+        with QueryExecutor({"col": index}) as executor:
             _, cursor = executor.query_paged("col", predicate, 10)
             mutate(index)
             with pytest.raises(StaleCursorError):
@@ -388,7 +388,7 @@ class TestCursorStability:
 class TestExecutorPaged:
     def test_pages_come_from_cache(self, column, predicate):
         index = ColumnImprints(column)
-        with QueryExecutor({"col": index}, batch_window=0.0) as executor:
+        with QueryExecutor({"col": index}) as executor:
             paged, _ = drain(
                 lambda k, cur: executor.query_paged("col", predicate, k, cur),
                 101,
@@ -400,9 +400,7 @@ class TestExecutorPaged:
             assert executor.stats.cache_hits >= 1
 
     def test_limit_validation(self, column, predicate):
-        with QueryExecutor(
-            {"col": ColumnImprints(column)}, batch_window=0.0
-        ) as executor:
+        with QueryExecutor({"col": ColumnImprints(column)}) as executor:
             with pytest.raises(ValueError):
                 executor.submit_paged("col", predicate, 0)
 
