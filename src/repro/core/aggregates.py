@@ -43,12 +43,28 @@ Exactness
 aggregation over the materialised ids for every dtype.  ``SUM`` (and
 the sum-of-squares lane) is accumulated at 64-bit width
 (``int64``/``uint64`` for integer columns, ``float64`` for float
-columns).  Integer sums are bit-identical to ``np.sum`` over the
-gathered values because modular 64-bit addition is associative —
-regrouping per cacheline cannot change the wrapped result; ``avg`` and
-``var`` derived from bit-identical integer moments are therefore
-bit-identical floats too.  Float sums are deterministic (fixed blocked
-order) but float addition is not associative, so they agree with
+columns).  Integer ``SUM`` is bit-identical to ``np.sum`` over the
+gathered values, wraparound included, because modular 64-bit addition
+is associative: regrouping per cacheline cannot change the wrapped
+result.
+
+Integer ``avg``/``var``/``std`` divide exact totals.  A path keeps its
+64-bit lanes only when a bound shows they cannot wrap: the answer's
+count times the column's largest magnitude (and times its square, for
+the sum-of-squares lane) stays below ``2**63``
+(:func:`lanes_hold`; the magnitude is kept in
+:attr:`CachelineAggregates.max_abs`, so the check is O(1)).  Otherwise
+the path sums the qualifying values as exact Python ints
+(:func:`exact_moments`).  Either way the moments come out as the same
+exact integers, and :func:`_finalize_moments` turns them into floats
+with one formula, ``total_sq / n - mean * mean`` clamped at zero, whose
+int divisions are correctly rounded, so integer moments are
+bit-identical at every layer.  That formula still cancels: when the
+mean dwarfs the spread (int64 nanosecond timestamps, say) ``var``
+rounds to ``0.0`` although the exact variance is not zero.
+
+Float sums are deterministic (fixed blocked order) but float addition
+is not associative, so they agree with
 ``np.sum(values[ids], dtype=np.float64)`` only to rounding (~1 ulp per
 reassociation); the property tests pin integer results exactly and
 float results to a tight relative tolerance.
@@ -108,13 +124,51 @@ def _check_op(op: str) -> None:
         raise ValueError(f"unknown aggregate {op!r}; supported: {AGGREGATE_OPS}")
 
 
+#: Magnitudes a signed 64-bit lane holds are below this.
+_LANE_LIMIT = 1 << 63
+
+
+def _max_abs(lows: np.ndarray, highs: np.ndarray) -> int:
+    """Largest magnitude over minima ``lows`` and maxima ``highs`` (one
+    array twice for plain values); 0 if empty or float, since float
+    lanes never wrap."""
+    if lows.shape[0] == 0 or lows.dtype.kind == "f":
+        return 0
+    return max(-int(lows.min()), int(highs.max()), 0)
+
+
+def lanes_hold(count: int, max_abs: int, *, squares: bool) -> bool:
+    """Whether 64-bit lanes summing ``count`` values of magnitude at
+    most ``max_abs`` (or their squares) cannot wrap.
+
+    Below the bound every partial sum fits, so a wrapped prefix-table
+    difference is still the exact total."""
+    bound = max_abs * max_abs if squares else max_abs
+    return count * bound < _LANE_LIMIT
+
+
+def exact_moments(values: np.ndarray, *, squares: bool):
+    """Exact ``(sum, sum of squares)`` of integer values as Python ints
+    (``None`` in place of the squares when not requested)."""
+    items = values.tolist()
+    return sum(items), (sum(v * v for v in items) if squares else None)
+
+
+def _exact_group_sums(codes: np.ndarray, values: np.ndarray, n_groups: int):
+    """Per-group exact Python-int sums, as an object array."""
+    sums = [0] * n_groups
+    for code, value in zip(codes.tolist(), values.tolist()):
+        sums[code] += value
+    return np.array(sums, dtype=object)
+
+
 def _finalize_moments(op: str, count: int, total, total_sq):
     """Derive ``avg``/``var``/``std`` from exact (count, sum, sumsq).
 
     ``None`` on an empty answer — never a zero division.  Population
     variance (``sumsq/n - mean**2``) clamped at zero against float
-    cancellation; integer moments give bit-identical float results
-    because Python's big-int division is correctly rounded.
+    cancellation; exact integer moments give bit-identical float
+    results because Python's big-int division is correctly rounded.
     """
     if not count:
         return None
@@ -157,6 +211,11 @@ class CachelineAggregates:
         The sum-of-squares lane — same layout and maintenance as
         ``prefix_sums`` but over ``v*v`` (in the accumulator dtype), so
         ``avg``/``var``/``std`` cost the same two lookups per range.
+    max_abs:
+        The largest magnitude the column has held (a Python int; 0 on
+        float columns).  Raised by every append and update, never
+        lowered, so :func:`lanes_hold` can bound the moment lanes in
+        O(1).
     """
 
     def __init__(self, values, values_per_cacheline: int) -> None:
@@ -175,6 +234,7 @@ class CachelineAggregates:
         self.maxs = np.empty(0, dtype=values.dtype)
         self.prefix_sums = np.zeros(1, dtype=self.sum_dtype)
         self.prefix_sumsqs = np.zeros(1, dtype=self.sum_dtype)
+        self.max_abs = 0
         if values.shape[0]:
             self._recompute_from(values, 0)
 
@@ -215,12 +275,11 @@ class CachelineAggregates:
         acc = block.astype(self.sum_dtype, copy=False)
         sums = np.add.reduceat(acc, starts)
         sumsqs = np.add.reduceat(acc * acc, starts)
-        self.mins = np.concatenate(
-            [self.mins[:first_line], np.minimum.reduceat(block, starts)]
-        )
-        self.maxs = np.concatenate(
-            [self.maxs[:first_line], np.maximum.reduceat(block, starts)]
-        )
+        line_mins = np.minimum.reduceat(block, starts)
+        line_maxs = np.maximum.reduceat(block, starts)
+        self.max_abs = max(self.max_abs, _max_abs(line_mins, line_maxs))
+        self.mins = np.concatenate([self.mins[:first_line], line_mins])
+        self.maxs = np.concatenate([self.maxs[:first_line], line_maxs])
         self.prefix_sums = np.concatenate(
             [
                 self.prefix_sums[: first_line + 1],
@@ -268,16 +327,21 @@ class CachelineAggregates:
         start = cacheline * self.vpc
         block = values[start : min(start + self.vpc, self.n_values)]
         acc = block.astype(self.sum_dtype, copy=False)
-        new_sum = np.add.reduce(acc)
-        new_sumsq = np.add.reduce(acc * acc)
-        old_sum = self.prefix_sums[cacheline + 1] - self.prefix_sums[cacheline]
-        old_sumsq = (
-            self.prefix_sumsqs[cacheline + 1] - self.prefix_sumsqs[cacheline]
-        )
-        self.prefix_sums[cacheline + 1 :] += new_sum - old_sum
-        self.prefix_sumsqs[cacheline + 1 :] += new_sumsq - old_sumsq
-        self.mins[cacheline] = block.min()
-        self.maxs[cacheline] = block.max()
+        # The lanes are modular: scalar deltas wrap the way the array
+        # sums do, so NumPy's scalar overflow warning is noise here.
+        with np.errstate(over="ignore"):
+            new_sum = np.add.reduce(acc)
+            new_sumsq = np.add.reduce(acc * acc)
+            old_sum = self.prefix_sums[cacheline + 1] - self.prefix_sums[cacheline]
+            old_sumsq = (
+                self.prefix_sumsqs[cacheline + 1] - self.prefix_sumsqs[cacheline]
+            )
+            self.prefix_sums[cacheline + 1 :] += new_sum - old_sum
+            self.prefix_sumsqs[cacheline + 1 :] += new_sumsq - old_sumsq
+        line = slice(cacheline, cacheline + 1)
+        self.mins[line] = block.min()
+        self.maxs[line] = block.max()
+        self.max_abs = max(self.max_abs, _max_abs(self.mins[line], self.maxs[line]))
 
     # ------------------------------------------------------------------
     # range reductions (the pushdown kernels)
@@ -548,8 +612,9 @@ def reduce_gathered(gathered: np.ndarray, op: str):
     """Aggregate a flat gathered value array.
 
     The no-sidecar fallback shared by baseline indexes and delta-aware
-    answers: ``sum`` (and the moments behind ``avg``/``var``/``std``)
-    accumulates at the 64-bit width matching the sidecar semantics;
+    answers: ``sum`` accumulates at the 64-bit width matching the
+    sidecar semantics, and the moments behind ``avg``/``var``/``std``
+    are exact (the module's Exactness note);
     ``min``/``max``/``avg``/``var``/``std`` return ``None`` on empty
     input.
     """
@@ -566,9 +631,14 @@ def reduce_gathered(gathered: np.ndarray, op: str):
         count = int(gathered.shape[0])
         if count == 0:
             return None
+        squares = op != "avg"
+        if not lanes_hold(count, _max_abs(gathered, gathered), squares=squares):
+            return _finalize_moments(
+                op, count, *exact_moments(gathered, squares=squares)
+            )
         acc = gathered.astype(_sum_dtype(gathered.dtype), copy=False)
         total = np.add.reduce(acc).item()
-        total_sq = np.add.reduce(acc * acc).item() if op != "avg" else None
+        total_sq = np.add.reduce(acc * acc).item() if squares else None
         return _finalize_moments(op, count, total, total_sq)
     if gathered.shape[0] == 0:
         return None
@@ -586,20 +656,24 @@ def topk_gathered(gathered: np.ndarray, k: int) -> list:
     return [value.item() for value in out]
 
 
-def grouped_gathered(
-    gcodes: np.ndarray, gvalues: np.ndarray, n_groups: int, *, with_sums: bool
-):
-    """Per-group (counts, sums) of gathered codes/values — the
-    no-sidecar fallback.  ``sums`` is ``None`` when not requested."""
+def grouped_gathered(gcodes: np.ndarray, gvalues: np.ndarray, n_groups: int, op: str):
+    """Per-group (counts, sums) of gathered codes/values for grouped
+    ``op`` — the no-sidecar fallback.  ``sums`` is ``None`` for
+    ``count``, and exact Python ints for an integer ``avg`` whose lanes
+    may wrap."""
     counts = np.bincount(
         gcodes.astype(_I64, copy=False), minlength=n_groups
     ).astype(_I64, copy=False)
     if counts.shape[0] > n_groups:
         raise ValueError(f"group code out of range [0, {n_groups})")
-    sums = None
-    if with_sums:
-        sums = np.zeros(n_groups, dtype=_sum_dtype(gvalues.dtype))
-        np.add.at(sums, gcodes, gvalues.astype(sums.dtype, copy=False))
+    if op == "count":
+        return counts, None
+    if op == "avg" and not lanes_hold(
+        gvalues.shape[0], _max_abs(gvalues, gvalues), squares=False
+    ):
+        return counts, _exact_group_sums(gcodes, gvalues, n_groups)
+    sums = np.zeros(n_groups, dtype=_sum_dtype(gvalues.dtype))
+    np.add.at(sums, gcodes, gvalues.astype(sums.dtype, copy=False))
     return counts, sums
 
 
@@ -614,9 +688,10 @@ def finalize_grouped(op: str, counts: np.ndarray, sums) -> dict:
     present = np.flatnonzero(counts)
     if op == "count":
         return {int(g): int(counts[g]) for g in present}
+    totals = sums.tolist()
     if op == "sum":
-        return {int(g): sums[g].item() for g in present}
-    return {int(g): sums[g].item() / int(counts[g]) for g in present}
+        return {int(g): totals[g] for g in present}
+    return {int(g): totals[g] / int(counts[g]) for g in present}
 
 
 def aggregate_rowset(
@@ -695,8 +770,15 @@ def aggregate_rowset(
         count = rowset.count()
         if count == 0:
             return None
+        squares = op != "avg"
+        if not lanes_hold(count, aggregates.max_abs, squares=squares):
+            return _finalize_moments(
+                op,
+                count,
+                *exact_moments(values[rowset.to_ids()], squares=squares),
+            )
         return _finalize_moments(
-            op, count, _total(False), _total(True) if op != "avg" else None
+            op, count, _total(False), _total(True) if squares else None
         )
 
     pieces = []
@@ -787,6 +869,22 @@ def _candidate_count(
     return total
 
 
+def _qualifying_ids(
+    aggregates, full_starts, full_stops, promoted, mixed_span, mixed_mask
+) -> np.ndarray:
+    """Every qualifying id of refined candidates (unordered): full
+    ranges, promoted lines and the straddling lines' survivors."""
+    vpc = aggregates.vpc
+    n = aggregates.n_values
+    pieces = [
+        expand_ranges(full_starts * vpc, np.minimum(full_stops * vpc, n)),
+        expand_ranges(promoted * vpc, np.minimum(promoted * vpc + vpc, n)),
+    ]
+    if mixed_span is not None:
+        pieces.append(mixed_span[mixed_mask])
+    return np.concatenate(pieces)
+
+
 def _candidate_sum(
     aggregates, full_starts, full_stops, promoted, kept, *, squares: bool = False
 ):
@@ -826,14 +924,19 @@ def candidate_moments(
         full_starts,
         full_stops,
         promoted,
-        _span,
+        mixed_span,
         mixed_values,
         mixed_mask,
     ) = _refine_partials(ranges, values, predicate, aggregates)
-    kept = mixed_values[mixed_mask] if mixed_values is not None else None
     count = _candidate_count(
         aggregates, full_starts, full_stops, promoted, mixed_mask
     )
+    if not lanes_hold(count, aggregates.max_abs, squares=squares):
+        ids = _qualifying_ids(
+            aggregates, full_starts, full_stops, promoted, mixed_span, mixed_mask
+        )
+        return (count, *exact_moments(values[ids], squares=squares))
+    kept = mixed_values[mixed_mask] if mixed_values is not None else None
     total = _candidate_sum(aggregates, full_starts, full_stops, promoted, kept)
     total_sq = (
         _candidate_sum(
@@ -925,18 +1028,19 @@ def aggregate_candidates(ranges, values, predicate, aggregates, op: str):
     return result.item()
 
 
-def grouped_candidates(
-    ranges, values, codes, predicate, aggregates, grouped, *, with_sums: bool
-):
-    """Grouped (counts, sums) partials straight off candidate ranges.
+def grouped_candidates(ranges, values, codes, predicate, aggregates, grouped, op):
+    """Grouped (counts, sums) partials for grouped ``op`` straight off
+    candidate ranges.
 
     GROUP BY pushdown: full ranges and promoted lines are answered from
     the :class:`GroupedAggregates` prefix tables (two row lookups per
     range, no ids); only lines straddling a predicate bound gather
     their codes and values, and those survivors fold in through one
     ``bincount`` / unbuffered ``add.at``.  Returns per-group arrays of
-    shape ``(n_groups,)``, with ``sums`` ``None`` when not requested
-    (grouped ``count``).
+    shape ``(n_groups,)``, with ``sums`` ``None`` for grouped
+    ``count``.  An integer ``avg`` whose sum lanes may wrap
+    (:func:`lanes_hold`) gathers its qualifying rows and sums them as
+    exact Python ints instead.
     """
     (
         full_starts,
@@ -946,6 +1050,7 @@ def grouped_candidates(
         mixed_values,
         mixed_mask,
     ) = _refine_partials(ranges, values, predicate, aggregates)
+    lookup_starts, lookup_stops = full_starts, full_stops
     if promoted.shape[0]:
         # Promoted lines expand from contiguous partial ranges, so long
         # consecutive runs are the common case; coalescing them turns
@@ -953,12 +1058,10 @@ def grouped_candidates(
         # two-row range lookups, folded into the full-range lookup so
         # each prefix table is visited exactly once.
         run_starts, run_stops = coalesce_ranges(promoted, promoted + 1)
-        full_starts = np.concatenate([full_starts, run_starts])
-        full_stops = np.concatenate([full_stops, run_stops])
-    counts = grouped.range_group_counts(full_starts, full_stops)
-    sums = (
-        grouped.range_group_sums(full_starts, full_stops) if with_sums else None
-    )
+        lookup_starts = np.concatenate([full_starts, run_starts])
+        lookup_stops = np.concatenate([full_stops, run_stops])
+    counts = grouped.range_group_counts(lookup_starts, lookup_stops)
+    kept_codes = None
     if mixed_span is not None:
         kept_ids = mixed_span[mixed_mask]
         if kept_ids.shape[0]:
@@ -966,16 +1069,26 @@ def grouped_candidates(
             counts = counts + np.bincount(
                 kept_codes, minlength=grouped.n_groups
             ).astype(_I64, copy=False)
-            if with_sums:
-                extra = np.zeros(grouped.n_groups, dtype=grouped.sum_dtype)
-                np.add.at(
-                    extra,
-                    kept_codes,
-                    mixed_values[mixed_mask].astype(
-                        grouped.sum_dtype, copy=False
-                    ),
-                )
-                sums = sums + extra
+    if op == "count":
+        return counts, None
+    if op == "avg" and not lanes_hold(
+        int(counts.sum()), aggregates.max_abs, squares=False
+    ):
+        ids = _qualifying_ids(
+            aggregates, full_starts, full_stops, promoted, mixed_span, mixed_mask
+        )
+        return counts, _exact_group_sums(
+            np.asarray(codes)[ids], values[ids], grouped.n_groups
+        )
+    sums = grouped.range_group_sums(lookup_starts, lookup_stops)
+    if kept_codes is not None:
+        extra = np.zeros(grouped.n_groups, dtype=grouped.sum_dtype)
+        np.add.at(
+            extra,
+            kept_codes,
+            mixed_values[mixed_mask].astype(grouped.sum_dtype, copy=False),
+        )
+        sums = sums + extra
     return counts, sums
 
 

@@ -431,7 +431,7 @@ class ColumnImprints(SecondaryIndex):
             predicate,
             self.cacheline_aggregates,
             self.grouped_aggregates(group_by),
-            with_sums=op != "count",
+            op,
         )
         return group.render(finalize_grouped(op, counts, sums))
 

@@ -37,7 +37,7 @@ Three pieces:
   *starve* a backend — one noisy first measurement (or a model that
   never flatters it) and the cheapest path is never sampled again — so
   each column goes through a short forced-exploration phase first:
-  until every backend has ``explore_count`` observed queries on the
+  until every backend has :data:`EXPLORE_COUNT` observed queries on the
   column, the least-observed one runs next.  (Per *column*, not per
   shape: calibration generalises across shapes, and a rare shape must
   not pay its own exploration tax inside the measured stream.)
@@ -64,6 +64,32 @@ __all__ = [
     "QueryPlanner",
     "predicate_shape",
 ]
+
+#: Tracked ``(column, shape)`` keys; recording a new key past this
+#: evicts the least recently touched one.
+SHAPE_CAPACITY = 256
+
+#: EWMA weight of the newest seconds/selectivity observation.
+EWMA_ALPHA = 0.25
+
+#: A backend's first samples per key that fold in as a running minimum.
+WARMUP = 4
+
+#: EWMA weight of each observed/model ratio in a backend's calibration.
+CALIBRATION_ALPHA = 0.25
+
+#: Observed queries every backend needs on a column before greedy pricing.
+EXPLORE_COUNT = 3
+
+#: Margin a challenger must undercut the shape's incumbent by.
+HYSTERESIS = 0.2
+
+#: Greedy decisions per column between refreshes of stale contenders.
+REFRESH_EVERY = 16
+
+#: A refresh re-measures only contenders priced within this factor of
+#: the winner.
+REFRESH_WITHIN = 2.0
 
 
 def predicate_shape(predicate: RangePredicate) -> tuple:
@@ -140,30 +166,19 @@ class _ShapeRecord:
 class PlanStatistics:
     """Bounded LRU store of observed (column, shape) statistics.
 
-    ``capacity`` bounds the number of tracked keys; recording a new key
-    past the bound evicts the least-recently-touched one (counted in
-    :attr:`evictions`), so a high-cardinality predicate stream cannot
-    grow the store without limit.  ``alpha`` is the EWMA weight of the
-    newest observation.  A backend's first ``warmup`` seconds samples
-    fold in as a running *minimum* before the EWMA takes over —
-    wall-clock noise is additive and one-sided (a scheduler hiccup only
-    ever inflates a sample), so during warm-up the cheapest sample seen
-    is the best estimate of the true cost, and one unlucky sample can
-    never anchor a backend as slow.
+    :data:`SHAPE_CAPACITY` bounds the number of tracked keys; recording
+    a new key past the bound evicts the least-recently-touched one
+    (counted in :attr:`evictions`), so a high-cardinality predicate
+    stream cannot grow the store without limit.  :data:`EWMA_ALPHA` is
+    the EWMA weight of the newest observation.  A backend's first
+    :data:`WARMUP` seconds samples fold in as a running *minimum* before
+    the EWMA takes over — wall-clock noise is additive and one-sided (a
+    scheduler hiccup only ever inflates a sample), so during warm-up the
+    cheapest sample seen is the best estimate of the true cost, and one
+    unlucky sample can never anchor a backend as slow.
     """
 
-    def __init__(
-        self, capacity: int = 256, alpha: float = 0.25, *, warmup: int = 4
-    ) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        if warmup < 1:
-            raise ValueError(f"warmup must be >= 1, got {warmup}")
-        self.capacity = capacity
-        self.alpha = alpha
-        self.warmup = warmup
+    def __init__(self) -> None:
         self.evictions = 0
         self.observations = 0
         self._records: OrderedDict[tuple, _ShapeRecord] = OrderedDict()
@@ -193,7 +208,7 @@ class PlanStatistics:
         if record is None:
             record = _ShapeRecord()
             self._records[(column, shape)] = record
-            while len(self._records) > self.capacity:
+            while len(self._records) > SHAPE_CAPACITY:
                 (evicted_column, _), evicted = self._records.popitem(
                     last=False
                 )
@@ -208,10 +223,11 @@ class PlanStatistics:
                 self.evictions += 1
         return record
 
-    def _ewma(self, old: float | None, new: float) -> float:
+    @staticmethod
+    def _ewma(old: float | None, new: float) -> float:
         if old is None:
             return new
-        return (1.0 - self.alpha) * old + self.alpha * new
+        return (1.0 - EWMA_ALPHA) * old + EWMA_ALPHA * new
 
     def record(
         self,
@@ -237,7 +253,7 @@ class PlanStatistics:
         old = record.seconds.get(backend)
         if old is None:
             record.seconds[backend] = seconds
-        elif n < self.warmup:
+        elif n < WARMUP:
             # Running minimum over the warm-up window: noise only ever
             # inflates a wall-clock sample, so the cheapest sample seen
             # is the estimate — one outlier cannot anchor the backend.
@@ -257,8 +273,8 @@ class PlanStatistics:
             # regime change sustained across batches) pushes through,
             # clamped to 1.5x per update so even two anomalous batches
             # in a row cannot flip a clear winner.
-            alpha = min(0.5, 1.0 - (1.0 - self.alpha) ** weight)
-            alpha *= min(1.0, weight / self.warmup)
+            alpha = min(0.5, 1.0 - (1.0 - EWMA_ALPHA) ** weight)
+            alpha *= min(1.0, weight / WARMUP)
             updated = (1.0 - alpha) * old + alpha * seconds
             record.seconds[backend] = min(updated, 1.5 * old)
         record.counts[backend] = n + weight
@@ -286,39 +302,40 @@ class QueryPlanner:
         (:data:`~repro.sim.cost.DEFAULT_COST_MODEL` unless a test
         injects a deliberately mispriced one).
     statistics:
-        The bounded observation store (a fresh default-sized
-        :class:`PlanStatistics` if omitted).
-    calibration_alpha:
-        EWMA weight of each new observed/model seconds ratio folded
-        into the per-backend calibration factor.
-    explore_count:
-        Minimum number of observed queries every backend must have on a
-        *column* before that column's decisions go greedy on price.
-        Until then :meth:`choose` runs the least-observed backend next
-        (cheapest-first among ties), which guarantees no access path is
-        starved by a mispriced model or one noisy measurement.  The
-        ledger is per column, not per shape: calibration generalises
-        across shapes, so rare shapes ride the column's budget instead
-        of each paying their own.
-    hysteresis:
-        Switching margin for greedy decisions: a challenger must price
-        below ``incumbent * (1 - hysteresis)`` to unseat the shape's
-        incumbent backend.  Near-tied backends differ by less than the
-        measurement noise, and without a margin the decision flips on
-        every noisy batch.
-    refresh_every / refresh_within:
-        The anti-fossilisation valve.  Greedy always runs the winner,
-        so a loser's estimate goes stale — and if the loser is actually
-        the faster path (its samples were unlucky), nothing would ever
-        find out.  Every ``refresh_every``-th greedy decision on a
-        column, every contender priced within ``refresh_within``x of
-        the winner whose newest sample is at least a window old is
-        queued for one fresh measurement (cheapest — most plausible
-        challenger — first), consuming the following decisions.  The
-        price bound caps the overhead: contenders priced out of
-        contention are never re-run, so in steady state the queue is
-        empty or near-empty, while a wrongly-seated incumbent is
-        challenged by every plausible rival within one window.
+        The bounded observation store (a fresh :class:`PlanStatistics`
+        if omitted).
+
+    The tuning is module constants, not options:
+
+    * :data:`CALIBRATION_ALPHA` — EWMA weight of each new
+      observed/model seconds ratio folded into the per-backend
+      calibration factor.
+    * :data:`EXPLORE_COUNT` — minimum number of observed queries every
+      backend must have on a *column* before that column's decisions go
+      greedy on price.  Until then :meth:`choose` runs the
+      least-observed backend next (cheapest-first among ties), which
+      guarantees no access path is starved by a mispriced model or one
+      noisy measurement.  The ledger is per column, not per shape:
+      calibration generalises across shapes, so rare shapes ride the
+      column's budget instead of each paying their own.
+    * :data:`HYSTERESIS` — switching margin for greedy decisions: a
+      challenger must price below ``incumbent * (1 - HYSTERESIS)`` to
+      unseat the shape's incumbent backend.  Near-tied backends differ
+      by less than the measurement noise, and without a margin the
+      decision flips on every noisy batch.
+    * :data:`REFRESH_EVERY` / :data:`REFRESH_WITHIN` — the
+      anti-fossilisation valve.  Greedy always runs the winner, so a
+      loser's estimate goes stale — and if the loser is actually the
+      faster path (its samples were unlucky), nothing would ever find
+      out.  Every ``REFRESH_EVERY``-th greedy decision on a column,
+      every contender priced within ``REFRESH_WITHIN``x of the winner
+      whose newest sample is at least a window old is queued for one
+      fresh measurement (cheapest — most plausible challenger — first),
+      consuming the following decisions.  The price bound caps the
+      overhead: contenders priced out of contention are never re-run,
+      so in steady state the queue is empty or near-empty, while a
+      wrongly-seated incumbent is challenged by every plausible rival
+      within one window.
 
     Thread safety: ``choose``/``observe`` are called from executor
     worker threads concurrently; one lock guards all mutable state.
@@ -328,30 +345,9 @@ class QueryPlanner:
         self,
         model: CostModel = DEFAULT_COST_MODEL,
         statistics: PlanStatistics | None = None,
-        *,
-        calibration_alpha: float = 0.25,
-        explore_count: int = 3,
-        hysteresis: float = 0.2,
-        refresh_every: int = 16,
-        refresh_within: float = 2.0,
     ) -> None:
-        if explore_count < 1:
-            raise ValueError(f"explore_count must be >= 1, got {explore_count}")
-        if not 0.0 <= hysteresis < 1.0:
-            raise ValueError(f"hysteresis must be in [0, 1), got {hysteresis}")
-        if refresh_every < 2:
-            raise ValueError(f"refresh_every must be >= 2, got {refresh_every}")
-        if refresh_within < 1.0:
-            raise ValueError(
-                f"refresh_within must be >= 1.0, got {refresh_within}"
-            )
         self.model = model
         self.statistics = statistics if statistics is not None else PlanStatistics()
-        self.calibration_alpha = calibration_alpha
-        self.explore_count = explore_count
-        self.hysteresis = hysteresis
-        self.refresh_every = refresh_every
-        self.refresh_within = refresh_within
         self._greedy_counts: dict[str, int] = {}
         self._pending_refresh: dict[str, list[str]] = {}
         self._calibration: dict[str, float] = {}
@@ -444,7 +440,7 @@ class QueryPlanner:
         Decision prices per backend: the shape's observed EWMA seconds
         where an observation exists, otherwise the model prediction
         scaled by the backend's calibration factor.  While any backend
-        has fewer than :attr:`explore_count` observed queries on this
+        has fewer than :data:`EXPLORE_COUNT` observed queries on this
         column, the least-observed one runs instead (``source ==
         "explore"``) so greedy pricing cannot starve it.  A column pinned
         via :meth:`force` short-circuits the decision, validated against
@@ -481,7 +477,7 @@ class QueryPlanner:
                 under_observed = [
                     kind
                     for kind in backends
-                    if counts[kind] < self.explore_count
+                    if counts[kind] < EXPLORE_COUNT
                 ]
                 pending = self._pending_refresh.get(name)
                 while pending and pending[0] not in backends:
@@ -501,7 +497,7 @@ class QueryPlanner:
                     if (
                         incumbent is not None
                         and incumbent in decision
-                        and decision[incumbent] * (1.0 - self.hysteresis)
+                        and decision[incumbent] * (1.0 - HYSTERESIS)
                         <= decision[backend]
                     ):
                         backend = incumbent
@@ -511,17 +507,17 @@ class QueryPlanner:
                     self._greedy_counts[name] = (
                         self._greedy_counts.get(name, 0) + 1
                     )
-                    if self._greedy_counts[name] % self.refresh_every == 0:
+                    if self._greedy_counts[name] % REFRESH_EVERY == 0:
                         clock = self.statistics.observations
                         stale = [
                             kind
                             for kind in backends
                             if kind != backend
                             and decision[kind]
-                            <= decision[backend] * self.refresh_within
+                            <= decision[backend] * REFRESH_WITHIN
                             and clock
                             - self.statistics.last_observed(name, kind)
-                            >= self.refresh_every
+                            >= REFRESH_EVERY
                         ]
                         # Cheapest (most plausible challenger) first;
                         # consumed by the following decisions.
@@ -576,7 +572,7 @@ class QueryPlanner:
             if predicted is not None and predicted > 0 and seconds >= 0:
                 ratio = seconds / predicted
                 old = self._calibration.get(choice.backend)
-                alpha = self.calibration_alpha
+                alpha = CALIBRATION_ALPHA
                 self._calibration[choice.backend] = (
                     ratio if old is None else (1.0 - alpha) * old + alpha * ratio
                 )
@@ -597,7 +593,7 @@ class QueryPlanner:
                 },
                 "observations": self.statistics.observations,
                 "tracked_shapes": len(self.statistics),
-                "shape_capacity": self.statistics.capacity,
+                "shape_capacity": SHAPE_CAPACITY,
                 "evictions": self.statistics.evictions,
             }
 

@@ -641,7 +641,7 @@ class SecondaryIndex(ABC):
             group.codes[ids],
             self.column.values[ids],
             group.n_groups,
-            with_sums=op != "count",
+            op,
         )
         return group.render(finalize_grouped(op, counts, sums))
 

@@ -152,13 +152,15 @@ class ChaosIndex:
     # ------------------------------------------------------------------
     # instrumented evaluation entry points
     # ------------------------------------------------------------------
-    def query(self, predicate):
+    def query(self, predicate, **kwargs):
         self._tick()
-        return self._inner.query(predicate)
+        return self._inner.query(predicate, **kwargs)
 
-    def query_batch(self, predicates):
+    def query_batch(self, predicates, **kwargs):
+        # ``backend=`` reaches here from a planner-routed executor,
+        # which sees the wrapped index's ``backends`` through delegation.
         self._tick()
-        return self._inner.query_batch(predicates)
+        return self._inner.query_batch(predicates, **kwargs)
 
     def candidate_ranges(self, predicate):
         self._tick()

@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.storage import CHAR, DOUBLE, INT, LONG, REAL, SHORT, Column
+
+from .oracle import DEEP_PROFILE, PROGRAM_EXAMPLES
+
+# CI runs the program suites ten times deeper under this profile.
+settings.register_profile(DEEP_PROFILE, max_examples=10 * PROGRAM_EXAMPLES)
 
 
 @pytest.fixture

@@ -1,14 +1,16 @@
-"""Aggregate pushdown: per-cacheline pre-aggregates vs NumPy reference.
+"""Aggregate pushdown: per-cacheline pre-aggregates vs the NumPy oracle.
 
 The contract under test: ``index.aggregate(pred, op)`` (and the
 ``sum``/``min``/``max``/``count`` conveniences on every layer —
 ``QueryResult``, ``ColumnImprints``, ``conjunctive_aggregate``,
-``QueryExecutor``) answers **bit-identically to NumPy reference
-aggregation over the forced ids** — across dtypes, appends, saturation
-overlays and empty/all-full selections.  Integer ``SUM`` is exact even
-under 64-bit wraparound (modular addition is associative); float
-``SUM`` is deterministic but reassociated, so it is pinned to a tight
-relative tolerance instead.
+``QueryExecutor``) answers **bit-identically to the NumPy oracle over
+the forced ids** (``tests/oracle.py``) — across dtypes, appends,
+saturation overlays and empty/all-full selections.  Integer ``SUM`` is
+exact even under 64-bit wraparound (modular addition is associative);
+integer moments are exact even where the 64-bit lanes would wrap
+(epoch seconds, nanosecond timestamps); float ``SUM`` is deterministic
+but reassociated, so it is pinned to a tight relative tolerance
+instead.
 """
 
 from __future__ import annotations
@@ -24,70 +26,61 @@ from repro.core import (
     AGGREGATE_OPS,
     CachelineAggregates,
     ColumnImprints,
+    DeltaAwareImprints,
     aggregate_rowset,
     conjunctive_aggregate,
 )
 from repro.core.rowset import RowSet
 from repro.engine import QueryExecutor
+from repro.indexes import SequentialScan, WahBitmapIndex, ZoneMap
 from repro.predicate import RangePredicate
 from repro.storage import Column
 
 from .conftest import column_for_type, make_clustered
+from .oracle import (
+    GROUP_BY,
+    DeltaTarget,
+    ExecutorTarget,
+    IndexTarget,
+    MirrorColumn,
+    assert_agrees,
+    check_all,
+    reduce,
+)
 
 
-def reference(values: np.ndarray, ids: np.ndarray, op: str):
-    """NumPy ground truth over materialised ids."""
-    if op == "count":
-        return int(ids.shape[0])
-    if op == "sum":
-        if ids.shape[0] == 0:
-            return 0.0 if values.dtype.kind == "f" else 0
-        if values.dtype.kind == "f":
-            return float(np.sum(values[ids], dtype=np.float64))
-        return np.sum(values[ids]).item()
-    if ids.shape[0] == 0:
-        return None
-    gathered = values[ids]
-    if op in ("avg", "var", "std"):
-        n = int(ids.shape[0])
-        if values.dtype.kind == "f":
-            acc = gathered.astype(np.float64)
-            total = float(np.sum(acc))
-            total_sq = float(np.sum(acc * acc))
-        else:
-            # Exact big-int sums: integer moments are bit-identical
-            # because Python's int division is correctly rounded.
-            total = int(np.sum(gathered.astype(object)))
-            total_sq = int(np.sum(gathered.astype(object) ** 2))
-        mean = total / n
-        if op == "avg":
-            return float(mean)
-        var = total_sq / n - mean * mean
-        var = var if var > 0.0 else 0.0
-        return float(var) if op == "var" else math.sqrt(var)
-    return gathered.min().item() if op == "min" else gathered.max().item()
+#: (rel, abs) tolerance for the real-valued (normal, random-walk) float
+#: columns below, whose float sums reassociate.
+REAL_VALUED = {
+    "sum": (1e-9, 1e-6),
+    "avg": (1e-9, 1e-6),
+    "var": (1e-6, 1e-6),
+    "std": (1e-6, 1e-6),
+}
 
 
-def check_against_reference(index, predicate, values, exact_sum=True):
-    """Every op of ``index.aggregate`` against the NumPy reference."""
-    ids = np.flatnonzero(predicate.matches(values))
+def check_every_op(index, predicate, mirror: MirrorColumn, tolerance=None) -> None:
+    """Every op of ``index.aggregate`` and its spellings against the oracle."""
     for op in AGGREGATE_OPS:
-        got = index.aggregate(predicate, op)
-        want = reference(values, ids, op)
-        if not exact_sum and op in ("sum", "avg", "var", "std"):
-            if want is None:
-                assert got is None, op
-            else:
-                tol = 1e-9 if op in ("sum", "avg") else 1e-6
-                assert got == pytest.approx(want, rel=tol, abs=1e-6), op
-        else:
-            assert got == want, (op, got, want)
+        want = mirror.aggregate(predicate, op)
+        assert_agrees(index.aggregate(predicate, op), want, op, type(index).__name__, tolerance)
     # The convenience spellings route through the same kernel.
-    assert index.count(predicate) == len(ids)
-    if values.dtype.kind != "f":
-        assert index.sum(predicate) == reference(values, ids, "sum")
-    assert index.min(predicate) == reference(values, ids, "min")
-    assert index.max(predicate) == reference(values, ids, "max")
+    assert index.count(predicate) == mirror.count(predicate)
+    if mirror.values.dtype.kind != "f":
+        assert index.sum(predicate) == mirror.aggregate(predicate, "sum")
+    assert index.min(predicate) == mirror.aggregate(predicate, "min")
+    assert index.max(predicate) == mirror.aggregate(predicate, "max")
+
+
+def wide_moments(case: str) -> np.ndarray:
+    """Columns whose 64-bit moment lanes wrap: int32 epoch seconds
+    (the squares lane: var read 0.0, exact ~8.3e14) and int64
+    nanosecond timestamps (the sum lane: avg read -5.0e14, exact
+    ~1.7e18)."""
+    rng = np.random.default_rng(59)
+    if case == "epoch-seconds":
+        return (1_700_000_000 + rng.integers(0, 100_000_000, 3_000)).astype(np.int32)
+    return 1_700_000_000 * 10**9 + rng.integers(0, 10**15, 3_000, dtype=np.int64)
 
 
 # ----------------------------------------------------------------------
@@ -182,7 +175,7 @@ class TestAggregateRowset:
         )
         for op in AGGREGATE_OPS:
             got = aggregate_rowset(rowset, values, op, aggs)
-            assert got == reference(values, sorted_ids, op), op
+            assert got == reduce(values[sorted_ids], op), op
             # The no-sidecar fallback agrees too.
             assert got == aggregate_rowset(rowset, values, op, None), op
 
@@ -219,12 +212,11 @@ class TestIndexAggregates:
         column = column_for_type(any_ctype, n=5_000)
         index = ColumnImprints(column)
         rng = np.random.default_rng(17)
+        mirror = MirrorColumn(column.values)
+        tolerance = REAL_VALUED if column.ctype.is_float else None
         for _ in range(25):
             predicate = random_predicate(column.values, column.ctype, rng)
-            check_against_reference(
-                index, predicate, column.values,
-                exact_sum=not column.ctype.is_float,
-            )
+            check_every_op(index, predicate, mirror, tolerance)
 
     def test_appends_and_saturation_overlay(self):
         rng = np.random.default_rng(23)
@@ -234,13 +226,13 @@ class TestIndexAggregates:
         predicate = RangePredicate.range(
             int(values.min()) + 50, int(np.median(values)), column.ctype
         )
-        check_against_reference(index, predicate, index.column.values)
+        check_every_op(index, predicate, MirrorColumn(index.column.values))
         for round_ in range(4):
             index.append(rng.integers(-2_000, 30_000, 271, dtype=np.int32))
             for _ in range(20):
                 victim = int(rng.integers(0, len(index.column)))
                 index.note_update(victim, int(rng.integers(-2_000, 30_000)))
-            check_against_reference(index, predicate, index.column.values)
+            check_every_op(index, predicate, MirrorColumn(index.column.values))
 
     def test_empty_and_all_full_selections(self):
         values = make_clustered(2_048, np.int32, seed=4)
@@ -274,14 +266,49 @@ class TestIndexAggregates:
         values = np.cumsum(rng.normal(0.0, 3.0, 5_000))
         column = Column(values, name="t.float")
         index = ColumnImprints(column)
+        mirror = MirrorColumn(values)
         for _ in range(20):
             predicate = random_predicate(values, column.ctype, rng)
-            ids = np.flatnonzero(predicate.matches(values))
-            assert index.aggregate(predicate, "min") == reference(values, ids, "min")
-            assert index.aggregate(predicate, "max") == reference(values, ids, "max")
+            assert index.aggregate(predicate, "min") == mirror.aggregate(predicate, "min")
+            assert index.aggregate(predicate, "max") == mirror.aggregate(predicate, "max")
             got = index.aggregate(predicate, "sum")
-            want = reference(values, ids, "sum")
+            want = mirror.aggregate(predicate, "sum")
             assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-6)
+
+
+# ----------------------------------------------------------------------
+# wide integers: the moment lanes' bound, at every layer
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("case", ["epoch-seconds", "ns-timestamps"])
+def test_wide_integer_moments_are_exact_at_every_layer(case):
+    """Moments divide exact totals whatever the lanes hold, SUM wraps:
+    pushdown, grouped, ``QueryResult.aggregate``, the baselines, a
+    delta-aware index with a pending append, and the executor."""
+    values = wide_moments(case)
+    column = Column(values, name=f"t.{case}")
+    mirror = MirrorColumn(values)
+    indexes = [ColumnImprints(column), ZoneMap(column), SequentialScan(column)]
+    indexes.append(WahBitmapIndex(column))
+    for index in indexes:
+        index.attach_group_column(GROUP_BY, mirror.codes.copy())
+    delta = DeltaAwareImprints(column, consolidate_threshold=1.0)
+    delta_mirror = MirrorColumn(values)
+    delta.append(delta_mirror.append(values[:3])[0])
+    middle = np.sort(values)[[300, 2_600]]
+    with QueryExecutor({"c": indexes[0]}) as executor:
+        targets = [IndexTarget(type(index).__name__, index) for index in indexes]
+        targets.append(ExecutorTarget("executor", executor, "c"))
+        for predicate in (
+            RangePredicate.everything(),
+            RangePredicate.range(int(middle[0]), int(middle[1]), mirror.ctype),
+        ):
+            check_all(mirror, targets, predicate)
+            check_all(delta_mirror, [DeltaTarget("delta", delta)], predicate)
+            result = indexes[0].query(predicate)
+            aggs = indexes[0].cacheline_aggregates
+            for op in AGGREGATE_OPS:
+                want = mirror.aggregate(predicate, op)
+                assert result.aggregate(op, values, aggs) == want, op
 
 
 # ----------------------------------------------------------------------
@@ -296,15 +323,15 @@ class TestAggregateConsumers:
             int(values.min()) + 10, int(np.median(values)), column.ctype
         )
         result = index.query(predicate)
-        ids = np.flatnonzero(predicate.matches(values))
+        mirror = MirrorColumn(values)
         aggs = index.cacheline_aggregates
-        assert result.sum(values, aggs) == reference(values, ids, "sum")
-        assert result.min(values, aggs) == reference(values, ids, "min")
-        assert result.max(values, aggs) == reference(values, ids, "max")
+        assert result.sum(values, aggs) == mirror.aggregate(predicate, "sum")
+        assert result.min(values, aggs) == mirror.aggregate(predicate, "min")
+        assert result.max(values, aggs) == mirror.aggregate(predicate, "max")
         # The sidecar path never forced the id array.
         assert not result.is_materialized
         # Without a sidecar the answers still agree (gather fallback).
-        assert result.sum(values) == reference(values, ids, "sum")
+        assert result.sum(values) == mirror.aggregate(predicate, "sum")
 
     def test_conjunctive_aggregate_matches_reference(self):
         rng = np.random.default_rng(41)
@@ -316,13 +343,13 @@ class TestAggregateConsumers:
             int(a.min()), int(np.median(a)), ix_a.column.ctype
         )
         pred_b = RangePredicate.range(100, 600, ix_b.column.ctype)
-        both = np.flatnonzero(pred_a.matches(a) & pred_b.matches(b))
+        both = pred_a.matches(a) & pred_b.matches(b)
         for target, values in ((0, a), (1, b)):
             for op in AGGREGATE_OPS:
                 got = conjunctive_aggregate(
                     [ix_a, ix_b], [pred_a, pred_b], op, target=target
                 )
-                assert got == reference(values, both, op), (op, target)
+                assert got == reduce(values[both], op), (op, target)
 
     def test_executor_aggregate_caches_scalars(self):
         values = make_clustered(3_000, np.int32, seed=9)
@@ -331,9 +358,8 @@ class TestAggregateConsumers:
             predicate = executor.predicate(
                 "col", int(values.min()), int(np.median(values))
             )
-            ids = np.flatnonzero(predicate.matches(values))
             first = executor.aggregate("col", predicate, "sum")
-            assert first == reference(values, ids, "sum")
+            assert first == MirrorColumn(values).aggregate(predicate, "sum")
             misses = executor.stats.cache_misses
             again = executor.aggregate("col", predicate, "sum")
             assert again == first
@@ -342,10 +368,9 @@ class TestAggregateConsumers:
             executor.index("col").append(
                 np.array([10**6], dtype=np.int32)
             )
-            current = executor.index("col").column.values
-            fresh_ids = np.flatnonzero(predicate.matches(current))
-            assert executor.aggregate("col", predicate, "sum") == reference(
-                current, fresh_ids, "sum"
+            current = MirrorColumn(executor.index("col").column.values)
+            assert executor.aggregate("col", predicate, "sum") == current.aggregate(
+                predicate, "sum"
             )
 
     def test_executor_aggregate_none_is_cacheable(self):
@@ -358,23 +383,19 @@ class TestAggregateConsumers:
             assert ex.stats.cache_misses == misses
 
     def test_baseline_indexes_share_the_contract(self):
-        from repro.indexes import SequentialScan, ZoneMap
-
         values = make_clustered(2_000, np.int32, seed=14)
         column = Column(values, name="t.base")
         predicate = RangePredicate.range(
             int(values.min()) + 5, int(np.median(values)), column.ctype
         )
-        ids = np.flatnonzero(predicate.matches(values))
+        mirror = MirrorColumn(values)
         for index in (ZoneMap(column), SequentialScan(column)):
             for op in AGGREGATE_OPS:
-                assert index.aggregate(predicate, op) == reference(
-                    values, ids, op
+                assert index.aggregate(predicate, op) == mirror.aggregate(
+                    predicate, op
                 ), (type(index).__name__, op)
 
     def test_delta_aware_aggregates_over_logical_column(self):
-        from repro.core import DeltaAwareImprints
-
         rng = np.random.default_rng(43)
         values = make_clustered(2_000, np.int32, seed=15)
         index = DeltaAwareImprints(
@@ -383,21 +404,15 @@ class TestAggregateConsumers:
         predicate = RangePredicate.range(
             int(values.min()), int(np.median(values)), index.column.ctype
         )
-        index.append(rng.integers(-1_000, 40_000, 150, dtype=np.int32))
-        index.update(7, -123)
-        index.delete(11)
-        result = index.query(predicate)
-        logical = index.values_at(result.ids)
-        assert index.aggregate(predicate, "count") == result.count()
-        assert index.aggregate(predicate, "sum") == (
-            np.sum(logical).item() if logical.size else 0
-        )
-        assert index.aggregate(predicate, "min") == (
-            logical.min().item() if logical.size else None
-        )
-        assert index.aggregate(predicate, "max") == (
-            logical.max().item() if logical.size else None
-        )
+        mirror = MirrorColumn(values)
+        appended = rng.integers(-1_000, 40_000, 150, dtype=np.int32)
+        for index_or_mirror in (index, mirror):
+            index_or_mirror.append(appended)
+            index_or_mirror.update(7, -123)
+            index_or_mirror.delete(11)
+        assert index.query(predicate).count() == mirror.count(predicate)
+        for op in AGGREGATE_OPS:
+            assert index.aggregate(predicate, op) == mirror.aggregate(predicate, op), op
 
 
 # ----------------------------------------------------------------------

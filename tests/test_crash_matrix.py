@@ -8,13 +8,15 @@ policy, reboots onto the surviving bytes, and demands:
 
 * **reopen never raises** — recovery handles every surviving state;
 * **no wrong answers** — the recovered logical column equals the NumPy
-  oracle after exactly ``k`` mutations, where ``k`` is the number of
-  acknowledged mutations or one more (the in-flight one may have become
-  durable before the kill; it must survive whole or not at all);
+  oracle (``tests/oracle.py``) after exactly ``k`` mutations, where
+  ``k`` is the number of acknowledged mutations or one more (the
+  in-flight one may have become durable before the kill; it must
+  survive whole or not at all);
 * **no unreadable columns** — with honest fsyncs, nothing the catalog
   references can be torn, so quarantine never triggers;
-* **the recovered store serves and accepts writes** — queries agree
-  with the oracle and a post-recovery append lands.
+* **the recovered store serves and accepts writes** — ids, pages,
+  first pages and aggregates agree with the oracle and a
+  post-recovery append lands.
 
 A second, weaker matrix drops every fsync (the disk lies): then even
 acknowledged mutations may vanish, but the recovered state must still
@@ -24,6 +26,8 @@ be *some* prefix of the history — never a torn or interleaved state.
 import numpy as np
 import pytest
 
+from repro.predicate import RangePredicate
+from repro.storage import INT
 from repro.storage.durability import (
     DurableStore,
     FaultConfig,
@@ -32,6 +36,8 @@ from repro.storage.durability import (
     PENDING_POLICIES,
     SimulatedCrash,
 )
+
+from .oracle import DeltaTarget, MirrorColumn, check_all
 
 BASE = np.arange(32, dtype=np.int32)
 
@@ -50,34 +56,8 @@ SCHEDULE = (
 )
 
 
-def oracle_states():
-    """The logical column after each schedule prefix (index = #steps)."""
-    values, deleted = list(BASE), set()
-    states = [np.asarray(values, dtype=np.int32)]
-    for kind, payload in SCHEDULE:
-        if kind == "append":
-            values = values + [int(v) for v in payload]
-        elif kind == "update":
-            row, value = payload
-            values = list(values)
-            values[row] = value
-        elif kind == "delete":
-            deleted = deleted | {payload}
-        else:
-            # checkpoint: deleted rows are compacted away, so later
-            # mutations address the post-compaction id space
-            values = [v for i, v in enumerate(values) if i not in deleted]
-            deleted = set()
-        states.append(
-            np.asarray(
-                [v for i, v in enumerate(values) if i not in deleted],
-                dtype=np.int32,
-            )
-        )
-    return states
-
-
-STATES = oracle_states()
+#: The oracle after each schedule prefix (index = #steps).
+STATES = MirrorColumn.states(BASE, SCHEDULE)
 
 
 def run_schedule(fs):
@@ -119,20 +99,20 @@ def recovered_values(store) -> np.ndarray:
     return np.asarray(store.index("x").delta.materialize().values)
 
 
-def check_answers_match_oracle(store) -> None:
-    """One range query, cross-checked value by value against NumPy."""
+def check_answers_match_oracle(store, allowed) -> None:
+    """The store answers as the oracle state it recovered to: ids, page
+    walks, first pages and every aggregate, over two predicates."""
     index = store.index("x")
-    lo, hi = 2, 104
-    result = index.query_range(lo, hi)
-    answered = np.asarray(index.values_at(result.ids))
-    assert bool(np.all((answered >= lo) & (answered < hi))), (
-        "a recovered query returned an id whose value fails the predicate"
-    )
-    materialized = recovered_values(store)
-    expected_count = int(np.sum((materialized >= lo) & (materialized < hi)))
-    assert len(result.ids) == expected_count, (
-        "a recovered query missed or duplicated qualifying rows"
-    )
+    got = recovered_values(store)
+    states = [
+        state
+        for state in allowed
+        if np.array_equal(got, state.logical) and state.values.shape[0] == index.n_rows
+    ]
+    assert states, "the recovered id space matches no acknowledged prefix"
+    target = DeltaTarget("recovered", index)
+    for predicate in (RangePredicate.range(2, 104, INT), RangePredicate.everything()):
+        check_all(states[0], [target], predicate)
 
 
 def total_ops() -> int:
@@ -163,22 +143,24 @@ def test_every_crash_point_recovers_to_an_acknowledged_prefix(pending):
             # Killed before the column creation committed: the store is
             # either empty or holds the pristine base — nothing else.
             if "x" in store.indexes:
-                assert np.array_equal(recovered_values(store), STATES[0]), (
+                assert np.array_equal(recovered_values(store), STATES[0].logical), (
                     f"{label}: a half-created column surfaced"
                 )
             continue
         allowed = [STATES[completed]]
-        if in_flight is not None and in_flight != "checkpoint":
+        if in_flight is not None:
             # An interrupted mutation is allowed to have reached the
             # disk whole (frame written and synced, crash before the
-            # in-memory apply returned) — but only whole.
+            # in-memory apply returned) — but only whole.  An
+            # interrupted checkpoint changes no logical row, only
+            # whether the deleted ones are compacted yet.
             allowed.append(STATES[completed + 1])
         got = recovered_values(store)
-        assert any(np.array_equal(got, state) for state in allowed), (
+        assert any(np.array_equal(got, state.logical) for state in allowed), (
             f"{label}: recovered state matches no acknowledged prefix "
             f"(completed={completed}, in_flight={in_flight})"
         )
-        check_answers_match_oracle(store)
+        check_answers_match_oracle(store, allowed)
         # the recovered store is live: a fresh durable append lands
         store.append("x", [999])
         assert recovered_values(store)[-1] == 999
@@ -189,8 +171,8 @@ def test_clean_run_reaches_the_final_state():
     completed, _ = run_schedule(fs)
     assert completed == len(SCHEDULE)
     store = reopen(fs.survivor())
-    assert np.array_equal(recovered_values(store), STATES[-1])
-    check_answers_match_oracle(store)
+    assert np.array_equal(recovered_values(store), STATES[-1].logical)
+    check_answers_match_oracle(store, STATES[-1:])
 
 
 def test_dropped_fsyncs_weaken_to_prefix_consistency():
@@ -219,6 +201,6 @@ def test_dropped_fsyncs_weaken_to_prefix_consistency():
         if "x" not in store.indexes or "x" in store.quarantined:
             continue  # losing the column entirely is a legal prefix (k=0-)
         got = recovered_values(store)
-        assert any(np.array_equal(got, state) for state in STATES), (
+        assert any(np.array_equal(got, state.logical) for state in STATES), (
             f"{label}: recovered state is not a prefix of history"
         )

@@ -1,11 +1,11 @@
 """Directed tests for the dashboard lanes: GROUP BY, top-k, the study.
 
 The fuzz differential (``test_fuzz_differential.py``) exercises the
-grouped/moment/top-k surface against a NumPy oracle under random
-programs; this file pins the directed contracts — sidecar prefix
-tables, append/update maintenance, domain widening across layers,
-label rendering, pruning, the smoke-size study, and the
-dashboard gate row.
+grouped/moment/top-k surface against the NumPy oracle
+(``tests/oracle.py``) under random programs; this file pins the
+directed contracts — sidecar prefix tables, append/update maintenance,
+domain widening across layers, label rendering, pruning, the
+smoke-size study, and the dashboard gate row.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from repro.predicate import RangePredicate
 from repro.storage import Column, GroupColumn
 
 from .conftest import make_clustered
+from .oracle import MirrorColumn
 
 
 def _pred(index, low, high):
@@ -35,20 +36,6 @@ def _make_indexed(n=20_000, seed=3, n_groups=4):
     index = ColumnImprints(column)
     index.attach_group_column("g", GroupColumn.from_codes(codes, n_groups))
     return values, codes, index
-
-
-def _oracle_grouped(values, codes, mask, op):
-    out = {}
-    for code in np.unique(codes[mask]):
-        member = values[mask & (codes == code)]
-        n = member.shape[0]
-        if op == "count":
-            out[int(code)] = n
-        elif op == "sum":
-            out[int(code)] = int(np.sum(member.astype(object)))
-        else:
-            out[int(code)] = int(np.sum(member.astype(object))) / n
-    return out
 
 
 def _make_huge_int64(n=4_003, seed=5, n_groups=4):
@@ -95,10 +82,10 @@ class TestGroupedSidecar:
         values, codes, index = _make_indexed()
         low, high = int(np.percentile(values, 20)), int(np.percentile(values, 70))
         predicate = _pred(index, low, high)
-        mask = (values >= low) & (values < high)
+        mirror = MirrorColumn(values, codes=codes)
         for op in ("count", "sum", "avg"):
-            assert index.aggregate_grouped(predicate, op, "g") == _oracle_grouped(
-                values, codes, mask, op
+            assert index.aggregate_grouped(predicate, op, "g") == mirror.grouped(
+                predicate, op
             )
 
     def test_empty_answer_is_empty_dict(self):
@@ -131,14 +118,14 @@ class TestGroupedSidecar:
         )
         index.append(fresh_values)
         index.append_group("g", codes=fresh_codes)
-        all_values = np.concatenate([values, fresh_values])
-        all_codes = np.concatenate([codes, fresh_codes])
-        low = int(np.percentile(all_values, 10))
-        high = int(np.percentile(all_values, 90))
-        predicate = _pred(index, low, high)
-        want = _oracle_grouped(
-            all_values, all_codes, (all_values >= low) & (all_values < high), "sum"
+        mirror = MirrorColumn(
+            np.concatenate([values, fresh_values]),
+            codes=np.concatenate([codes, fresh_codes]),
         )
+        low = int(np.percentile(mirror.values, 10))
+        high = int(np.percentile(mirror.values, 90))
+        predicate = _pred(index, low, high)
+        want = mirror.grouped(predicate, "sum")
         assert index.aggregate_grouped(predicate, "sum", "g") == want
         with QueryExecutor({"col": index}) as executor:
             assert executor.aggregate_grouped("col", predicate, "sum", "g") == want
@@ -147,14 +134,11 @@ class TestGroupedSidecar:
         values, codes, index = _make_indexed()
         target = int(np.argmax(values))
         index.note_update(target, int(values.min()) - 5)
-        mirror = values.copy()
-        mirror[target] = int(values.min()) - 5
-        low = int(mirror.min())
-        high = int(np.median(mirror))
-        predicate = _pred(index, low, high)
-        mask = (mirror >= low) & (mirror < high)
-        assert index.aggregate_grouped(predicate, "sum", "g") == _oracle_grouped(
-            mirror, codes, mask, "sum"
+        mirror = MirrorColumn(values, codes=codes)
+        mirror.update(target, int(values.min()) - 5)
+        predicate = _pred(index, int(mirror.values.min()), int(np.median(mirror.values)))
+        assert index.aggregate_grouped(predicate, "sum", "g") == mirror.grouped(
+            predicate, "sum"
         )
 
     def test_misaligned_group_column_is_a_clear_error(self):
@@ -180,8 +164,7 @@ class TestTopK:
         low = int(np.percentile(values, 30))
         high = int(np.percentile(values, 80))
         predicate = _pred(index, low, high)
-        selected = values[(values >= low) & (values < high)]
-        want = [int(v) for v in np.sort(selected)[::-1][:25]]
+        want = MirrorColumn(values).top_k(predicate, 25)
         assert index.top_k(predicate, 25) == want
         with QueryExecutor({"col": index}) as executor:
             assert executor.top_k("col", predicate, 25) == want

@@ -3,15 +3,16 @@
 The self-tuning planner may route any predicate to any backend at any
 time, recalibrate its cost model mid-stream, and be overridden by a
 forced plan per column.  None of that may ever change an answer:
-this suite replays randomised programs (build → query → append →
-update → re-query, over random dtypes and selectivities) through every
-backend and through the planner-routed executor, holding
-the serial imprints index as the oracle:
+this suite replays random programs (:func:`tests.oracle.programs`:
+queries, aggregates, GROUP BY, top-k, appends, overlay updates and
+deletes over random dtypes and magnitudes) through the planner-routed
+executor and through every backend, holding the NumPy mirror as the
+oracle:
 
-* the planner's answers are bit-identical to imprints no matter which
-  plan it picked;
+* the planner's answers equal the oracle's no matter which plan it
+  picked;
 * every backend, forced through ``MultiBackendIndex.query(backend=)``,
-  agrees with the oracle after every append and update;
+  agrees with the oracle after every write;
 * recalibration (even from wildly mispriced models) changes only
   pricing and timings, never ids;
 * the feedback loop converges away from a mispriced backend within a
@@ -23,10 +24,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, note, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ColumnImprints
 from repro.engine import (
     MultiBackendIndex,
     PlanStatistics,
@@ -34,126 +34,29 @@ from repro.engine import (
     QueryPlanner,
     predicate_shape,
 )
+from repro.engine import planner as planner_module
 from repro.bench.regression import gate
+from repro.core import ColumnImprints
 from repro.indexes import SequentialScan
 from repro.predicate import RangePredicate
 from repro.sim import CostModel
-from repro.storage import DOUBLE, INT, LONG, SHORT, Column
+from repro.storage import DOUBLE, INT, LONG, Column
 
-_LOW, _HIGH = -5_000, 5_000
-
-_CTYPES = {
-    "short": (SHORT, np.int16),
-    "int": (INT, np.int32),
-    "long": (LONG, np.int64),
-    "double": (DOUBLE, np.float64),
-}
-
-values_st = st.lists(
-    st.integers(min_value=_LOW, max_value=_HIGH), min_size=1, max_size=80
-)
-
-# Program steps: queries carry raw bounds (width draws span the whole
-# selectivity spectrum, from point lookups to near-full ranges); ids are
-# fractions of the live column length so they stay valid as it grows.
-step_st = st.one_of(
-    st.tuples(
-        st.just("query"),
-        st.integers(_LOW, _HIGH),
-        st.integers(0, 14),  # log2-ish width selector
-    ),
-    st.tuples(st.just("append"), values_st),
-    st.tuples(
-        st.just("update"),
-        st.floats(0.0, 1.0, allow_nan=False),
-        st.integers(_LOW, _HIGH),
-    ),
-)
-
-
-def _predicate(low: int, width_mag: int, ctype) -> RangePredicate:
-    width = 2**width_mag
-    return RangePredicate.range(low, low + width, ctype)
-
-
-def _oracle_ids(mirror: np.ndarray, pred: RangePredicate) -> np.ndarray:
-    return np.flatnonzero(pred.matches(mirror)).astype(np.int64)
+from .oracle import ExecutorTarget, ForcedPlan, program_settings, programs, run_program
 
 
 class TestRandomizedPrograms:
-    @given(
-        dtype=st.sampled_from(sorted(_CTYPES)),
-        seed_values=st.lists(
-            st.integers(_LOW, _HIGH), min_size=8, max_size=250
-        ),
-        steps=st.lists(step_st, min_size=1, max_size=7),
-    )
-    @settings(
-        max_examples=40,
-        deadline=None,
-        print_blob=True,
-        suppress_health_check=[
-            HealthCheck.too_slow,
-            HealthCheck.data_too_large,
-        ],
-    )
-    def test_planner_agrees_with_oracle_and_forced_plans_pairwise(
-        self, dtype, seed_values, steps
-    ):
+    @program_settings
+    @given(program=programs())
+    def test_planner_agrees_with_oracle_and_forced_plans_pairwise(self, program):
         """The headline property: plan choice never changes answers."""
-        ctype, np_dtype = _CTYPES[dtype]
-        mirror = np.array(seed_values, dtype=np_dtype)
-        oracle = ColumnImprints(Column(mirror.copy(), ctype=ctype, name="o"))
-        multi = MultiBackendIndex.for_column(
-            Column(mirror.copy(), ctype=ctype, name="m")
-        )
-        planner = QueryPlanner()
-        executor = QueryExecutor({"col": multi}, planner=planner)
-        kinds = sorted(multi.backends)
+        multi = MultiBackendIndex.for_column(program.column("m"))
+        mirror = program.plain_mirror([multi])
+        executor = QueryExecutor({"col": multi}, planner=QueryPlanner())
+        targets = [ExecutorTarget("planner", executor, "col")]
+        targets += [ForcedPlan(multi, backend) for backend in sorted(multi.backends)]
         try:
-            for step in steps:
-                note(f"step: {step}")
-                kind = step[0]
-                if kind == "query":
-                    _, low, width_mag = step
-                    pred = _predicate(low, width_mag, ctype)
-                    expected = _oracle_ids(mirror, pred)
-                    assert np.array_equal(
-                        oracle.query(pred).ids, expected
-                    ), "oracle self-check"
-                    # Planner-routed: whatever plan it picks.
-                    routed = executor.query("col", pred)
-                    assert np.array_equal(routed.ids, expected), "planner"
-                    # Forced plans: every backend, pairwise identical.
-                    for forced in kinds:
-                        forced_result = multi.query(pred, backend=forced)
-                        assert np.array_equal(
-                            forced_result.ids, expected
-                        ), f"forced {forced}"
-                        assert forced_result.count() == expected.shape[0]
-                elif kind == "append":
-                    _, raw = step
-                    fresh = np.array(raw, dtype=np_dtype)
-                    mirror = np.concatenate([mirror, fresh])
-                    oracle.append(fresh)
-                    multi.append(fresh)
-                elif kind == "update":
-                    _, fraction, raw = step
-                    position = min(
-                        int(fraction * mirror.shape[0]), mirror.shape[0] - 1
-                    )
-                    value = np_dtype(raw)
-                    mirror[position] = value
-                    oracle.note_update(position, value)
-                    multi.note_update(position, value)
-            # Trailing mutations always get one full re-check.
-            pred = RangePredicate.range(_LOW, _HIGH, ctype)
-            expected = _oracle_ids(mirror, pred)
-            assert np.array_equal(executor.query("col", pred).ids, expected)
-            for forced in kinds:
-                assert np.array_equal(
-                    multi.query(pred, backend=forced).ids, expected
-                ), f"forced {forced} after mutations"
+            run_program(program, mirror, targets, [multi])
         finally:
             executor.close()
 
@@ -167,11 +70,11 @@ class TestRandomizedPrograms:
     ):
         """Two planners with wildly different models agree on every id."""
         rng = np.random.default_rng(seed)
-        values = rng.integers(_LOW, _HIGH, size=4_000).astype(np.int32)
+        values = rng.integers(-5_000, 5_000, size=4_000).astype(np.int32)
         preds = [
             RangePredicate.range(int(lo), int(lo) + int(width), INT)
             for lo, width in zip(
-                rng.integers(_LOW, _HIGH, size=12),
+                rng.integers(-5_000, 5_000, size=12),
                 rng.integers(1, 8_000, size=12),
             )
         ]
@@ -194,24 +97,24 @@ class TestRandomizedPrograms:
             assert np.array_equal(first, second)
 
 
-class TestFeedbackLoop:
-    def _mispricing_planner(self) -> tuple[QueryPlanner, dict]:
-        """A planner whose model adores a backend that is slow in practice."""
-        column = Column(
-            np.arange(20_000, dtype=np.int64) % 97, ctype=LONG, name="f"
-        )
-        multi = MultiBackendIndex.for_column(column)
-        planner = QueryPlanner(calibration_alpha=0.5)
-        return planner, multi.backends
+@pytest.fixture
+def mispricing(monkeypatch) -> tuple[QueryPlanner, dict]:
+    """A planner whose model adores a backend that is slow in practice,
+    recalibrating twice as fast as the default."""
+    monkeypatch.setattr(planner_module, "CALIBRATION_ALPHA", 0.5)
+    column = Column(np.arange(20_000, dtype=np.int64) % 97, ctype=LONG, name="f")
+    return QueryPlanner(), MultiBackendIndex.for_column(column).backends
 
-    def test_converges_away_from_mispriced_backend(self):
+
+class TestFeedbackLoop:
+    def test_converges_away_from_mispriced_backend(self, mispricing):
         """Closed loop: the model's favourite is slow in practice (10 ms
         a batch; everything else runs in 1 ms).  Exploration samples
         every backend, then greedy pricing must settle away from the
         favourite and *stay* there — the satellite-3 convergence bound:
-        settled within ``4 * explore_count + 4`` rounds, sticky for the
+        settled within ``4 * EXPLORE_COUNT + 4`` rounds, sticky for the
         next five."""
-        planner, backends = self._mispricing_planner()
+        planner, backends = mispricing
         pred = RangePredicate.range(10, 20, LONG)
         mispriced = planner.choose("f", backends, pred).backend
 
@@ -223,7 +126,7 @@ class TestFeedbackLoop:
             )
             return choice.backend
 
-        bound = 4 * planner.explore_count + 4
+        bound = 4 * planner_module.EXPLORE_COUNT + 4
         for _ in range(bound):
             run_round()
         settled = [run_round() for _ in range(5)]
@@ -236,51 +139,52 @@ class TestFeedbackLoop:
         # observed/model calibration factor must have inflated.
         assert planner.calibration(mispriced) > 1.0
 
-    def test_exploration_samples_every_backend(self):
+    def test_exploration_samples_every_backend(self, mispricing):
         """Before going greedy, the planner runs every backend
-        ``explore_count`` times per shape — no access path can be
+        ``EXPLORE_COUNT`` times per shape — no access path can be
         starved by a mispriced model or one noisy first measurement."""
-        planner, backends = self._mispricing_planner()
+        planner, backends = mispricing
+        explore = planner_module.EXPLORE_COUNT
         pred = RangePredicate.range(10, 20, LONG)
         chosen: list[str] = []
-        for _ in range(len(backends) * planner.explore_count):
+        for _ in range(len(backends) * explore):
             choice = planner.choose("f", backends, pred)
             assert choice.source == "explore"
             planner.observe("f", choice, seconds=1e-3, selectivity=0.1)
             chosen.append(choice.backend)
         assert {
             kind: chosen.count(kind) for kind in backends
-        } == {kind: planner.explore_count for kind in backends}
+        } == {kind: explore for kind in backends}
         # Exploration budget spent: decisions ride the observations now.
         assert planner.choose("f", backends, pred).source == "observed"
 
-    def test_observed_shape_statistics_beat_the_model(self):
+    def test_observed_shape_statistics_beat_the_model(self, mispricing):
         """Once every backend has its exploration observations,
         decisions ride the observed EWMAs — a backend measured fastest
         wins even if the model disagrees."""
-        planner, backends = self._mispricing_planner()
+        planner, backends = mispricing
         pred = RangePredicate.range(10, 20, LONG)
         shape = predicate_shape(pred)
         # Seed the full exploration budget per backend directly: scan
         # measured fastest by 1000x.
         for kind in backends:
             seconds = 1e-6 if kind == "scan" else 1e-3
-            for _ in range(planner.explore_count):
+            for _ in range(planner_module.EXPLORE_COUNT):
                 planner.statistics.record("f", shape, kind, seconds, 0.1)
         choice = planner.choose("f", backends, pred)
         assert choice.source == "observed"
         assert choice.backend == "scan"
 
-    def test_hysteresis_damps_near_tie_flapping(self):
+    def test_hysteresis_damps_near_tie_flapping(self, mispricing):
         """Near-tied backends differ by less than the measurement
         noise: the incumbent must hold unless a challenger undercuts
         it by the hysteresis margin — no per-batch flip-flopping."""
-        planner, backends = self._mispricing_planner()
+        planner, backends = mispricing
         pred = RangePredicate.range(10, 20, LONG)
         shape = predicate_shape(pred)
         for kind in backends:
             seconds = 100e-6 if kind == "zonemap" else 1e-3
-            for _ in range(planner.explore_count):
+            for _ in range(planner_module.EXPLORE_COUNT):
                 planner.statistics.record("f", shape, kind, seconds, 0.1)
         assert planner.choose("f", backends, pred).backend == "zonemap"
         # A challenger edging ahead inside the margin does not unseat.
@@ -294,15 +198,19 @@ class TestFeedbackLoop:
         record.seconds["zonemap"] = 38e-6
         assert planner.choose("f", backends, pred).backend == "imprints"
 
-    def test_periodic_refresh_rescues_a_wrongly_benched_backend(self):
+    def test_periodic_refresh_rescues_a_wrongly_benched_backend(
+        self, monkeypatch
+    ):
         """Anti-fossilisation: a backend whose early samples were
         unlucky (measured slow, actually fast) must be re-measured
         within one refresh window and win the seat back."""
+        monkeypatch.setattr(planner_module, "REFRESH_EVERY", 4)
+        monkeypatch.setattr(planner_module, "REFRESH_WITHIN", 10.0)
         column = Column(
             np.arange(20_000, dtype=np.int64) % 97, ctype=LONG, name="f"
         )
         multi = MultiBackendIndex.for_column(column)
-        planner = QueryPlanner(refresh_every=4, refresh_within=10.0)
+        planner = QueryPlanner()
         backends = multi.backends
         pred = RangePredicate.range(10, 20, LONG)
         shape = predicate_shape(pred)
@@ -310,10 +218,10 @@ class TestFeedbackLoop:
         # the seated winner honestly costs 1 ms.
         for kind in backends:
             seconds = 5e-3 if kind == "scan" else 1e-3
-            for _ in range(planner.explore_count):
+            for _ in range(planner_module.EXPLORE_COUNT):
                 planner.statistics.record("f", shape, kind, seconds, 0.1)
         refreshed, greedy = [], []
-        for _ in range(10 * planner.refresh_every):
+        for _ in range(10 * planner_module.REFRESH_EVERY):
             choice = planner.choose("f", backends, pred)
             if choice.source == "explore":
                 refreshed.append(choice.backend)
@@ -330,9 +238,11 @@ class TestFeedbackLoop:
         assert planner.statistics.get("f", shape).incumbent == "scan"
         assert greedy[-5:] == ["scan"] * 5
 
-    def test_plan_statistics_eviction_is_bounded(self):
+    def test_plan_statistics_eviction_is_bounded(self, monkeypatch):
         """A high-cardinality shape stream cannot grow the store."""
-        store = PlanStatistics(capacity=8, alpha=0.5)
+        monkeypatch.setattr(planner_module, "SHAPE_CAPACITY", 8)
+        monkeypatch.setattr(planner_module, "EWMA_ALPHA", 0.5)
+        store = PlanStatistics()
         for i in range(200):
             store.record(f"col{i % 50}", ("range", i % 20), "scan", 1e-6, 0.5)
         assert len(store) <= 8
@@ -341,8 +251,8 @@ class TestFeedbackLoop:
         # The survivors are the most recently touched keys.
         assert store.get("col49", ("range", 19)) is None or True
 
-    def test_planner_stats_payload_shape(self):
-        planner, backends = self._mispricing_planner()
+    def test_planner_stats_payload_shape(self, mispricing):
+        planner, backends = mispricing
         pred = RangePredicate.range(10, 20, LONG)
         choice = planner.choose("f", backends, pred)
         planner.observe("f", choice, seconds=1e-4, selectivity=0.2)
@@ -351,13 +261,13 @@ class TestFeedbackLoop:
         assert payload["last_plan"] == {"f": choice.backend}
         assert payload["observations"] == 1
         assert payload["tracked_shapes"] >= 1
-        assert payload["shape_capacity"] == planner.statistics.capacity
+        assert payload["shape_capacity"] == planner_module.SHAPE_CAPACITY
         assert choice.backend in payload["calibration"]
 
 
 class TestForcedPlanSeams:
-    def test_planner_force_pins_column(self):
-        planner, backends = TestFeedbackLoop()._mispricing_planner()
+    def test_planner_force_pins_column(self, mispricing):
+        planner, backends = mispricing
         pred = RangePredicate.range(10, 20, LONG)
         planner.force("f", "zonemap")
         choice = planner.choose("f", backends, pred)

@@ -36,11 +36,12 @@ from repro.storage.durability.replication import (
 )
 
 from .conftest import make_clustered
+from .oracle import MirrorColumn
 
 BASE = make_clustered(2_000, np.int32, seed=47)
 
 #: One mutation per WAL frame; all ids target base rows, so any prefix
-#: of the stream is valid and the oracle can be computed per prefix.
+#: of the stream is valid and has its oracle state.
 MUTATIONS = tuple(
     [("append", list(range(10_000 + 10 * i, 10_003 + 10 * i))) for i in range(10)]
     + [("update", (13 * i, 9_100 + i)) for i in range(10)]
@@ -48,23 +49,8 @@ MUTATIONS = tuple(
 )
 
 
-def oracle_state(n_applied: int) -> np.ndarray:
-    """The logical column after exactly the first ``n_applied`` mutations."""
-    values = list(BASE)
-    deleted: set[int] = set()
-    for kind, payload in MUTATIONS[:n_applied]:
-        if kind == "append":
-            values.extend(payload)
-        elif kind == "update":
-            row, value = payload
-            values[row] = value
-        else:
-            deleted.add(payload)
-    kept = [v for i, v in enumerate(values) if i not in deleted]
-    return np.asarray(kept, dtype=np.int32)
-
-
-ORACLE = [oracle_state(k) for k in range(len(MUTATIONS) + 1)]
+#: The oracle after exactly the first ``k`` mutations, per ``k``.
+STATES = MirrorColumn.states(BASE, MUTATIONS)
 
 
 def make_primary(fs=None):
@@ -95,7 +81,7 @@ def assert_invariant(replica, primary=None):
     """Bit-identical prefix: oracle match at ``applied_seq`` + WAL prefix."""
     k = replica.applied_seq
     state = replica.store.index("x").delta.materialize().values
-    assert np.array_equal(state, ORACLE[k]), (
+    assert np.array_equal(state, STATES[k].logical), (
         f"follower at applied_seq={k} is not the oracle prefix"
     )
     if primary is not None:
@@ -354,7 +340,7 @@ class TestPromotionAfterPrimaryLoss:
             apply_mutation(promoted, mutation)
         promoted.sync()
         state = replica.index("x").delta.materialize().values
-        assert np.array_equal(state, ORACLE[len(MUTATIONS)])
+        assert np.array_equal(state, STATES[len(MUTATIONS)].logical)
 
         # the deposed primary fences on contact
         with pytest.raises(StalePrimaryError):

@@ -13,7 +13,8 @@ pending-bytes policy, reboots onto the surviving bytes, and demands:
 * **nothing quarantined** — honest fsyncs leave no referenced file torn;
 * **the reopened state is an exact oracle prefix** — the materialised
   column equals the NumPy oracle after exactly ``applied_seq``
-  mutations, and the local WAL is a byte prefix of the primary's log;
+  mutations, the follower's answers are that oracle's, and the local
+  WAL is a byte prefix of the primary's log;
 * **catch-up completes** — the crash cost at most the unacknowledged
   tail; resuming replication converges to the full state with logs
   byte-identical.
@@ -36,6 +37,8 @@ from repro.storage.durability.replication import (
     ReplicationPrimary,
 )
 
+from .oracle import DeltaTarget, MirrorColumn, check_all
+
 BASE = np.arange(32, dtype=np.int32)
 
 #: One WAL frame per entry; ids target base rows only.
@@ -51,29 +54,8 @@ MUTATIONS = (
 )
 
 
-def oracle_states():
-    """The logical column after each mutation prefix (index = #applied)."""
-    values, deleted = list(BASE), set()
-    states = [np.asarray(values, dtype=np.int32)]
-    for kind, payload in MUTATIONS:
-        if kind == "append":
-            values = values + [int(v) for v in payload]
-        elif kind == "update":
-            row, value = payload
-            values = list(values)
-            values[row] = value
-        else:
-            deleted = deleted | {payload}
-        states.append(
-            np.asarray(
-                [v for i, v in enumerate(values) if i not in deleted],
-                dtype=np.int32,
-            )
-        )
-    return states
-
-
-STATES = oracle_states()
+#: The oracle after each mutation prefix (index = #applied).
+STATES = MirrorColumn.states(BASE, MUTATIONS)
 
 
 def make_primary() -> ReplicationPrimary:
@@ -104,6 +86,12 @@ def run_follower(fs, primary) -> None:
 
 def follower_values(replica) -> np.ndarray:
     return np.asarray(replica.store.index("x").delta.materialize().values)
+
+
+def check_follower_answers(replica, state) -> None:
+    """The follower answers as its oracle prefix: ids, page walks,
+    first pages and every aggregate."""
+    check_all(state, [DeltaTarget("follower", replica.store.index("x"))])
 
 
 def wal_bytes(store) -> bytes:
@@ -148,10 +136,11 @@ def test_every_follower_crash_point_recovers_to_a_prefix(pending):
             k = reopened.applied_seq
             assert 0 <= k <= len(MUTATIONS), label
             got = follower_values(reopened)
-            assert np.array_equal(got, STATES[k]), (
+            assert np.array_equal(got, STATES[k].logical), (
                 f"{label}: reopened state is not the oracle prefix at "
                 f"applied_seq={k}"
             )
+            check_follower_answers(reopened, STATES[k])
             local = wal_bytes(reopened.store)
             assert primary_wal[: len(local)] == local, (
                 f"{label}: local WAL is not a byte prefix of the primary's"
@@ -164,7 +153,7 @@ def test_every_follower_crash_point_recovers_to_a_prefix(pending):
             f"got {report.divergences}"
         )
         assert reopened.applied_seq == len(MUTATIONS), label
-        assert np.array_equal(follower_values(reopened), STATES[-1]), label
+        assert np.array_equal(follower_values(reopened), STATES[-1].logical), label
         assert wal_bytes(reopened.store) == primary_wal, label
         reopened.close()
 
@@ -177,5 +166,6 @@ def test_clean_follower_run_reaches_the_final_state():
         "follower", "t", LocalShipSource(primary), fs=fs.survivor()
     )
     assert reopened.applied_seq == len(MUTATIONS)
-    assert np.array_equal(follower_values(reopened), STATES[-1])
+    assert np.array_equal(follower_values(reopened), STATES[-1].logical)
+    check_follower_answers(reopened, STATES[-1])
     assert wal_bytes(reopened.store) == wal_bytes(primary.store)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -44,6 +44,14 @@ from repro.predicate import RangePredicate
 from repro.storage import Column
 
 from .conftest import make_clustered
+from .oracle import (
+    DeltaTarget,
+    IndexTarget,
+    MirrorColumn,
+    program_settings,
+    programs,
+    run_program,
+)
 
 id_sets = st.sets(st.integers(min_value=0, max_value=400), max_size=80)
 
@@ -466,46 +474,6 @@ def _first_page_values(shape: str, dtype, n: int, seed: int) -> np.ndarray:
     return values.astype(dtype)
 
 
-def _first_page_index(kind: str, column: Column):
-    if kind == "imprints":
-        return ColumnImprints(column)
-    if kind == "sharded":
-        return ShardedColumnImprints(column, n_shards=3)
-    if kind == "multi":
-        return MultiBackendIndex.for_column(column)
-    return DeltaAwareImprints(column)  # the base-class default
-
-
-def _mutate(index, kind: str, where: float, value) -> None:
-    delta = isinstance(index, DeltaAwareImprints)
-    n = index.n_rows if delta else len(index.column)
-    value_id = min(int(where * n), n - 1)
-    if kind == "append":
-        index.append(np.full(17, value, dtype=index.column.values.dtype))
-    elif delta:
-        if value_id in index.delta.deleted_ids:
-            return  # a deleted row can be neither updated nor deleted
-        if kind == "update":
-            index.update(value_id, value)
-        else:
-            index.delete(value_id)
-    elif kind == "update":
-        index.note_update(value_id, value)  # saturates the overlay
-    else:
-        index.note_delete(value_id)
-
-
-def _matching(index, predicate) -> int:
-    """NumPy oracle: how many current rows satisfy the predicate."""
-    if isinstance(index, DeltaAwareImprints):
-        values = index.values_at(np.arange(index.n_rows))
-        keep = np.ones(values.shape[0], dtype=bool)
-        keep[index.delta.deleted_ids] = False
-        return int(np.count_nonzero(predicate.matches(values) & keep))
-    # Imprints ignore deletes: the answer keeps a deleted row's id.
-    return int(np.count_nonzero(predicate.matches(index.column.values)))
-
-
 def _token(cursor):
     return None if cursor is None else cursor.encode()
 
@@ -530,60 +498,26 @@ def _side_case(shape, low, high, dense, *, n=40_000, limit=10, name=None):
     )
 
 
-mutation_st = st.tuples(
-    st.sampled_from(["append", "update", "delete"]),
-    st.floats(0.0, 1.0, allow_nan=False),
-    st.integers(-6_000, 6_000),
-)
-
-
 class TestFirstPage:
-    @given(
-        kind=st.sampled_from(["imprints", "sharded", "multi", "delta"]),
-        shape=st.sampled_from(["uniform", "clustered", "sorted"]),
-        dtype=st.sampled_from([np.int32, np.float64]),
-        n=st.integers(20, 3_000),
-        seed=st.integers(0, 2**16),
-        mutations=st.lists(mutation_st, max_size=6),
-        bounds=st.lists(
-            st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
-            min_size=1,
-            max_size=4,
-        ),
-        small=st.integers(2, 40),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_first_page_equals_the_full_answers_page(
-        self, kind, shape, dtype, n, seed, mutations, bounds, small
-    ):
-        column = Column(_first_page_values(shape, dtype, n, seed), name="t.fp")
-        index = _first_page_index(kind, column)
-        for mutation, (q_lo, q_hi) in zip(
-            [None, *mutations], bounds * (len(mutations) + 1)
-        ):
-            if mutation is not None:
-                _mutate(index, *mutation)
-            ordered = np.sort(index.column.values)
-            low, high = sorted(
-                (
-                    ordered[min(int(q * ordered.shape[0]), ordered.shape[0] - 1)]
-                    for q in (q_lo, q_hi)
-                )
-            )
-            predicate = RangePredicate.range(low, high, index.column.ctype)
-            result = index.query(predicate)
-            count = _matching(index, predicate)
-            assert result.count() == count
-            assert index.aggregate(predicate, "count") == count
-            side = _side(index, predicate)
-            if side is not None:
-                event(f"count {side}")
-            for limit in (1, small, count + 1 + small):
-                got_count, ids, cursor = index.first_page(predicate, limit)
-                want_ids, want_cursor = result.page(limit)
-                assert got_count == count
-                assert np.array_equal(ids, want_ids)
-                assert _token(cursor) == _token(want_cursor)
+    @program_settings
+    @given(program=programs(dtypes=("int", "double"), max_rows=3_000))
+    def test_first_page_equals_the_full_answers_page(self, program):
+        """On imprints, sharded, planner-routed and delta-aware indexes,
+        through appends, overlay updates and deletes: ``first_page``
+        equals the oracle's count and first page, and its cursor is the
+        full answer's (:class:`tests.oracle.IndexTarget`)."""
+        plain = [
+            ColumnImprints(program.column("t.fp")),
+            ShardedColumnImprints(program.column("t.fps"), n_shards=3),
+            MultiBackendIndex.for_column(program.column("t.fpm")),
+        ]
+        targets = [
+            IndexTarget(name, index)
+            for name, index in zip(("imprints", "sharded", "multi"), plain)
+        ]
+        run_program(program, program.plain_mirror(plain), targets, plain)
+        delta = DeltaAwareImprints(program.column("t.fpd"))
+        run_program(program, MirrorColumn(program.values), [DeltaTarget("delta", delta)], [delta])
 
     @pytest.mark.parametrize(
         "shape,n,low,high,limit,dense",
