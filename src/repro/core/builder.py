@@ -4,19 +4,27 @@ Two interchangeable implementations live here:
 
 * :func:`build_imprints_scalar` is a line-by-line port of the paper's
   ``imprints()`` pseudocode: one pass over the values, a bin lookup per
-  value, and the cacheline-dictionary state machine executed per
-  cacheline.  It is the ground truth the tests compare against,
+  value, and the cacheline-dictionary update (:func:`_dictionary_step`)
+  per cacheline.  It is the ground truth the tests compare against,
   including the 24-bit counter-cap corner cases.
-* :class:`ImprintsBuilder` is the production path: vectorised bin
-  lookups (``searchsorted``) and per-cacheline ORs
-  (``bitwise_or.reduceat``), with the compression state machine executed
-  per *run* of identical vectors instead of per cacheline.  It is
-  streaming — ``feed()`` may be called repeatedly, which is exactly how
-  Section 4.1 appends work: new cachelines extend the imprint list
-  without touching any stored vector.
+* :class:`ImprintsBuilder` is the production path.  :func:`cacheline_vectors`
+  walks the values in cacheline-aligned chunks of
+  :data:`~repro.core.binning.CHUNK_VALUES`: the branch-free bin search
+  (:meth:`Histogram.get_bins`), a bit per value from a 64-entry table,
+  and one OR per cacheline through ``reshape(-1, vpc)``, so no
+  column-sized temporary exists.  One vectorised pass over the run
+  boundaries of the new vectors then extends the dictionary
+  (:func:`_grow`): every run stores its vector once, a run of two or
+  more cachelines is a repeat entry, and consecutive one-cacheline runs
+  share a non-repeat entry.  A push in which a counter could reach the
+  24-bit cap replays :func:`_dictionary_step` instead, which splits
+  exactly as the paper does.  The builder is streaming — ``feed()`` may
+  be called repeatedly, which is exactly how Section 4.1 appends work:
+  new cachelines extend the imprint list without touching any stored
+  vector.
 
 Both produce identical output bit-for-bit (property-tested with tiny
-injected caps to exercise every split path of the state machine).
+injected caps to reach the cap inside and across pushes).
 """
 
 from __future__ import annotations
@@ -26,12 +34,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..storage.column import Column
-from .binning import Histogram
+from .binning import CHUNK_VALUES, Histogram
 from .dictionary import MAX_CNT, CachelineDictionary
 
-__all__ = ["ImprintsData", "ImprintsBuilder", "build_imprints_scalar"]
+__all__ = [
+    "ImprintsData",
+    "ImprintsBuilder",
+    "build_imprints_scalar",
+    "cacheline_vectors",
+    "compress",
+]
 
 _U64 = np.uint64
+#: ``_BIT[k]`` is imprint bit ``k``: a value's bit is one gather.
+_BIT = np.left_shift(_U64(1), np.arange(64, dtype=_U64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,177 +119,180 @@ class ImprintsData:
         return self.imprints_nbytes + self.dictionary_nbytes + self.borders_nbytes
 
 
-class _RunCompressor:
-    """The cacheline-dictionary state machine, driven per run.
+def cacheline_vectors(
+    histogram: Histogram, values: np.ndarray, values_per_cacheline: int
+) -> np.ndarray:
+    """The imprint vector of every cacheline of ``values`` (uint64).
 
-    Mirrors Algorithm 1's compression exactly, including the behaviour
-    at the 24-bit counter cap: a repeat run that outgrows the cap stores
-    its vector again and restarts, and a full "distinct" entry followed
-    by an identical vector also stores the vector again — both are
-    consequences of the paper's ``cnt < max_cnt - 1`` guards.
-
-    ``cap`` is the largest value a counter may hold (``max_cnt - 1``);
-    it is injectable so tests can exercise splits with tiny caps.
+    ``values`` starts on a cacheline boundary; a partial last cacheline
+    gets the OR of the values it holds.  The values are walked in
+    chunks of :data:`CHUNK_VALUES` rounded down to whole cachelines:
+    bins, bits from :data:`_BIT`, one OR per cacheline.  The result, one
+    word per cacheline, is the only allocation that grows with
+    ``values``.
     """
-
-    def __init__(self, max_cnt: int = MAX_CNT) -> None:
-        if max_cnt < 3:
-            raise ValueError(f"max_cnt must be at least 3, got {max_cnt}")
-        self.cap = max_cnt - 1
-        self._imprints: list[int] = []
-        self._counts: list[int] = []
-        self._repeats: list[bool] = []
-        self._has_open = False
-        self._open_cnt = 0
-        self._open_repeat = False
-        self._pending_vector = 0
-        self._pending_count = 0
-
-    # -- entry plumbing -------------------------------------------------
-    def _push_open(self) -> None:
-        if self._has_open:
-            self._counts.append(self._open_cnt)
-            self._repeats.append(self._open_repeat)
-            self._has_open = False
-
-    def _new_open(self, cnt: int, repeat: bool) -> None:
-        self._push_open()
-        self._open_cnt = cnt
-        self._open_repeat = repeat
-        self._has_open = True
-
-    # -- run emission (see class docstring for the cap cases) -----------
-    def _emit_distinct_stretch(self, vectors) -> None:
-        """A maximal stretch of cachelines whose vectors all differ."""
-        self._imprints.extend(int(v) for v in vectors)
-        k = len(vectors)
-        if self._has_open and not self._open_repeat:
-            take = min(self.cap - self._open_cnt, k)
-            self._open_cnt += take
-            k -= take
-        while k > 0:
-            take = min(self.cap, k)
-            self._new_open(take, False)
-            k -= take
-
-    def _emit_repeat_run(self, vector: int, length: int) -> None:
-        """A maximal run of ``length >= 2`` identical vectors."""
-        # The run's first cacheline arrives like any distinct vector.
-        self._imprints.append(vector)
-        if self._has_open and not self._open_repeat and self._open_cnt < self.cap:
-            self._open_cnt += 1
-        else:
-            self._new_open(1, False)
-        consumed = 1
-        while consumed < length:
-            if not self._open_repeat:
-                if self._open_cnt < self.cap:
-                    # Convert the open entry: steal the previous
-                    # cacheline into a fresh repeat entry (Algorithm 1's
-                    # cnt -= 1 / new entry / repeat = 1 sequence).
-                    if self._open_cnt != 1:
-                        self._open_cnt -= 1
-                        self._new_open(1, False)
-                    self._open_repeat = True
-                    self._open_cnt += 1
-                    consumed += 1
-                else:
-                    # Full distinct entry: the equal vector is stored
-                    # again and a fresh entry starts.
-                    self._imprints.append(vector)
-                    self._new_open(1, False)
-                    consumed += 1
-            else:
-                grow = min(self.cap - self._open_cnt, length - consumed)
-                if grow > 0:
-                    self._open_cnt += grow
-                    consumed += grow
-                else:
-                    # Full repeat entry: store the vector again, restart.
-                    self._imprints.append(vector)
-                    self._new_open(1, False)
-                    consumed += 1
-
-    def _flush_pending(self) -> None:
-        if self._pending_count == 0:
-            return
-        vector, count = self._pending_vector, self._pending_count
-        self._pending_count = 0
-        if count == 1:
-            self._emit_distinct_stretch((vector,))
-        else:
-            self._emit_repeat_run(vector, count)
-
-    # -- public API ------------------------------------------------------
-    def push(self, vectors: np.ndarray) -> None:
-        """Feed a chunk of per-cacheline imprint vectors (uint64)."""
-        vectors = np.asarray(vectors, dtype=_U64)
-        if vectors.size == 0:
-            return
-        start = 0
-        if self._pending_count:
-            # Extend the held-back trailing run across the chunk border.
-            different = np.flatnonzero(vectors != _U64(self._pending_vector))
-            lead = int(different[0]) if different.size else int(vectors.size)
-            self._pending_count += lead
-            start = lead
-            if start == vectors.size:
-                return
-            self._flush_pending()
-        chunk = vectors[start:]
-        boundaries = np.flatnonzero(chunk[1:] != chunk[:-1]) + 1
-        starts = np.concatenate([[0], boundaries])
-        ends = np.concatenate([boundaries, [chunk.size]])
-        lengths = ends - starts
-        last = starts.size - 1
-        i = 0
-        while i < last:
-            if lengths[i] == 1:
-                # Group consecutive length-1 runs into one bulk emission.
-                j = i
-                while j < last and lengths[j] == 1:
-                    j += 1
-                self._emit_distinct_stretch(chunk[starts[i] : starts[j - 1] + 1])
-                i = j
-            else:
-                self._emit_repeat_run(int(chunk[starts[i]]), int(lengths[i]))
-                i += 1
-        # Hold back the trailing run: the next chunk may continue it.
-        self._pending_vector = int(chunk[starts[last]])
-        self._pending_count = int(lengths[last])
-
-    def clone(self) -> "_RunCompressor":
-        """A snapshot copy that can be flushed without mutating us."""
-        other = _RunCompressor.__new__(_RunCompressor)
-        other.cap = self.cap
-        other._imprints = self._imprints.copy()
-        other._counts = self._counts.copy()
-        other._repeats = self._repeats.copy()
-        other._has_open = self._has_open
-        other._open_cnt = self._open_cnt
-        other._open_repeat = self._open_repeat
-        other._pending_vector = self._pending_vector
-        other._pending_count = self._pending_count
-        return other
-
-    def finish(self) -> tuple[np.ndarray, CachelineDictionary]:
-        """Flush everything and return (stored vectors, dictionary)."""
-        self._flush_pending()
-        self._push_open()
-        imprints = np.array(self._imprints, dtype=_U64)
-        dictionary = CachelineDictionary(
-            counts=np.array(self._counts, dtype=np.uint32),
-            repeats=np.array(self._repeats, dtype=bool),
+    vpc = values_per_cacheline
+    n = values.shape[0]
+    vectors = np.empty(-(-n // vpc), dtype=_U64)
+    step = max(1, CHUNK_VALUES // vpc) * vpc
+    for start in range(0, n, step):
+        chunk = values[start : start + step]
+        # Bins are below 64 by construction; "wrap" skips the bounds check.
+        bits = _BIT.take(histogram.get_bins(chunk), mode="wrap")
+        line, full = start // vpc, chunk.shape[0] // vpc
+        np.bitwise_or.reduce(
+            bits[: full * vpc].reshape(-1, vpc), axis=1, out=vectors[line : line + full]
         )
-        return imprints, dictionary
+        if full * vpc < chunk.shape[0]:
+            vectors[line + full] = np.bitwise_or.reduce(bits[full * vpc :])
+    return vectors
+
+
+def _dictionary_step(imprints: list, counts: list, repeats: list, vector: int, cap: int) -> None:
+    """Algorithm 1's dictionary update for one cacheline, in place.
+
+    ``imprints[-1]`` is the previous cacheline's vector and
+    ``counts[-1]``/``repeats[-1]`` the open entry.  The ``< cap`` guards
+    are the paper's ``cnt < max_cnt - 1``: a repeat run that outgrows
+    the cap stores its vector again and restarts, and a full distinct
+    entry followed by an identical vector stores that vector again.
+    """
+    if imprints and vector == imprints[-1] and counts[-1] < cap:
+        if not repeats[-1]:
+            if counts[-1] != 1:
+                counts[-1] -= 1
+                counts.append(1)
+                repeats.append(False)
+            repeats[-1] = True
+        counts[-1] += 1
+    else:
+        imprints.append(vector)
+        if not repeats[-1] and counts[-1] < cap:
+            counts[-1] += 1
+        else:
+            counts.append(1)
+            repeats.append(False)
+
+
+@dataclass(frozen=True)
+class _Open:
+    """Where the dictionary stands: the last cacheline's vector (also the
+    last stored one; ``None`` before the first) and the open entry,
+    which later cachelines may still grow (``count`` 0 before the first)."""
+
+    last: int | None = None
+    count: int = 0
+    repeat: bool = False
+
+
+def _grow(state: _Open, vectors: np.ndarray, cap: int):
+    """What ``vectors`` (one per cacheline, at least one) add after
+    ``state``: ``(stored vectors, closed counts, closed repeats, new
+    state)``.  The closed entries replace ``state``'s open entry.
+
+    Below the cap the dictionary is a function of the runs of equal
+    vectors: each run stores its vector once (the run continuing
+    ``state.last`` is stored already), a run of two or more cachelines
+    is one repeat entry, and consecutive one-cacheline runs share a
+    non-repeat entry.  No counter exceeds ``state.count + len(vectors)``
+    in this push, so when that stays below ``cap`` one vectorised pass
+    over the run boundaries equals Algorithm 1; otherwise the paper's
+    per-cacheline step is replayed.
+    """
+    if state.count + vectors.shape[0] >= cap:
+        return _replay(state, vectors, cap)
+    n = vectors.shape[0]
+    head = np.empty(n, dtype=bool)
+    head[0] = state.last is None or vectors[0] != state.last
+    np.not_equal(vectors[1:], vectors[:-1], out=head[1:])
+    heads = np.flatnonzero(head)
+    stored = vectors[heads]
+    # Runs over the previous cacheline (if any) and the new ones.
+    if state.last is None:
+        starts, total = heads, n
+    else:
+        starts, total = np.concatenate(([0], heads + 1)), n + 1
+    lengths = np.diff(starts, append=total)
+    long = lengths >= 2
+    closed = []
+    if state.last is not None:
+        if state.repeat:
+            lengths[0] += state.count - 1
+            long[0] = True
+        elif not long[0]:
+            lengths[0] += state.count - 1
+        elif state.count > 1:
+            # The last vector leaves its distinct entry for a repeat one.
+            closed.append(state.count - 1)
+    first = np.empty(lengths.shape[0], dtype=bool)
+    first[0] = True
+    np.logical_or(long[1:], long[:-1], out=first[1:])
+    entries = np.flatnonzero(first)
+    counts = np.add.reduceat(lengths, entries)
+    repeats = long[entries]
+    opened = _Open(int(vectors[-1]), int(counts[-1]), bool(repeats[-1]))
+    return (
+        stored,
+        np.concatenate((np.array(closed, dtype=np.int64), counts[:-1])),
+        np.concatenate((np.zeros(len(closed), dtype=bool), repeats[:-1])),
+        opened,
+    )
+
+
+def _replay(state: _Open, vectors: np.ndarray, cap: int):
+    """:func:`_grow` by the paper's per-cacheline step."""
+    seeded = state.last is not None
+    imprints = [state.last] if seeded else []
+    counts, repeats = [state.count], [state.repeat]
+    for vector in vectors.tolist():
+        _dictionary_step(imprints, counts, repeats, vector, cap)
+    return (
+        np.array(imprints[seeded:], dtype=_U64),
+        np.array(counts[:-1], dtype=np.int64),
+        np.array(repeats[:-1], dtype=bool),
+        _Open(imprints[-1], counts[-1], repeats[-1]),
+    )
+
+
+def _join(arrays, dtype) -> np.ndarray:
+    return np.concatenate([np.empty(0, dtype), *arrays]).astype(dtype, copy=False)
+
+
+def _assemble(parts: list, state: _Open):
+    """Stored vectors and dictionary from the closed ``(stored, counts,
+    repeats)`` parts and the open entry."""
+    if state.count:
+        parts = [*parts, (np.empty(0, _U64), [state.count], [state.repeat])]
+    stored, counts, repeats = zip(*parts) if parts else ((), (), ())
+    dictionary = CachelineDictionary(
+        counts=_join(counts, np.uint32), repeats=_join(repeats, bool)
+    )
+    return _join(stored, _U64), dictionary
+
+
+def _check_max_cnt(max_cnt: int) -> int:
+    if max_cnt < 3:
+        raise ValueError(f"max_cnt must be at least 3, got {max_cnt}")
+    return max_cnt - 1
+
+
+def compress(vectors: np.ndarray, max_cnt: int = MAX_CNT):
+    """``(stored vectors, dictionary)`` of a whole cacheline sequence."""
+    vectors = np.asarray(vectors, dtype=_U64)
+    cap = _check_max_cnt(max_cnt)
+    if vectors.shape[0] == 0:
+        return _assemble([], _Open())
+    *part, state = _grow(_Open(), vectors, cap)
+    return _assemble([part], state)
 
 
 class ImprintsBuilder:
     """Streaming, vectorised imprint construction.
 
-    Feed values in any batch sizes; the builder maintains the partial
-    trailing cacheline and the trailing vector run so that appends
-    (Section 4.1) are exactly "more feeds".  :meth:`snapshot` emits the
+    Feed values in any batch sizes; the builder keeps the partial
+    trailing cacheline and the open dictionary entry so that appends
+    (Section 4.1) are exactly "more feeds".  Stored vectors, counts and
+    repeat flags are kept as NumPy arrays; :meth:`snapshot` emits the
     current index without disturbing the streaming state.
     """
 
@@ -289,7 +308,10 @@ class ImprintsBuilder:
             )
         self.histogram = histogram
         self.vpc = values_per_cacheline
-        self._compressor = _RunCompressor(max_cnt)
+        self._cap = _check_max_cnt(max_cnt)
+        # Closed (stored vectors, counts, repeats) arrays, one per push.
+        self._parts: list = []
+        self._state = _Open()
         self._n_values = 0
         self._tail_vector = 0  # imprint bits of the incomplete cacheline
         self._tail_count = 0  # values already in the incomplete cacheline
@@ -299,7 +321,7 @@ class ImprintsBuilder:
         return self._n_values
 
     def feed(self, values) -> None:
-        """Imprint a batch of values (vectorised)."""
+        """Imprint a batch of values (chunked, vectorised)."""
         values = np.asarray(values, dtype=self.histogram.ctype.dtype)
         if values.ndim != 1:
             raise ValueError(f"values must be 1-D, got shape {values.shape}")
@@ -307,41 +329,41 @@ class ImprintsBuilder:
             return
         self._n_values += int(values.size)
 
-        bins = self.histogram.get_bins(values).astype(_U64)
-        bits = _U64(1) << bins
-
+        lines = []
         start = 0
         if self._tail_count:
             # Complete the partial cacheline first.
-            take = min(self.vpc - self._tail_count, int(bits.size))
-            tail = self._tail_vector | int(np.bitwise_or.reduce(bits[:take]))
-            self._tail_count += take
-            start = take
+            start = min(self.vpc - self._tail_count, int(values.size))
+            bits = _BIT.take(self.histogram.get_bins(values[:start]))
+            self._tail_vector |= int(np.bitwise_or.reduce(bits))
+            self._tail_count += start
             if self._tail_count < self.vpc:
-                self._tail_vector = tail
                 return
-            self._compressor.push(np.array([tail], dtype=_U64))
-            self._tail_vector = 0
-            self._tail_count = 0
+            lines.append(np.array([self._tail_vector], dtype=_U64))
+            self._tail_vector = self._tail_count = 0
 
-        body = bits[start:]
-        n_full = (body.size // self.vpc) * self.vpc
-        if n_full:
-            vectors = np.bitwise_or.reduceat(
-                body[:n_full], np.arange(0, n_full, self.vpc)
-            )
-            self._compressor.push(vectors)
-        remainder = body[n_full:]
-        if remainder.size:
-            self._tail_vector = int(np.bitwise_or.reduce(remainder))
-            self._tail_count = int(remainder.size)
+        body = values[start:]
+        vectors = cacheline_vectors(self.histogram, body, self.vpc)
+        partial = body.size % self.vpc
+        if partial:
+            self._tail_vector, self._tail_count = int(vectors[-1]), partial
+            vectors = vectors[:-1]
+        lines.append(vectors)
+        vectors = np.concatenate(lines) if len(lines) > 1 else lines[0]
+        if vectors.size:
+            *part, self._state = _grow(self._state, vectors, self._cap)
+            self._parts.append(part)
 
     def snapshot(self) -> ImprintsData:
         """Materialise the index for the values fed so far."""
-        compressor = self._compressor.clone()
+        if len(self._parts) > 1:
+            self._parts = [[np.concatenate(field) for field in zip(*self._parts)]]
+        parts, state = list(self._parts), self._state
         if self._tail_count:
-            compressor.push(np.array([self._tail_vector], dtype=_U64))
-        imprints, dictionary = compressor.finish()
+            tail = np.array([self._tail_vector], dtype=_U64)
+            *part, state = _grow(state, tail, self._cap)
+            parts.append(part)
+        imprints, dictionary = _assemble(parts, state)
         return ImprintsData(
             imprints=imprints,
             dictionary=dictionary,
@@ -359,8 +381,8 @@ def build_imprints_scalar(
     """Line-by-line port of the paper's Algorithm 1 (``imprints()``).
 
     One pass over the column; per value a bin lookup and a bit OR; per
-    cacheline the dictionary update state machine.  Quadratically slower
-    than :class:`ImprintsBuilder` in Python terms but exactly the
+    cacheline the dictionary update (:func:`_dictionary_step`).  Far
+    slower than :class:`ImprintsBuilder` in Python terms but exactly the
     paper's control flow — the differential-testing ground truth.
     """
     cap = max_cnt - 1
@@ -373,35 +395,16 @@ def build_imprints_scalar(
 
     imprint_v = 0
     in_cacheline = 0
-
-    def end_of_cacheline(vector: int) -> None:
-        # Algorithm 1's per-cacheline dictionary update.
-        if imprints and vector == imprints[-1] and counts[-1] < cap:
-            if not repeats[-1]:
-                if counts[-1] != 1:
-                    counts[-1] -= 1
-                    counts.append(1)
-                    repeats.append(False)
-                repeats[-1] = True
-            counts[-1] += 1
-        else:
-            imprints.append(vector)
-            if not repeats[-1] and counts[-1] < cap:
-                counts[-1] += 1
-            else:
-                counts.append(1)
-                repeats.append(False)
-
     for value in values:
         bin_index = histogram.get_bin(value)
         imprint_v |= 1 << bin_index
         in_cacheline += 1
         if in_cacheline == vpc:
-            end_of_cacheline(imprint_v)
+            _dictionary_step(imprints, counts, repeats, imprint_v, cap)
             imprint_v = 0
             in_cacheline = 0
     if in_cacheline:
-        end_of_cacheline(imprint_v)
+        _dictionary_step(imprints, counts, repeats, imprint_v, cap)
 
     if counts[0] == 0:
         # The sentinel first entry was never used (empty column).

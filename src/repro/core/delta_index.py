@@ -16,6 +16,13 @@ consolidation policy:
   base rows), the delta is materialised and the index rebuilt — the
   rebuild-on-scan policy, triggered by delta pressure instead of bit
   saturation.
+
+Every read answers over the *logical* column: ids come from the merge,
+and values (aggregates, top-k, GROUP BY) from :meth:`values_at`, which
+applies the pending appends and updates to the gathered ids only.
+Attached group columns span the logical rows: append group rows in
+lockstep with :meth:`append`, and a consolidation drops the deleted
+rows' codes with the rows.
 """
 
 from __future__ import annotations
@@ -99,6 +106,10 @@ class DeltaAwareImprints(SecondaryIndex):
 
     def consolidate(self) -> None:
         """Materialise the delta and rebuild the index (one scan)."""
+        deleted = self.delta.deleted_ids
+        if deleted.size:
+            for name, group in self._group_columns.items():
+                self._group_columns[name] = group.without(deleted)
         self.rebase(self.delta.materialize())
 
     def rebase(self, column: Column) -> None:
@@ -146,10 +157,24 @@ class DeltaAwareImprints(SecondaryIndex):
 
     def values_at(self, ids: np.ndarray) -> np.ndarray:
         """Current (delta-applied) values for an id list — what a tuple
-        reconstruction would see."""
-        logical = np.concatenate(
-            [self.base_index.column.values, self.delta.appended_values]
-        )
-        for vid, value in self.delta.updated_items():
-            logical[vid] = value
-        return logical[np.asarray(ids, dtype=np.int64)]
+        reconstruction would see.  Gathers only ``ids``: base rows from
+        the base column, appended rows from the appended values, then
+        the pending updates among ``ids`` on top."""
+        ids = np.asarray(ids, dtype=np.int64)
+        base = self.base_index.column.values
+        n_base = base.shape[0]
+        if self.delta.n_rows == n_base:
+            values = base[ids]
+        else:
+            values = np.empty(ids.shape, dtype=base.dtype)
+            in_base = ids < n_base
+            values[in_base] = base[ids[in_base]]
+            values[~in_base] = self.delta.appended_values[ids[~in_base] - n_base]
+        updates = self.delta.updated_items()
+        if updates:
+            updated = np.array([vid for vid, _ in updates], dtype=np.int64)
+            at = np.minimum(np.searchsorted(updated, ids), updated.shape[0] - 1)
+            hit = updated[at] == ids
+            new_values = np.array([value for _, value in updates], dtype=base.dtype)
+            values[hit] = new_values[at[hit]]
+        return values

@@ -12,7 +12,7 @@ back onto cachelines:
 
 The counter is 24 bits wide, so a single entry can describe at most
 ``2^24 - 1`` cachelines; longer runs split exactly the way Algorithm 1's
-state machine splits them (see :mod:`repro.core.builder`).
+per-cacheline update splits them (see :mod:`repro.core.builder`).
 
 This module holds the dictionary as a compact structure-of-arrays and
 provides the expansions the query kernels need: cacheline → stored-row

@@ -11,8 +11,8 @@ All branches may fire, and the *last* assignment to the result variable
 wins, which is why the emitted code walks the bins from high to low.
 
 Python has no branch-level parallelism, so the unrolled form brings no
-speed here (the vectorised ``searchsorted`` in
-:class:`~repro.core.binning.Histogram` is the fast path).  What this
+speed here (the vectorised, branch-free level search of
+:meth:`~repro.core.binning.Histogram.get_bins` is the fast path).  What this
 module preserves is the *algorithm*: :func:`generate_unrolled_getbin`
 emits the same right/middle/left structure the paper describes and
 compiles it, and :func:`get_bin_loop` is the plain binary-search loop

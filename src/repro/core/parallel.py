@@ -4,19 +4,18 @@
 the construction phase."  The construction splits cleanly:
 
 1. the expensive part — bin lookups and per-cacheline ORs — is
-   embarrassingly parallel over cacheline-aligned partitions (NumPy
-   releases the GIL inside ``searchsorted``/``reduceat``, so plain
-   threads give real speedup);
-2. the cheap part — the run-length compression state machine — is
-   inherently sequential but operates per *run*, so the per-partition
-   vector arrays are drained into one compressor in partition order,
-   preserving the exact output of the serial builder (runs crossing a
-   partition boundary merge naturally through the compressor's pending
-   run).
+   embarrassingly parallel over cacheline-aligned partitions.  Each
+   worker runs the serial builder's chunk kernel
+   (:func:`~repro.core.builder.cacheline_vectors`) over its partition;
+   NumPy releases the GIL inside it, so plain threads give real speedup;
+2. the cheap part — the dictionary pass over the run boundaries — runs
+   once over the partitions' vectors in order
+   (:func:`~repro.core.builder.compress`), so runs crossing a partition
+   boundary merge exactly as in the serial build.
 
 ``build_imprints_parallel`` therefore produces output bit-identical to
 :class:`~repro.core.builder.ImprintsBuilder` — property-tested — while
-parallelising the ~18-comparisons-per-value hot loop of Section 2.5.
+parallelising the per-value hot loop of Section 2.5.
 """
 
 from __future__ import annotations
@@ -28,12 +27,10 @@ import numpy as np
 
 from ..storage.column import Column
 from .binning import Histogram
-from .builder import ImprintsData, _RunCompressor
+from .builder import ImprintsData, cacheline_vectors, compress
 from .dictionary import MAX_CNT
 
 __all__ = ["build_imprints_parallel", "default_workers", "partition_bounds"]
-
-_U64 = np.uint64
 
 
 def default_workers(cap: int = 8) -> int:
@@ -68,21 +65,6 @@ def partition_bounds(
     return bounds
 
 
-def _partition_vectors(
-    values: np.ndarray,
-    histogram: Histogram,
-    values_per_cacheline: int,
-    start: int,
-    stop: int,
-) -> np.ndarray:
-    """Per-cacheline imprint vectors of one partition (parallel part)."""
-    chunk = values[start:stop]
-    bins = histogram.get_bins(chunk).astype(_U64)
-    bits = _U64(1) << bins
-    starts = np.arange(0, chunk.shape[0], values_per_cacheline)
-    return np.bitwise_or.reduceat(bits, starts)
-
-
 def build_imprints_parallel(
     column: Column,
     histogram: Histogram,
@@ -96,29 +78,16 @@ def build_imprints_parallel(
     values = column.values
     n = values.shape[0]
 
-    compressor = _RunCompressor(max_cnt)
-    if n:
-        bounds = partition_bounds(n, vpc, n_workers)
-        if len(bounds) == 1 or n_workers == 1:
-            vector_chunks = [
-                _partition_vectors(values, histogram, vpc, start, stop)
-                for start, stop in bounds
-            ]
-        else:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                vector_chunks = list(
-                    pool.map(
-                        lambda span: _partition_vectors(
-                            values, histogram, vpc, span[0], span[1]
-                        ),
-                        bounds,
-                    )
-                )
-        # Sequential drain preserves the exact serial compression,
-        # including runs spanning partition boundaries.
-        for chunk in vector_chunks:
-            compressor.push(chunk)
-    imprints, dictionary = compressor.finish()
+    def vectors(span: tuple[int, int]) -> np.ndarray:
+        return cacheline_vectors(histogram, values[span[0] : span[1]], vpc)
+
+    bounds = partition_bounds(n, vpc, n_workers)
+    if len(bounds) > 1:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            parts = list(pool.map(vectors, bounds))
+    else:
+        parts = [vectors(span) for span in bounds]
+    imprints, dictionary = compress(np.concatenate([np.empty(0, np.uint64), *parts]), max_cnt)
     return ImprintsData(
         imprints=imprints,
         dictionary=dictionary,

@@ -460,6 +460,16 @@ class SecondaryIndex(ABC):
     # shared conveniences
     # ------------------------------------------------------------------
     @property
+    def n_rows(self) -> int:
+        """Rows in the index's id space (the column's length here)."""
+        return len(self.column)
+
+    def values_at(self, ids: np.ndarray) -> np.ndarray:
+        """The values reads see at ``ids``: a gather from the column
+        here; indexes with pending writes apply them."""
+        return self.column.values[ids]
+
+    @property
     def overhead(self) -> float:
         """Index size as a fraction of the indexed column's size."""
         column_bytes = self.column.nbytes
@@ -614,10 +624,10 @@ class SecondaryIndex(ABC):
 
     def _check_group_aligned(self, name: str):
         group = self.group_column(name)
-        if len(group) != len(self.column):
+        if len(group) != self.n_rows:
             raise ValueError(
                 f"group column {name!r} has {len(group)} rows but the "
-                f"indexed column has {len(self.column)}; append the "
+                f"indexed column has {self.n_rows}; append the "
                 "group in lockstep (append_group)"
             )
         return group
@@ -629,7 +639,8 @@ class SecondaryIndex(ABC):
         present in the answer (``{}`` when nothing qualifies).  Keys
         are the group column's labels when it has them, raw int codes
         otherwise.  The base implementation gathers codes and values
-        through the materialised ids — the baseline-backend path;
+        (:meth:`values_at`) at the materialised ids — the
+        baseline-backend and delta-aware path;
         :class:`~repro.core.index.ColumnImprints` overrides it with
         per-cacheline group-histogram pushdown.
         """
@@ -639,7 +650,7 @@ class SecondaryIndex(ABC):
         ids = self.query(predicate).ids
         counts, sums = grouped_gathered(
             group.codes[ids],
-            self.column.values[ids],
+            self.values_at(ids),
             group.n_groups,
             op,
         )
@@ -647,16 +658,16 @@ class SecondaryIndex(ABC):
 
     def top_k(self, predicate: RangePredicate, k: int) -> list:
         """The ``k`` largest qualifying values, descending (``[]`` when
-        nothing qualifies).  The base implementation gathers through the
-        materialised ids; imprint indexes prune whole cachelines via
-        their sidecar maxima instead.
+        nothing qualifies).  The base implementation gathers
+        (:meth:`values_at`) at the materialised ids; imprint indexes
+        prune whole cachelines via their sidecar maxima instead.
         """
         from .core.aggregates import topk_gathered
 
         if k <= 0:
             return []
         ids = self.query(predicate).ids
-        return topk_gathered(self.column.values[ids], k)
+        return topk_gathered(self.values_at(ids), k)
 
     def query_batch(self, predicates) -> list[QueryResult]:
         """Answer many predicates; one result per predicate, in order.

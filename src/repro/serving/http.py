@@ -125,7 +125,9 @@ def status_for_exception(exc: BaseException) -> int:
         return 503
     if isinstance(exc, KeyError):
         return 404
-    if isinstance(exc, (ValueError, TypeError)):
+    if isinstance(exc, ValueError):
+        # Parameter checks raise ValueError; anything else (a TypeError
+        # included) is the server's fault, not the request's.
         return 400
     return 500
 

@@ -176,6 +176,12 @@ class GroupColumn:
             self._n_groups = max(self._n_groups, int(codes.max()) + 1)
         self._codes = np.concatenate([self._codes, codes])
 
+    def without(self, rows) -> "GroupColumn":
+        """A copy with ``rows`` removed (the rows a delta consolidation
+        deletes); codes and labels stay as they are."""
+        labels = None if self._labels is None else list(self._labels)
+        return GroupColumn(np.delete(self._codes, rows), labels, self._n_groups)
+
     def key_of(self, code: int):
         """The user-facing key for one code: its label, or the raw code."""
         if self._labels is not None:

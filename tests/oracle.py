@@ -75,21 +75,31 @@ FLOAT_TOLERANCE = {
 }
 
 #: A read the target refused in a way its case allows (say a 503 under
-#: chaos): nothing to compare.
+#: chaos, or GROUP BY on an index without the group column): nothing to
+#: compare.
 REFUSED = object()
 
 
-def program_settings(test):
-    """The one settings object of every program test.
+def budget_settings(examples: int, **kwargs) -> settings:
+    """Settings of a property test that runs ``examples`` examples in
+    tier-1 and ten times as many under :data:`DEEP_PROFILE`.
 
     Applied when the test module is collected, after pytest loaded the
-    Hypothesis profile, so :data:`DEEP_PROFILE`'s budget reaches it.
+    Hypothesis profile, so the deep budget reaches it.
     """
     deep = settings.get_current_profile_name() == DEEP_PROFILE
     return settings(
-        max_examples=settings.default.max_examples if deep else PROGRAM_EXAMPLES,
+        max_examples=10 * examples if deep else examples,
         deadline=None,
         print_blob=True,
+        **kwargs,
+    )
+
+
+def program_settings(test):
+    """The one settings object of every program test."""
+    return budget_settings(
+        PROGRAM_EXAMPLES,
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
     )(test)
 
@@ -422,11 +432,13 @@ class IndexTarget:
 
 
 class DeltaTarget(IndexTarget):
-    """A delta-aware index: its inherited top-k and GROUP BY index the
-    base column with the merged answer's ids, so neither is checked."""
+    """A delta-aware index.  Recovered and follower stores carry no
+    group column, so GROUP BY is read where one is attached."""
 
-    grouped = None
-    top_k = None
+    def grouped(self, predicate, op):
+        if GROUP_BY not in self.index.group_column_names:
+            return REFUSED
+        return super().grouped(predicate, op)
 
 
 class ExecutorTarget:

@@ -293,7 +293,10 @@ def test_wide_integer_moments_are_exact_at_every_layer(case):
         index.attach_group_column(GROUP_BY, mirror.codes.copy())
     delta = DeltaAwareImprints(column, consolidate_threshold=1.0)
     delta_mirror = MirrorColumn(values)
-    delta.append(delta_mirror.append(values[:3])[0])
+    delta.attach_group_column(GROUP_BY, delta_mirror.codes.copy())
+    appended, codes = delta_mirror.append(values[:3])
+    delta.append(appended)
+    delta.append_group(GROUP_BY, codes=codes)
     middle = np.sort(values)[[300, 2_600]]
     with QueryExecutor({"c": indexes[0]}) as executor:
         targets = [IndexTarget(type(index).__name__, index) for index in indexes]

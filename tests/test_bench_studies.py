@@ -78,3 +78,4 @@ class TestAblations:
         by_name = {row[0]: row[1] for row in rows}
         assert by_name["unrolled (paper 2.5)"] == 18.0
         assert by_name["loop binary search"] == 6.0
+        assert by_name["vectorised level search (get_bins)"] == 6

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import binning, sample_column
-from repro.core.binning import Histogram
-from repro.storage import CHAR, DOUBLE, INT, Column
+from repro.core.binning import CHUNK_VALUES, Histogram
+from repro.storage import ALL_TYPES, INT, Column
 
 from .conftest import column_for_type, make_random
+from .oracle import budget_settings
 
 
 class TestSampling:
@@ -89,6 +90,12 @@ class TestHighCardinality:
             assert histogram.bins == max_bins
             bins = histogram.get_bins(column.values)
             assert bins.max() < max_bins
+
+    def test_two_bins_split_at_the_sample_minimum(self):
+        column = Column(np.arange(100, dtype=np.int32))
+        histogram = binning(column, max_bins=2)
+        assert histogram.bins == 2
+        assert histogram.borders[0] == 0
 
     def test_bad_max_bins(self):
         column = Column(np.arange(100, dtype=np.int32))
@@ -170,3 +177,83 @@ def test_every_value_lands_inside_its_bin_bounds(data):
         k = histogram.get_bin(value)
         lo, hi = histogram.bin_bounds(k)
         assert lo <= value < hi or (lo == float("-inf") and value < hi)
+
+
+# ----------------------------------------------------------------------
+# the branch-free search equals searchsorted
+# ----------------------------------------------------------------------
+TYPES = sorted(ALL_TYPES.values(), key=lambda ctype: ctype.name)
+
+
+def extremes(ctype) -> list:
+    """The dtype's domain ends and their neighbours; ±inf on floats."""
+    if ctype.is_float:
+        info = np.finfo(ctype.dtype)
+        return [-np.inf, float(info.min), -1.0, -0.0, 0.0, float(info.tiny), float(info.max), np.inf]
+    info = np.iinfo(ctype.dtype)
+    return [int(info.min), int(info.min) + 1, 0, int(info.max) - 1, int(info.max)]
+
+
+def values_of(ctype, infinite: bool = False):
+    """Values of one type: its extremes, small values and the whole
+    domain; ±inf only when ``infinite`` (binning pads its borders with
+    the finite MAX, so a low-cardinality sample holding +inf cannot
+    form a histogram)."""
+    if ctype.is_float:
+        width = 8 * ctype.dtype.itemsize
+        domain = st.floats(allow_nan=False, allow_infinity=infinite, width=width)
+        small = st.floats(-100, 100, width=width)
+        ends = [v for v in extremes(ctype) if infinite or np.isfinite(v)]
+    else:
+        info = np.iinfo(ctype.dtype)
+        domain = st.integers(int(info.min), int(info.max))
+        small = st.integers(max(int(info.min), -100), min(int(info.max), 100))
+        ends = extremes(ctype)
+    return st.one_of(st.sampled_from(ends), small, domain)
+
+
+def assert_bins_equal_searchsorted(histogram, probe) -> None:
+    search = histogram.borders[: histogram.bins - 1]
+    want = np.searchsorted(search, probe, side="right")
+    assert np.array_equal(histogram.get_bins(probe), want)
+
+
+@budget_settings(200)
+@given(data=st.data())
+def test_get_bins_equals_searchsorted(data):
+    """Every column type, every ``max_bins`` (so every bin count
+    ``binning`` produces, powers of two or not), dtype extremes, and
+    NaN and ±inf probes on float columns."""
+    ctype = data.draw(st.sampled_from(TYPES))
+    values = np.array(data.draw(st.lists(values_of(ctype), min_size=1, max_size=300)), dtype=ctype.dtype)
+    max_bins = data.draw(st.integers(2, 64))
+    histogram = binning(Column(values, ctype=ctype), max_bins=max_bins)
+    probes = data.draw(st.lists(values_of(ctype, infinite=True), max_size=200))
+    probe = np.concatenate(
+        [values, np.array(probes + extremes(ctype), dtype=ctype.dtype), histogram.borders]
+    )
+    if ctype.is_float:
+        probe = np.concatenate([probe, np.array([np.nan, -np.nan], dtype=ctype.dtype)])
+    assert_bins_equal_searchsorted(histogram, probe)
+
+
+@pytest.mark.parametrize("max_bins", range(2, 65))
+def test_get_bins_at_every_bin_count(max_bins):
+    """Low-cardinality (each rounding step) and high-cardinality
+    columns at every ``max_bins``, probed across several chunks."""
+    rng = np.random.default_rng(max_bins)
+    for cardinality in sorted({1, 3, 7, 15, 31, 63, max_bins - 1, 2_000}):
+        values = rng.choice(rng.integers(-50_000, 50_000, cardinality), 3_000).astype(np.int32)
+        histogram = binning(Column(values), max_bins=max_bins)
+        probe = np.concatenate(
+            [rng.integers(-60_000, 60_000, 2 * CHUNK_VALUES + 7), extremes(INT)]
+        ).astype(np.int32)
+        assert_bins_equal_searchsorted(histogram, probe)
+
+
+def test_get_bins_with_a_nan_border():
+    """An all-NaN sample at two bins keeps NaN as its one border;
+    searchsorted sorts NaN last, so only NaN reaches bin 1."""
+    histogram = binning(Column(np.full(10, np.nan)), max_bins=2)
+    assert np.isnan(histogram.borders[0])
+    assert_bins_equal_searchsorted(histogram, np.array([np.nan, -np.inf, 0.0, np.inf]))

@@ -1,21 +1,30 @@
 """Differential tests for Algorithm 1 — scalar port vs vectorised builder.
 
 The scalar port follows the paper's pseudocode per cacheline; the
-vectorised builder runs the compression state machine per run.  These
-tests pin them to each other bit-for-bit, including the nasty 24-bit
-counter-cap splits, and validate the structural invariants the query
-algorithms rely on.
+vectorised builder walks chunks and builds the dictionary in one pass
+over the run boundaries, replaying the paper's step where a counter can
+reach the cap.  These tests pin them to each other bit-for-bit,
+including the 24-bit counter-cap splits inside and across feeds and
+columns around the kernel's chunk size, and validate the structural
+invariants the query algorithms rely on.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core import ImprintsBuilder, binning, build_imprints_scalar
+from repro.core import (
+    ImprintsBuilder,
+    binning,
+    build_imprints_parallel,
+    build_imprints_scalar,
+)
+from repro.core.binning import CHUNK_VALUES
 from repro.storage import Column
 
 from .conftest import make_clustered, make_random
+from .oracle import budget_settings
 
 
 def build_both(column, max_cnt=1 << 24, rng_seed=0):
@@ -195,7 +204,7 @@ class TestStreaming:
             builder.feed(np.zeros((2, 2), dtype=np.int32))
 
 
-@settings(max_examples=60, deadline=None)
+@budget_settings(60)
 @given(
     data=st.lists(st.integers(0, 30), min_size=1, max_size=600),
     max_cnt=st.sampled_from([3, 5, 1 << 24]),
@@ -211,7 +220,7 @@ def test_differential_scalar_vs_vectorised(data, max_cnt):
     assert_same_index(scalar, builder.snapshot())
 
 
-@settings(max_examples=40, deadline=None)
+@budget_settings(40)
 @given(
     chunks=st.lists(
         st.lists(st.integers(0, 10), min_size=0, max_size=150),
@@ -235,3 +244,89 @@ def test_streaming_differential(chunks):
     for chunk in chunks:
         streamed.feed(np.array(chunk, dtype=np.int8))
     assert_same_index(whole.snapshot(), streamed.snapshot())
+
+
+# ----------------------------------------------------------------------
+# the counter cap inside and across feeds
+# ----------------------------------------------------------------------
+def lines(pattern: str) -> np.ndarray:
+    """An int32 column with one cacheline (16 values) per letter: equal
+    letters are equal imprint vectors, different letters differ."""
+    return np.repeat(np.array([ord(c) for c in pattern], dtype=np.int32), 16)
+
+
+def streamed(values, histogram, max_cnt, feeds):
+    """Feed ``values`` in pieces of the given sizes (the rest last),
+    snapshotting between feeds."""
+    builder = ImprintsBuilder(histogram, 16, max_cnt=max_cnt)
+    cursor = 0
+    for size in [*feeds, len(values)]:
+        builder.feed(values[cursor : cursor + size])
+        cursor += size
+        builder.snapshot()
+    return builder.snapshot()
+
+
+@pytest.mark.parametrize("max_cnt", [3, 5, 8])
+@pytest.mark.parametrize(
+    "pattern,feeds",
+    [
+        ("A" * 25, []),  # a repeat run hits the cap inside one feed
+        ("A" * 25, [16 * 3, 16 * 2, 16 * 4]),  # ... and across feeds
+        ("BCDEFGHIJKLMNOPQRSTUVWXYZ", []),  # a distinct stretch inside one feed
+        ("BCDEFGHIJKLMNOPQRSTUVWXYZ", [16 * 2] * 6),  # ... and across feeds
+        ("BCDEFGHHHHHHHHHHHHIJKLMNOP", [16 * 4, 16 * 5 + 3]),  # full entry, then a run
+        ("ABABBBBBBBBBBBBCDCCCCCCCCCE", [16 + 7, 16 * 9]),  # runs after distinct pairs
+    ],
+)
+def test_counter_cap_in_streamed_feeds(max_cnt, pattern, feeds):
+    values = lines(pattern)
+    column = Column(values)
+    histogram = binning(column, rng=np.random.default_rng(0))
+    scalar = build_imprints_scalar(column, histogram, max_cnt=max_cnt)
+    assert scalar.dictionary.counts.max() == max_cnt - 1  # the cap is reached
+    assert_same_index(scalar, streamed(values, histogram, max_cnt, feeds))
+
+
+@budget_settings(60)
+@given(
+    pattern=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 12)), min_size=1, max_size=30),
+    feeds=st.lists(st.integers(1, 16 * 12), max_size=8),
+    max_cnt=st.sampled_from([3, 4, 5, 8, 1 << 24]),
+)
+def test_streamed_feed_differential_with_caps(pattern, feeds, max_cnt):
+    """Runs and distinct stretches of cachelines, fed in arbitrary
+    pieces (inside cachelines too): equal to the scalar port at every
+    cap, so counters reach it inside a feed and across feed borders."""
+    values = np.concatenate(
+        [np.repeat(np.int32(value), 16 * count) for value, count in pattern]
+    )
+    values[::37] += 1  # break some runs into distinct lines
+    column = Column(values)
+    histogram = binning(column, rng=np.random.default_rng(0))
+    scalar = build_imprints_scalar(column, histogram, max_cnt=max_cnt)
+    assert_same_index(scalar, streamed(values, histogram, max_cnt, feeds))
+
+
+# ----------------------------------------------------------------------
+# columns around the kernel's chunk size
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.float64])
+@pytest.mark.parametrize("offset", ["-line", "-1", "0", "+1", "+line", "3 chunks +5"])
+def test_lengths_around_the_chunk_size(dtype, offset):
+    vpc = 64 // np.dtype(dtype).itemsize
+    n = {
+        "-line": CHUNK_VALUES - vpc,
+        "-1": CHUNK_VALUES - 1,
+        "0": CHUNK_VALUES,
+        "+1": CHUNK_VALUES + 1,
+        "+line": CHUNK_VALUES + vpc,
+        "3 chunks +5": 3 * CHUNK_VALUES + 5,
+    }[offset]
+    column = Column(make_clustered(n, dtype, seed=n, scale=3.0))
+    histogram = binning(column, rng=np.random.default_rng(0))
+    scalar = build_imprints_scalar(column, histogram)
+    builder = ImprintsBuilder(histogram, column.values_per_cacheline)
+    builder.feed(column.values)
+    assert_same_index(scalar, builder.snapshot())
+    assert_same_index(scalar, build_imprints_parallel(column, histogram, n_workers=3))

@@ -124,3 +124,43 @@ def test_delta_aware_equals_materialised_scan(seed, ops):
     selected = np.sort(index.values_at(answer.ids))
     expected = np.sort(index.delta.materialize().values[truth.ids])
     assert np.array_equal(selected, expected)
+
+
+class TestLogicalReads:
+    """Top-k and GROUP BY read the logical column: the merged ids, the
+    values :meth:`values_at` applies the pending writes to, and the
+    group codes at those ids."""
+
+    def make(self):
+        index = DeltaAwareImprints(
+            Column(np.arange(100, dtype=np.int32), name="t.a"), consolidate_threshold=1.0
+        )
+        index.attach_group_column("g", np.arange(100) % 2)
+        return index
+
+    def test_top_k_sees_a_pending_update(self):
+        index = self.make()
+        index.update(3, 400)
+        assert index.top_k(RangePredicate.everything(), 2) == [400, 99]
+
+    def test_top_k_and_groups_after_a_pending_append(self):
+        index = self.make()
+        index.append([500, 501])
+        index.append_group("g", codes=[0, 1])
+        index.update(3, 400)
+        everything = RangePredicate.everything()
+        assert index.top_k(everything, 3) == [501, 500, 400]
+        assert index.aggregate_grouped(everything, "sum", "g") == {
+            0: 2_450 + 500,
+            1: 2_500 - 3 + 400 + 501,
+        }
+        assert index.values_at(np.array([101, 3, 50, 100])).tolist() == [501, 400, 50, 500]
+
+    def test_consolidation_drops_deleted_group_rows(self):
+        index = self.make()
+        index.delete(1)
+        index.consolidate()
+        assert index.aggregate_grouped(RangePredicate.everything(), "count", "g") == {
+            0: 50,
+            1: 49,
+        }

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -14,6 +14,7 @@ from repro.core import (
 from repro.storage import Column
 
 from .conftest import make_clustered, make_random
+from .oracle import budget_settings
 
 
 def serial_build(column, histogram):
@@ -93,7 +94,7 @@ class TestEquivalence:
             build_imprints_parallel(column, histogram, n_workers=0)
 
 
-@settings(max_examples=40, deadline=None)
+@budget_settings(40)
 @given(
     seed=st.integers(0, 300),
     n=st.integers(1, 3_000),

@@ -33,6 +33,7 @@ from repro.serving import (
     ServingConfig,
     ServingHTTPServer,
 )
+from repro.storage import Column
 
 from .conftest import make_clustered
 
@@ -586,6 +587,35 @@ class TestHTTP:
             assert bad.body["status"] == 400
 
         http_scenario(scenario)
+
+    def test_server_side_type_error_is_500(self):
+        """A well-formed request that trips a bug in the program (here a
+        ``TypeError`` out of the index) is the server's fault: 500, not
+        a 400 the client could never fix."""
+
+        class BrokenIndex(SlowIndex):
+            def aggregate(self, predicate, op):
+                raise TypeError("aggregate() got an unexpected keyword argument")
+
+        index = ColumnImprints(Column(make_clustered(2_000, np.int32, seed=11), name="t.v"))
+        service = ImprintService(
+            QueryExecutor({"v": BrokenIndex(index, 0.0)}, max_batch=16), ServingConfig()
+        )
+
+        async def body():
+            try:
+                async with ServingHTTPServer(service) as server:
+                    client = ServingClient(*server.address)
+                    broken = await client.aggregate("v", LOW, HIGH, "sum", retry=False)
+                    fine = await client.query("v", LOW, HIGH, mode="full")
+                    return broken, fine
+            finally:
+                await service.close()
+
+        broken, fine = run(body())
+        assert broken.status == 500
+        assert broken.body["error"] == "TypeError"
+        assert fine.status == 200
 
     @pytest.mark.parametrize(
         "case",

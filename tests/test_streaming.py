@@ -45,6 +45,7 @@ from repro.storage import Column
 
 from .conftest import make_clustered
 from .oracle import (
+    GROUP_BY,
     DeltaTarget,
     IndexTarget,
     MirrorColumn,
@@ -517,7 +518,9 @@ class TestFirstPage:
         ]
         run_program(program, program.plain_mirror(plain), targets, plain)
         delta = DeltaAwareImprints(program.column("t.fpd"))
-        run_program(program, MirrorColumn(program.values), [DeltaTarget("delta", delta)], [delta])
+        mirror = MirrorColumn(program.values)
+        delta.attach_group_column(GROUP_BY, mirror.codes.copy())
+        run_program(program, mirror, [DeltaTarget("delta", delta)], [delta])
 
     @pytest.mark.parametrize(
         "shape,n,low,high,limit,dense",
