@@ -19,8 +19,7 @@ Packages:
 
 * :mod:`repro.core` — the imprints index (the paper's contribution);
 * :mod:`repro.engine` — the execution engine: the micro-batching/
-  coalescing/caching query executor, the access-path planner and
-  shard-walk streaming;
+  coalescing/caching query executor and the access-path planner;
 * :mod:`repro.storage` — the column-store substrate;
 * :mod:`repro.indexes` — zonemap / WAH-bitmap / scan baselines;
 * :mod:`repro.sim` — the memory-traffic cost model;
@@ -54,7 +53,7 @@ from .core import (
     conjunctive_query,
     render_imprints,
 )
-from .engine import QueryExecutor, ShardedColumnImprints
+from .engine import QueryExecutor
 from .index_base import QueryResult, QueryStats, SecondaryIndex
 from .indexes import SequentialScan, WahBitmapIndex, ZoneMap
 from .predicate import RangePredicate
@@ -82,7 +81,6 @@ __all__ = [
     "conjunctive_query",
     "render_imprints",
     "QueryExecutor",
-    "ShardedColumnImprints",
     "QueryResult",
     "QueryStats",
     "SecondaryIndex",

@@ -9,8 +9,8 @@ so a row checks the *machine-portable* parts of a run:
   overload contract, recovery and replication convergence — which
   fail immediately, no tolerance;
 * full-size floors and ceilings — the acceptance headline each study
-  exists to prove (sharded not slower than serial, first page >= 10x
-  eager, planner within 10% of the best static backend, ...), widened
+  exists to prove (first page >= 10x eager, planner within 10% of
+  the best static backend, ...), widened
   by the ±25% tolerance and skipped on ``--smoke`` runs, whose timings
   sit at the noise floor;
 * within-run ratios that must not drift more than ±25% from a baseline

@@ -3,30 +3,30 @@
 The paper's value proposition is answering queries from the
 imprint/cacheline layer without touching more of the column than
 necessary; forcing a full ``.ids`` array to serve "first 100 rows"
-throws that away.  The streaming pipeline
-(:meth:`~repro.index_base.QueryResult.page`,
-:meth:`~repro.engine.sharded.ShardedColumnImprints.page`,
-:meth:`~repro.engine.executor.QueryExecutor.submit_paged`) expands only
-the requested page from the compressed :class:`~repro.core.rowset.RowSet`
-— O(page) instead of O(answer).  This study puts a number on the
-difference: a selectivity sweep over a clustered column timing, per
-point,
+throws that away.  ``/page`` serves its first page from the index's
+lazy :meth:`~repro.core.index.ColumnImprints.page` (candidate ranges,
+then only the page's ids) and every later page from the cached full
+answer (:meth:`~repro.index_base.QueryResult.page`, O(page) off the
+compressed :class:`~repro.core.rowset.RowSet`), both through
+:meth:`~repro.engine.executor.QueryExecutor.submit_paged`.  This study
+puts a number on the difference: a selectivity sweep over a clustered
+column timing, per point,
 
 * ``eager``          — ``index.query(p).ids`` (kernel + up-front
   false-positive weeding + full O(ids) expansion, the pre-streaming
   way to serve any prefix);
 * ``first page``     — ``index.page(p, k)`` (mask kernel + lazy
-  materialisation of just the page);
-* ``sharded page``   — ``sharded.page(p, k)``: shards evaluated lazily
-  in shard order, stopping as soon as the page fills;
-* ``executor page``  — ``executor.query_paged(...)`` serving successive
-  pages from the versioned LRU without re-running kernels.
+  materialisation of just the page, no count): ``/page``'s first page;
+* ``executor page``  — ``executor.query_paged(...)`` serving a repeated
+  first page from the versioned LRU without re-running kernels.
 
 First-page latency should be near O(k) — flat across selectivities —
 while eager materialisation grows with the answer.  Before timing,
-every mode's paged concatenation is verified bit-identical to the
-forced ``.ids`` and to a NumPy oracle.  The machine-readable result
-lands in ``benchmarks/results/BENCH_streaming.json``.
+every served page shape is verified against a NumPy oracle: the index
+first page and its cursor token against ``query(p).page(k)``, the
+count-carrying ``first_page``, and full cursor walks over the result
+and through the executor.  The machine-readable result lands in
+``benchmarks/results/BENCH_streaming.json``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import ColumnImprints
-from ..engine import QueryExecutor, ShardedColumnImprints
+from ..engine import QueryExecutor
 from ..predicate import RangePredicate
 from ..storage import Column
 from .materialization import clustered_sweep
@@ -82,12 +82,15 @@ def _drain_pages(page_fn) -> np.ndarray:
     return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
 
 
+def _token(cursor) -> str | None:
+    return None if cursor is None else cursor.encode()
+
+
 def run_streaming_study(
     n_rows: int = DEFAULT_ROWS,
     seed: int = 0,
     repeats: int = 7,
     page_size: int = PAGE_SIZE,
-    n_shards: int = 4,
     smoke: bool = False,
 ) -> dict:
     """Sweep selectivities; verify every mode, then time page vs eager.
@@ -100,35 +103,38 @@ def run_streaming_study(
         repeats = min(repeats, 3)
     column, predicates = streaming_workload(n_rows, seed=seed)
     serial = ColumnImprints(column)
-    sharded = ShardedColumnImprints(column, n_shards=n_shards)
     executor = QueryExecutor({"stream": ColumnImprints(column)})
     serial.query(predicates[SWEEP_SELECTIVITIES[0]])  # warm masks/snapshot
 
     sweep = []
     try:
         for selectivity, predicate in predicates.items():
-            # --- verification (untimed): every paged path concatenates
-            # bit-identical to the forced ids and the NumPy oracle.
+            # --- verification (untimed): every served page shape equals
+            # the NumPy oracle.
             oracle = np.flatnonzero(predicate.matches(column.values)).astype(
                 np.int64
             )
-            forced = serial.query(predicate).ids
-            paged_serial = _drain_pages(
-                lambda cur, p=predicate: serial.page(p, page_size, cur)
+            want_ids, want_cursor = serial.query(predicate).page(page_size)
+            page_ids, page_cursor = serial.page(predicate, page_size)
+            count, first_ids, first_cursor = serial.first_page(
+                predicate, page_size
             )
+            if not (
+                np.array_equal(want_ids, oracle[:page_size])
+                and np.array_equal(page_ids, want_ids)
+                and np.array_equal(first_ids, want_ids)
+                and count == oracle.shape[0]
+                and _token(page_cursor)
+                == _token(first_cursor)
+                == _token(want_cursor)
+            ):
+                raise AssertionError(
+                    f"first pages differ from oracle at {selectivity}"
+                )
             paged_result = _drain_pages(
                 lambda cur, res=serial.query(predicate): res.page(
                     page_size, cur
                 )
-            )
-            paged_sharded = _drain_pages(
-                lambda cur, p=predicate: sharded.page(p, page_size, cur)
-            )
-            chunked_sharded = list(sharded.iter_chunks(predicate, page_size))
-            chunked_sharded = (
-                np.concatenate(chunked_sharded)
-                if chunked_sharded
-                else np.empty(0, dtype=np.int64)
             )
             paged_executor = _drain_pages(
                 lambda cur, p=predicate: executor.query_paged(
@@ -136,11 +142,8 @@ def run_streaming_study(
                 )
             )
             for name, got in (
-                ("forced ids", forced),
-                ("serial pages", paged_serial),
+                ("forced ids", serial.query(predicate).ids),
                 ("result pages", paged_result),
-                ("sharded pages", paged_sharded),
-                ("sharded chunks", chunked_sharded),
                 ("executor pages", paged_executor),
             ):
                 if not np.array_equal(got, oracle):
@@ -157,9 +160,6 @@ def run_streaming_study(
             first_page_seconds = best_of(
                 repeats, lambda p=predicate: serial.page(p, page_size)
             )
-            sharded_page_seconds = best_of(
-                repeats, lambda p=predicate: sharded.page(p, page_size)
-            )
             executor_page_seconds = best_of(
                 repeats,
                 lambda p=predicate: executor.query_paged(
@@ -175,16 +175,10 @@ def run_streaming_study(
                     "n_ranges": result.row_set.n_ranges,
                     "eager_seconds": eager_seconds,
                     "first_page_seconds": first_page_seconds,
-                    "sharded_page_seconds": sharded_page_seconds,
                     "executor_page_seconds": executor_page_seconds,
                     "speedup_first_page_vs_eager": (
                         eager_seconds / first_page_seconds
                         if first_page_seconds > 0
-                        else float("inf")
-                    ),
-                    "speedup_sharded_page_vs_eager": (
-                        eager_seconds / sharded_page_seconds
-                        if sharded_page_seconds > 0
                         else float("inf")
                     ),
                     "speedup_executor_page_vs_eager": (
@@ -211,7 +205,6 @@ def run_streaming_study(
             "n_rows": n_rows,
             "repeats": repeats,
             "page_size": page_size,
-            "n_shards": n_shards,
             "selectivities": list(SWEEP_SELECTIVITIES),
         },
         "sweep": sweep,
@@ -219,9 +212,6 @@ def run_streaming_study(
             "selectivity": headline["selectivity"],
             "speedup_first_page_vs_eager": headline[
                 "speedup_first_page_vs_eager"
-            ],
-            "speedup_sharded_page_vs_eager": headline[
-                "speedup_sharded_page_vs_eager"
             ],
             "speedup_executor_page_vs_eager": headline[
                 "speedup_executor_page_vs_eager"
@@ -242,7 +232,6 @@ def render_streaming_study(result: dict) -> str:
                 point["n_ids"],
                 f"{point['eager_seconds'] * 1e3:.3f}",
                 f"{point['first_page_seconds'] * 1e3:.3f}",
-                f"{point['sharded_page_seconds'] * 1e3:.3f}",
                 f"{point['executor_page_seconds'] * 1e3:.3f}",
                 f"{point['speedup_first_page_vs_eager']:.1f}x",
                 f"{point['speedup_executor_page_vs_eager']:.0f}x",
@@ -254,7 +243,6 @@ def render_streaming_study(result: dict) -> str:
             "ids",
             "eager ms",
             "page ms",
-            "sharded ms",
             "executor ms",
             "page spd",
             "exec spd",
@@ -263,15 +251,14 @@ def render_streaming_study(result: dict) -> str:
         title=(
             f"streaming: first {config['page_size']} ids vs eager "
             f"materialisation, {config['n_rows']:,} rows (best of "
-            f"{config['repeats']}; paged output verified bit-identical "
-            f"across serial/sharded/executor)"
+            f"{config['repeats']}; served pages verified against the "
+            f"oracle)"
         ),
     )
     headline = result["headline"]
     footer = (
         f"headline @ {headline['selectivity']:.0%} selectivity: first page "
-        f"{headline['speedup_first_page_vs_eager']:.1f}x, lazy sharded "
-        f"{headline['speedup_sharded_page_vs_eager']:.1f}x, executor "
+        f"{headline['speedup_first_page_vs_eager']:.1f}x, executor "
         f"cache-served {headline['speedup_executor_page_vs_eager']:.0f}x "
         f"faster than eager ids"
     )

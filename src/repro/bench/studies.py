@@ -72,10 +72,8 @@ STUDIES: dict[str, dict] = {
         "run": "throughput.run_throughput_study",
         "render": "throughput.render_throughput_study",
         "sizes": {"n_rows": (2_000_000, 50_000), "n_queries": (1536, 96)},
-        "comparable": ("n_rows", "n_queries", "n_shards", "smoke"),
+        "comparable": ("n_rows", "n_queries", "smoke"),
         "invariants": (_VERIFIED,),
-        "full": (("modes.sharded.speedup_vs_serial", ">=", 1.0,
-                  "sharded mode is slower than serial"),),
         "opt_in": (("modes.executor.speedup_vs_serial", ">=", 3.0,
                     "executor below its 3x headline"),),
         "floors": ("modes.*.speedup_vs_serial",),
@@ -116,7 +114,6 @@ STUDIES: dict[str, dict] = {
         "opt_in": (("headline.speedup_first_page_vs_eager", ">=", 10.0,
                     "first page below its 10x headline"),),
         "floors": ("headline.speedup_first_page_vs_eager",
-                   "headline.speedup_sharded_page_vs_eager",
                    "headline.speedup_executor_page_vs_eager"),
     },
     "serving": {

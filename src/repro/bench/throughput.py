@@ -4,17 +4,15 @@ The paper evaluates single-query latency; a serving system is judged on
 *queries per second* under concurrent, repetitive traffic.  This study
 replays a mixed-selectivity predicate stream (a pool of distinct
 range predicates sampled with a hot set, the shape of dashboard and
-templated-query traffic) through three execution modes over the same
+templated-query traffic) through two execution modes over the same
 column:
 
 * ``serial``   — per-query :meth:`ColumnImprints.query` calls, the
   PR-1 state of the art and the baseline;
-* ``sharded``  — per-query :class:`ShardedColumnImprints` evaluation,
-  the guard that the shard class never answers slower than serial;
 * ``executor`` — the full serving stack: :class:`QueryExecutor`
-  micro-batching the stream into shared ``query_batch`` passes over the
-  sharded index, coalescing duplicate in-flight predicates and caching
-  hot results in the version-keyed LRU.
+  micro-batching the stream into shared ``query_batch`` passes over a
+  :class:`ColumnImprints`, coalescing duplicate in-flight predicates
+  and caching hot results in the version-keyed LRU.
 
 Every answer of every mode is verified bit-identical (ids and stats)
 against the serial baseline before any number is reported.
@@ -27,7 +25,7 @@ import time
 import numpy as np
 
 from ..core import ColumnImprints
-from ..engine import QueryExecutor, ShardedColumnImprints
+from ..engine import QueryExecutor
 from ..predicate import RangePredicate
 from ..storage import Column
 from .studies import stamp
@@ -109,13 +107,12 @@ def _verify(reference, results, mode: str) -> None:
 
 def run_throughput_study(
     n_rows: int = DEFAULT_ROWS,
-    n_shards: int = 4,
     n_workers: int = 4,
     n_queries: int = DEFAULT_QUERIES,
     seed: int = 0,
     smoke: bool = False,
 ) -> dict:
-    """Replay the stream through all three modes; verify, then time.
+    """Replay the stream through both modes; verify, then time.
 
     An untimed verification pass first proves every mode bit-identical
     to the serial baseline (ids *and* stats) and warms the one-time
@@ -135,10 +132,8 @@ def run_throughput_study(
     column, stream = throughput_workload(n_rows, n_queries=n_queries, seed=seed)
 
     serial_index = ColumnImprints(column)
-    sharded_index = ShardedColumnImprints(column, n_shards=n_shards)
-    engine_index = ShardedColumnImprints(column, n_shards=n_shards)
     executor = QueryExecutor(
-        {"c": engine_index},
+        {"c": ColumnImprints(column)},
         max_batch=128,
         cache_size=1024,
         n_workers=n_workers,
@@ -147,7 +142,6 @@ def run_throughput_study(
         # --- verification pass (untimed): every mode, every predicate,
         # bit-identical ids *and* stats against the serial baseline.
         reference = [serial_index.query(predicate) for predicate in stream]
-        _verify(reference, [sharded_index.query(p) for p in stream], "sharded")
         _verify(reference, executor.map("c", stream), "executor")
         del reference
 
@@ -157,11 +151,6 @@ def run_throughput_study(
         for predicate in stream:
             serial_index.query(predicate)
         serial_seconds = time.perf_counter() - started
-
-        started = time.perf_counter()
-        for predicate in stream:
-            sharded_index.query(predicate)
-        sharded_seconds = time.perf_counter() - started
 
         executor.clear_cache()
         executor.stats.reset()
@@ -187,13 +176,11 @@ def run_throughput_study(
         "config": {
             "n_rows": n_rows,
             "n_queries": n_queries,
-            "n_shards": n_shards,
             "n_workers": n_workers,
             "selectivities": list(SELECTIVITIES),
         },
         "modes": {
             "serial": mode(serial_seconds),
-            "sharded": mode(sharded_seconds),
             "executor": {
                 **mode(executor_seconds),
                 "coalesced": coalesced,
@@ -225,7 +212,6 @@ def render_throughput_study(result: dict) -> str:
         title=(
             f"serving throughput: {config['n_rows']:,} rows, "
             f"{config['n_queries']} queries, "
-            f"{config['n_shards']} shards, "
             f"{config['n_workers']} executor workers "
             f"(answers verified bit-identical)"
         ),

@@ -3,10 +3,12 @@
 The histogram divides the column's value domain into at most 64 bins:
 
 * a uniform sample of (at most) 2048 values is drawn, sorted, and
-  deduplicated;
+  deduplicated (NaN, which orders with nothing, is dropped and binned
+  last);
 * if fewer than 64 unique values remain, each gets its own bin and the
   bin count is rounded up to the next power of two in {8, 16, 32, 64}
-  (unused borders are padded with the type's MAX);
+  (unused borders are padded with the type's MAX, or +inf when the
+  sample holds it);
 * otherwise 63 borders are picked from the sample at a *fractional*
   stride of ``smp_sz / 62`` (the paper stresses the stride must stay a
   double so the borders spread evenly), approximating an equal-height
@@ -256,14 +258,20 @@ def binning(
         raise ValueError(f"max_bins must be within [2, {MAX_BINS}], got {max_bins}")
     ctype = column.ctype
 
-    sample = np.sort(sample_column(column, sample_size, rng))
+    sample = sample_column(column, sample_size, rng)
+    if ctype.is_float:
+        # NaN orders with nothing, so it cannot be a border; get_bins
+        # puts it in the last bin.
+        sample = sample[~np.isnan(sample)]
     unique = np.unique(sample)
     smp_sz = int(unique.shape[0])
 
-    borders = np.full(max_bins, ctype.max_value, dtype=ctype.dtype)
+    # Padding never sorts below a sampled value (+inf can be one).
+    pad = max(ctype.max_value, unique[-1]) if smp_sz else ctype.max_value
+    borders = np.full(max_bins, pad, dtype=ctype.dtype)
     if smp_sz < max_bins:
         # Low cardinality: one unique value per bin, bins rounded up to
-        # the next power of two (8 at minimum), MAX padding behind.
+        # the next power of two (8 at minimum), padding behind.
         borders[:smp_sz] = unique
         bins = max_bins
         for step in _BIN_STEPS:

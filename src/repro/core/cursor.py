@@ -1,17 +1,15 @@
-"""Page cursors — resumable positions inside a streamed answer.
+"""Page cursors — resumable positions inside a paged answer.
 
-The streaming consumption path (:meth:`repro.index_base.QueryResult.page`,
-:meth:`repro.engine.sharded.ShardedColumnImprints.page`,
-:meth:`repro.engine.executor.QueryExecutor.submit_paged`) hands out
-pages of an answer one at a time.  Each page comes with a
-:class:`PageCursor` naming where the next page starts:
+A first page (:meth:`repro.index_base.SecondaryIndex.page`,
+:meth:`~repro.index_base.SecondaryIndex.first_page`) and every later
+page (:meth:`repro.index_base.QueryResult.page`, served by
+:meth:`repro.engine.executor.QueryExecutor.submit_paged` against the
+cached full answer) come with a :class:`PageCursor` naming where the
+next page starts:
 
 * ``rank`` — the absolute position in the sorted id order (how many
-  ids were already served);
-* ``segment`` / ``offset`` — the seek hint: the range index inside the
-  answer's :class:`~repro.core.rowset.RowSet` (or the shard index on
-  the sharded path) plus the intra-segment offset, so resuming does not
-  re-walk what was already served;
+  ids were already served); the answer's compressed
+  :class:`~repro.core.rowset.RowSet` seeks to it in O(log ranges);
 * ``version`` — the index's mutation counter at the time the answer
   was produced.  Any ``append``/``note_update``/``rebuild`` bumps the
   counter, so a cursor taken before the mutation fails loudly
@@ -34,7 +32,7 @@ from ..errors import StaleCursorError
 __all__ = ["PageCursor", "StaleCursorError"]
 
 #: Token format tag — bumped if the encoded layout ever changes.
-_TOKEN_VERSION = 1
+_TOKEN_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -46,41 +44,17 @@ class PageCursor:
     rank:
         Ids already served (the next page starts at this position of
         the sorted id order).
-    segment:
-        The candidate-range index the next page resumes at (unused by
-        rank-addressed producers).
-    offset:
-        Intra-range offset: value positions already consumed within
-        ``segment``.
-    shard:
-        The shard the walk is inside on the sharded streaming path
-        (``0`` for unsharded producers); ``segment``/``offset`` are
-        then shard-local.
     version:
         The producing index's mutation counter, or ``None`` when the
         producer does not version its data (eager baseline results).
-    kind:
-        The producing entry point (``"result"`` for
-        :meth:`QueryResult.page <repro.index_base.QueryResult.page>`,
-        ``"index"`` for :meth:`ColumnImprints.page
-        <repro.core.index.ColumnImprints.page>`, ``"shard"`` for the
-        sharded walk).  The position fields mean different things per
-        entry point, so consumers reject cursors issued elsewhere
-        instead of silently resuming at a meaningless position.
     """
 
     rank: int
-    segment: int = 0
-    offset: int = 0
-    shard: int = 0
     version: int | None = None
-    kind: str = ""
 
     def __post_init__(self) -> None:
-        if self.rank < 0 or self.segment < 0 or self.offset < 0 or self.shard < 0:
-            raise ValueError(f"cursor fields must be non-negative: {self}")
-        if ":" in self.kind:
-            raise ValueError(f"cursor kind must not contain ':': {self.kind!r}")
+        if self.rank < 0:
+            raise ValueError(f"cursor rank must be non-negative: {self}")
 
     # ------------------------------------------------------------------
     # opaque token form
@@ -88,10 +62,7 @@ class PageCursor:
     def encode(self) -> str:
         """The cursor as a URL-safe opaque token."""
         version = "-" if self.version is None else str(self.version)
-        raw = (
-            f"{_TOKEN_VERSION}:{self.rank}:{self.segment}:{self.offset}:"
-            f"{self.shard}:{version}:{self.kind}"
-        )
+        raw = f"{_TOKEN_VERSION}:{self.rank}:{version}"
         return base64.urlsafe_b64encode(raw.encode("ascii")).decode("ascii")
 
     @classmethod
@@ -104,16 +75,12 @@ class PageCursor:
         """
         try:
             raw = base64.urlsafe_b64decode(token.encode("ascii")).decode("ascii")
-            tag, rank, segment, offset, shard, version, kind = raw.split(":")
+            tag, rank, version = raw.split(":")
             if int(tag) != _TOKEN_VERSION:
                 raise ValueError(f"unknown token format {tag!r}")
             return cls(
                 rank=int(rank),
-                segment=int(segment),
-                offset=int(offset),
-                shard=int(shard),
                 version=None if version == "-" else int(version),
-                kind=kind,
             )
         except Exception as exc:
             raise ValueError(f"malformed page cursor token: {token!r}") from exc
@@ -142,18 +109,3 @@ class PageCursor:
             and self.version != current_version
         ):
             raise StaleCursorError(self.version, current_version)
-
-    def check_kind(self, expected: str) -> None:
-        """Reject a cursor issued by a different paging entry point.
-
-        The position fields are entry-point-specific (rank vs
-        candidate-range walk vs shard walk), so resuming a foreign
-        cursor would silently duplicate or skip ids.  Untagged cursors
-        (hand-built, ``kind == ""``) skip the check.
-        """
-        if self.kind and self.kind != expected:
-            raise ValueError(
-                f"page cursor was issued by the {self.kind!r} paging "
-                f"entry point and cannot resume a {expected!r} walk — "
-                f"pass it back to the API that produced it"
-            )

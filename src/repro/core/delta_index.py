@@ -34,6 +34,7 @@ from ..predicate import RangePredicate
 from ..storage.column import Column
 from ..storage.delta import DeltaColumn
 from .aggregates import reduce_gathered
+from .cursor import PageCursor
 from .index import ColumnImprints
 
 __all__ = ["DeltaAwareImprints"]
@@ -137,6 +138,30 @@ class DeltaAwareImprints(SecondaryIndex):
         stats = base.stats
         stats.ids_materialized = int(merged.shape[0])
         return QueryResult(ids=merged, stats=stats).stamp_version(self.version)
+
+    def page(self, predicate: RangePredicate, limit: int):
+        """``(ids, cursor)``: while nothing is pending, the base index's
+        lazy first page, its cursor re-stamped with this index's
+        version; else the first page of the merged answer."""
+        if self.delta.n_pending:
+            return super().page(predicate, limit)
+        ids, cursor = self.base_index.page(predicate, limit)
+        return ids, self._restamp(cursor)
+
+    def first_page(self, predicate: RangePredicate, limit: int):
+        """``(count, ids, cursor)``: while nothing is pending, the base
+        index's first page (no answer built), its cursor re-stamped
+        with this index's version; else the merged answer's."""
+        if self.delta.n_pending:
+            return super().first_page(predicate, limit)
+        count, ids, cursor = self.base_index.first_page(predicate, limit)
+        return count, ids, self._restamp(cursor)
+
+    def _restamp(self, cursor: PageCursor | None) -> PageCursor | None:
+        # Cursors must track *this* index's version, as query() does.
+        if cursor is None:
+            return None
+        return PageCursor(rank=cursor.rank, version=self.version)
 
     def aggregate(self, predicate: RangePredicate, op: str):
         """``COUNT``/``SUM``/``MIN``/``MAX`` over the *logical* column.

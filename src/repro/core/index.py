@@ -38,17 +38,18 @@ from .aggregates import (
 )
 from .binning import DEFAULT_SAMPLE_SIZE, MAX_BINS, Histogram, binning
 from .builder import ImprintsBuilder, ImprintsData
+from .cursor import PageCursor
 from .dictionary import MAX_CNT
 from .query import (
     CachelineCandidates,
     _overlay_state,
     dense_span_or_ranges,
+    first_ids_of_ranges,
     first_page_of_span,
     query_batch,
     query_cachelines,
     query_ranges,
     query_vectorized,
-    take_from_ranges,
 )
 from .ranges import CandidateRanges
 
@@ -233,56 +234,32 @@ class ColumnImprints(SecondaryIndex):
         ]
 
     # ------------------------------------------------------------------
-    # streaming consumption — lazy materialisation off candidate ranges
+    # first pages — lazy materialisation off candidate ranges
     # ------------------------------------------------------------------
-    def page(self, predicate: RangePredicate, limit: int, cursor=None):
-        """One page of the answer: ``(ids_chunk, next_cursor)``.
+    def page(self, predicate: RangePredicate, limit: int):
+        """``(ids, cursor)``: the answer's first ``limit`` ids, lazily.
 
-        True first-k laziness: the compressed-domain kernel produces
-        candidate *ranges* only, and :func:`~repro.core.query.
-        take_from_ranges` materialises just the requested page — full
-        ranges by arithmetic, partial ranges checked block by block
-        until the page fills.  "First 100 ids" of a million-id answer
-        therefore costs the kernel plus ~100 ids of work, never the
-        answer-sized expansion (and never the up-front false-positive
-        weeding of every partial cacheline that :meth:`query` pays).
-        The cursor records ``(range index, intra-range offset,
-        version)``; a cursor taken before an ``append``/``note_update``
-        /``rebuild`` raises
-        :class:`~repro.core.cursor.StaleCursorError`.  Concatenated
-        pages are bit-identical to ``query(predicate).ids``.
+        One candidate pass, then the
+        :func:`~repro.core.query.first_ids_of_ranges` walk for
+        ``limit + 1`` ids: no count and no answer are built, and the
+        extra id decides whether a rank cursor comes back (``None``
+        when the page holds the whole answer).  Equal to
+        ``query(predicate).page(limit)``, cursor token included, so the
+        next page resumes against the full answer.
         """
-        from .cursor import PageCursor
-
         if limit < 1:
             raise ValueError(f"page limit must be >= 1, got {limit}")
         version = self.version
-        if cursor is None:
-            segment, offset, rank = 0, 0, 0
-        else:
-            cursor = PageCursor.parse(cursor)
-            cursor.check_kind("index")
-            cursor.check_version(version)
-            segment, offset, rank = cursor.segment, cursor.offset, cursor.rank
-        ranges = self.candidate_ranges(predicate)
-        ids, segment, offset = take_from_ranges(
+        ids = first_ids_of_ranges(
             self.data,
             self.column.values,
             predicate.matches,
-            ranges,
-            segment,
-            offset,
-            limit,
+            self.candidate_ranges(predicate),
+            limit + 1,
         )
-        if segment >= ranges.n_ranges:
+        if ids.shape[0] <= limit:
             return ids, None
-        return ids, PageCursor(
-            rank=rank + int(ids.shape[0]),
-            segment=segment,
-            offset=offset,
-            version=version,
-            kind="index",
-        )
+        return ids[:limit], PageCursor(rank=limit, version=version)
 
     def first_page(self, predicate: RangePredicate, limit: int):
         """``(count, ids, cursor)`` without building the answer.
@@ -293,13 +270,11 @@ class ColumnImprints(SecondaryIndex):
         first ids, and neither candidate ranges nor the aggregate
         sidecar are built.  On the sparse side the same candidate ranges
         feed the ``COUNT`` pushdown and the
-        :func:`~repro.core.query.take_from_ranges` walk.  Equal to the
+        :func:`~repro.core.query.first_ids_of_ranges` walk.  Equal to the
         base :meth:`~repro.index_base.SecondaryIndex.first_page`,
         including the rank cursor, so the page resumes against the full
         answer.
         """
-        from .cursor import PageCursor
-
         if limit < 1:
             raise ValueError(f"page limit must be >= 1, got {limit}")
         version = self.version
@@ -313,45 +288,12 @@ class ColumnImprints(SecondaryIndex):
             count = aggregate_candidates(
                 ranges, values, predicate, self.cacheline_aggregates, "count"
             )
-            ids, _, _ = take_from_ranges(
-                self.data, values, predicate.matches, ranges, 0, 0, limit
+            ids = first_ids_of_ranges(
+                self.data, values, predicate.matches, ranges, limit
             )
         if ids.shape[0] >= count:
             return count, ids, None
-        return count, ids, PageCursor(
-            rank=int(ids.shape[0]), version=version, kind="result"
-        )
-
-    def iter_chunks(self, predicate: RangePredicate, size: int):
-        """Stream the answer as ``size``-id chunks, materialised lazily.
-
-        The generator form of :meth:`page`: the kernel runs once, then
-        each chunk expands only its own slice of the candidate ranges.
-        Stopping early leaves the tail of the answer untouched.  The
-        stream is version-guarded like a cursor: mutating the index
-        mid-iteration raises
-        :class:`~repro.core.cursor.StaleCursorError` instead of
-        silently yielding ids that mix two snapshots.
-        """
-        from .cursor import StaleCursorError
-
-        if size < 1:
-            raise ValueError(f"chunk size must be >= 1, got {size}")
-        version = self.version
-        data = self.data
-        ranges = self.candidate_ranges(predicate)
-        values = self.column.values
-        segment = offset = 0
-        while segment < ranges.n_ranges:
-            if self.version != version:
-                raise StaleCursorError(
-                    version, self.version, what="chunk stream"
-                )
-            ids, segment, offset = take_from_ranges(
-                data, values, predicate.matches, ranges, segment, offset, size
-            )
-            if ids.shape[0]:
-                yield ids
+        return count, ids, PageCursor(rank=int(ids.shape[0]), version=version)
 
     def aggregate(self, predicate: RangePredicate, op: str):
         """``COUNT``/``SUM``/``MIN``/``MAX`` pushdown (fused kernel).

@@ -82,7 +82,11 @@ def make_masks(histogram: Histogram, predicate: RangePredicate) -> tuple[int, in
 
     # --- full containment of the high edge bin ------------------------
     if predicate.high_unbounded:
-        high_full = last_bin == histogram.bins - 1
+        # The last bin also holds NaN, which only a predicate unbounded
+        # on both sides matches.
+        high_full = last_bin == histogram.bins - 1 and (
+            predicate.low_unbounded or not histogram.ctype.is_float
+        )
     elif last_bin == histogram.bins - 1:
         high_full = False  # the last bin is open towards +inf
     else:

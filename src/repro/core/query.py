@@ -23,7 +23,9 @@ consumers that want id lists.  :func:`query_batch` shares the stored-
 vector pass across many predicates — the traffic-serving shape.
 :func:`dense_span_or_ranges` decides from the same stored-vector test
 whether a count or a first page scans the candidates' covering span
-once instead of building ranges (:func:`first_page_of_span`).
+once instead of building ranges (:func:`first_page_of_span`), and
+:func:`first_ids_of_ranges` walks candidate ranges for a first page
+without building the answer.
 
 All production paths return their answer as a lazy compressed
 :class:`~repro.core.rowset.RowSet`-backed result — full cacheline runs
@@ -62,7 +64,8 @@ __all__ = [
     "first_page_of_span",
     "DENSE_SHARE",
     "materialize_ranges",
-    "take_from_ranges",
+    "first_ids_of_ranges",
+    "FIRST_WINDOW",
     "CachelineCandidates",
 ]
 
@@ -295,11 +298,12 @@ def query_ranges(
 #: the aggregate sidecar: a count costs ~60-90 ns per partial line when
 #: the sidecar bounds promote or drop it (clustered data) and ~130 ns
 #: when it straddles a predicate bound (uniform data); a first page
-#: adds the range walk, up to ~370 ns per partial line.  Break-even is
-#: therefore a share of 0.03-0.1 for first pages and 0.08-0.2 for
-#: counts.  At 0.1, served page predicates (shares 0.56-1.0 on uniform
-#: columns) go dense and clustered dashboard counts (shares <= 0.05)
-#: stay sparse.
+#: adds the walk up to where its page fills (:func:`first_ids_of_ranges`),
+#: ~60 ns per partial line in all on a random walk and ~150 ns on
+#: uniform data.  Break-even is therefore a share of 0.08-0.2 for counts
+#: and 0.09-0.18 for first pages.  At 0.1, served page predicates
+#: (shares 0.56-1.0 on uniform columns) go dense and clustered
+#: dashboard counts (shares <= 0.05) stay sparse.
 DENSE_SHARE = 0.1
 
 
@@ -446,79 +450,66 @@ def materialize_ranges(
     return QueryResult(rowset=rowset, stats=stats)
 
 
-def take_from_ranges(
+#: Candidate value positions the first window of
+#: :func:`first_ids_of_ranges` checks; each later window doubles.
+#: ``ColumnImprints.page(p, 100)`` on a 2-vCPU VM (best of 9), first
+#: windows of 512 to 16384 positions: 0.20-0.24 ms on 4M clustered rows
+#: at 20%, 0.29-0.37 ms on a 4M-row random walk at 20%, 1.78-1.99 ms on
+#: 4M uniform rows at 35%, with 4096 lowest or within 0.02 ms of it on
+#: each.  Larger windows pay on the first two, where the page fills in
+#: a few hundred positions; a narrow predicate on a 400k-row random
+#: walk (156 partial ranges, 122 ids) went from 0.23 ms at 512 to 0.16
+#: at 4096 and 0.14 at 16384.
+FIRST_WINDOW = 4096
+
+
+def first_ids_of_ranges(
     data: ImprintsData,
     values: np.ndarray,
     matches,
     ranges: CandidateRanges,
-    segment: int,
-    offset: int,
     limit: int,
-) -> tuple[np.ndarray, int, int]:
-    """Materialise at most ``limit`` ids from a candidate-range walk.
+) -> np.ndarray:
+    """The answer's first ``limit`` ids, without building the answer.
 
-    The streaming counterpart of :func:`materialize_ranges`: instead of
-    weeding *every* partial candidate up front, the walk starts at
-    ``(segment, offset)`` — candidate-range index plus intra-range
-    offset in value positions, exactly what page cursors persist — and
-    stops as soon as ``limit`` ids are collected.  Full ranges emit ids
-    by arithmetic; partial ranges check values block by block, so a
-    first page touches a handful of cachelines no matter how large the
-    full answer is.  Returns ``(ids, segment, offset)`` with the
-    position advanced past the last id served (``segment ==
-    ranges.n_ranges`` means the walk is exhausted); resuming from a
-    returned position re-checks nothing.  Concatenated over a full
-    walk, the ids are bit-identical to ``materialize_ranges(...).ids``.
+    The lazy counterpart of :func:`materialize_ranges`.  The candidate
+    value positions (every range's values, in id order) are checked in
+    windows from position 0: the first :data:`FIRST_WINDOW` positions
+    long (at least ``limit``), each later one twice the last, until
+    ``limit`` ids are found.  A window may end inside a range, so a
+    long run costs one window, not one check of the whole run.  Within
+    a window, full ranges emit their ids and partial ranges keep the
+    values ``matches`` accepts, exactly as :func:`materialize_ranges`
+    does, so the ids equal the first ``limit`` of its answer.
     """
-    if limit < 0:
-        raise ValueError(f"limit must be >= 0, got {limit}")
     vpc = data.values_per_cacheline
-    n = data.n_values
-    starts, stops, full = ranges.starts, ranges.stops, ranges.full
-    n_segments = int(starts.shape[0])
-    out: list[np.ndarray] = []
-    taken = 0
-    while segment < n_segments and taken < limit:
-        base = int(starts[segment]) * vpc
-        v_start = base + offset
-        v_stop = min(int(stops[segment]) * vpc, n)
-        if v_start >= v_stop:
-            segment += 1
-            offset = 0
-            continue
-        if full[segment]:
-            take = min(limit - taken, v_stop - v_start)
-            out.append(np.arange(v_start, v_start + take, dtype=np.int64))
-            taken += take
-            offset += take
-        else:
-            # One block of value checks: enough positions that a page
-            # usually fills in one round, clamped to the range.
-            block_stop = min(
-                v_start + max(4 * (limit - taken), vpc), v_stop
-            )
-            survivors = (
-                np.flatnonzero(matches(values[v_start:block_stop])) + v_start
-            )
-            need = limit - taken
-            if survivors.shape[0] > need:
-                survivors = survivors[:need]
-                out.append(survivors)
-                taken += need
-                offset = int(survivors[-1]) + 1 - base
-            else:
-                out.append(survivors)
-                taken += int(survivors.shape[0])
-                offset = block_stop - base
-        if base + offset >= v_stop:
-            segment += 1
-            offset = 0
-    ids = (
-        np.concatenate(out)
-        if len(out) > 1
-        else (out[0] if out else np.empty(0, dtype=np.int64))
-    )
-    return ids, segment, offset
+    starts = ranges.starts * vpc
+    stops = np.minimum(ranges.stops * vpc, data.n_values)
+    lengths = stops - starts
+    ends = np.cumsum(lengths)  # candidate positions up to each range's end
+    total = int(ends[-1]) if ends.shape[0] else 0
+    found: list[np.ndarray] = []
+    need, lo, window = limit, 0, FIRST_WINDOW
+    while need > 0 and lo < total:
+        hi = min(lo + max(window, need), total)
+        # The ranges the window [lo, hi) overlaps, clipped to it.
+        first = int(np.searchsorted(ends, lo, side="right"))
+        last = int(np.searchsorted(ends, hi, side="left")) + 1
+        window_starts = starts[first:last].copy()
+        window_stops = stops[first:last].copy()
+        window_starts[0] += lo - (ends[first] - lengths[first])
+        window_stops[-1] -= ends[last - 1] - hi
+        ids = expand_ranges(window_starts, window_stops)
+        keep = np.repeat(ranges.full[first:last], window_stops - window_starts)
+        check = np.flatnonzero(~keep)
+        keep[check] = matches(values[ids[check]])
+        hits = ids[keep][:need]
+        found.append(hits)
+        need -= hits.shape[0]
+        lo, window = hi, 2 * window
+    if not found:
+        return np.empty(0, dtype=np.int64)
+    return found[0] if len(found) == 1 else np.concatenate(found)
 
 
 def query_vectorized(

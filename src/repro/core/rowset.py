@@ -212,7 +212,7 @@ class RowSet:
         return RowSet(starts, stops, extras)
 
     # ------------------------------------------------------------------
-    # streaming consumption — positional (rank) access in O(k)
+    # paged consumption — positional (rank) access in O(k)
     # ------------------------------------------------------------------
     def _ranks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rank arrays for positional access, computed once and cached.
@@ -275,42 +275,6 @@ class RowSet:
         j0 = int(np.searchsorted(extra_rank, start, side="left"))
         j1 = int(np.searchsorted(extra_rank, stop, side="left"))
         return RowSet(starts, stops, self.extras[j0:j1])
-
-    def first_k(self, k: int) -> np.ndarray:
-        """The first ``k`` ids of the sorted order, in O(k).
-
-        The top-k entry point: expands only the head of the answer —
-        ``first_k(100)`` on a 10%-selectivity answer over millions of
-        rows never touches the other hundreds of thousands of ids.
-        Returns fewer than ``k`` ids when the set is smaller.
-        """
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
-        return self.slice_rows(0, k).to_ids()
-
-    def skip(self, offset: int) -> "RowSet":
-        """The set without its first ``offset`` ids (OFFSET semantics).
-
-        O(ranges): the skipped prefix is dropped by clipping endpoints,
-        so ``skip(offset).first_k(k)`` serves any page in O(k + log).
-        """
-        if offset < 0:
-            raise ValueError(f"offset must be >= 0, got {offset}")
-        return self.slice_rows(offset)
-
-    def iter_chunks(self, size: int):
-        """Yield the sorted ids as ``int64`` arrays of ``size`` ids each.
-
-        The streaming consumption loop: each chunk is expanded lazily
-        from the compressed form in O(size + log), the full id array is
-        never built, and the final chunk is simply shorter.  An empty
-        set yields nothing.
-        """
-        if size < 1:
-            raise ValueError(f"chunk size must be >= 1, got {size}")
-        total = self.count()
-        for lo in range(0, total, size):
-            yield self.slice_rows(lo, min(lo + size, total)).to_ids()
 
     # ------------------------------------------------------------------
     # materialisation (the only O(ids) operation)

@@ -2,9 +2,6 @@
 
 Layers, bottom up:
 
-* :mod:`repro.engine.sharded` — :class:`ShardedColumnImprints` slices
-  the compressed index into cacheline-aligned shard views and streams
-  pages shard by shard, evaluating only the shards a page reaches;
 * :mod:`repro.engine.planner` — :class:`QueryPlanner` prices every
   candidate backend for a predicate (cost model × observed statistics)
   and :class:`MultiBackendIndex` hosts several access paths over one
@@ -27,18 +24,14 @@ from .planner import (
     QueryPlanner,
     predicate_shape,
 )
-from .sharded import ImprintShard, ShardedColumnImprints, slice_imprints
 
 __all__ = [
     "ExecutorStats",
-    "ImprintShard",
     "LRUCache",
     "MultiBackendIndex",
     "PlanChoice",
     "PlanStatistics",
     "QueryExecutor",
     "QueryPlanner",
-    "ShardedColumnImprints",
     "predicate_shape",
-    "slice_imprints",
 ]

@@ -28,7 +28,9 @@ shapes the kernels below are fastest at:
   limit=)`` answers a count plus its first page the same way, through
   the index's ``first_page``, which on imprints never builds the full
   answer: one stored-vector test, then one scan of the covering span
-  where the imprint cannot prune, else one candidate pass.
+  where the imprint cannot prune, else one candidate pass;
+  :meth:`submit_paged` without a cursor answers a page alone through
+  the index's ``page`` (one candidate pass, no count).
 
 Answers are bit-identical to calling ``index.query(predicate)``
 directly — the executor only re-schedules work, it never changes it.
@@ -280,28 +282,40 @@ class QueryExecutor:
     ) -> Future:
         """Enqueue one page request; future of ``(ids_chunk, next_cursor)``.
 
-        The streaming front door: the first call answers the predicate
-        through the normal batched/coalesced path and serves the first
-        ``limit`` ids from the answer's compressed form in O(limit);
-        successive calls pass the returned cursor and are served from
-        the *versioned LRU* — no kernel re-runs, each page expands only
-        its own slice of the cached row set.  A cursor issued before an
-        ``append``/``note_update``/``rebuild`` fails with
-        :class:`~repro.core.cursor.StaleCursorError` (the version is
-        part of both the cursor and the cache key, so a stale cursor
-        can never be served a fresh answer or vice versa).
+        The streaming front door.  Without a cursor the first ``limit``
+        ids come from the index's lazy
+        :meth:`~repro.index_base.SecondaryIndex.page` (on imprints one
+        candidate pass, never the full answer), run on the worker pool
+        under :meth:`submit_aggregate`'s deadline and cancel rules and
+        cached in the versioned LRU.  With the returned cursor, the
+        next page is served from the full answer, answered through the
+        normal batched/coalesced path once and then from the LRU; each
+        page expands only its own slice of the cached row set.  A
+        cursor issued before an ``append``/``note_update``/``rebuild``
+        fails with :class:`~repro.core.cursor.StaleCursorError` (the
+        version is part of both the cursor and the cache key, so a
+        stale cursor can never be served a fresh answer or vice versa).
         """
         from ..core.cursor import PageCursor
 
         if limit < 1:
             raise ValueError(f"page limit must be >= 1, got {limit}")
-        index = self.index(name)
-        if cursor is not None:
-            # Fail fast, before any scheduling: a stale cursor cannot
-            # become valid by waiting.
-            PageCursor.parse(cursor).check_version(
-                getattr(index, "version", None)
+        if cursor is None:
+            return self._on_pool(
+                predicate,
+                deadline,
+                lambda: self._lookup(
+                    name,
+                    predicate,
+                    ("first ids", limit),
+                    lambda index: index.page(predicate, limit),
+                    ids_at=0,  # (ids, cursor)
+                ),
             )
+        index = self.index(name)
+        # Fail fast, before any scheduling: a stale cursor cannot
+        # become valid by waiting.
+        PageCursor.parse(cursor).check_version(getattr(index, "version", None))
         page_future: Future = Future()
         inner = self.submit(name, predicate, deadline=deadline)
 
@@ -398,11 +412,23 @@ class QueryExecutor:
         ``k`` or ``limit`` raises here (:meth:`check_aggregate`).  A
         first page's cursor resumes through :meth:`submit_paged`.
         """
+        return self._on_pool(
+            predicate,
+            deadline,
+            lambda: self._lookup_aggregate(
+                name, predicate, op, group_by=group_by, k=k, limit=limit
+            ),
+        )
+
+    def _on_pool(self, predicate, deadline, lookup) -> Future:
+        """Future of a :meth:`_lookup` answer (``lookup()`` probes the
+        LRU): resolved at once on a hit, else the answer is computed on
+        the worker pool, inside a copy of the caller's
+        :mod:`contextvars` context, unless ``deadline`` passed or the
+        waiter cancelled before the task started."""
         if self._closed:
             raise ExecutorClosedError("executor is closed")
-        hit, compute = self._lookup_aggregate(
-            name, predicate, op, group_by=group_by, k=k, limit=limit
-        )
+        hit, compute = lookup()
         fut: Future = Future()
         if hit is not None:
             fut.set_result(hit[0])
@@ -418,7 +444,7 @@ class QueryExecutor:
             try:
                 if expired:
                     raise DeadlineExceeded(
-                        f"deadline expired before {predicate!r} was aggregated"
+                        f"deadline expired before {predicate!r} was answered"
                     )
                 fut.set_result(context.run(compute))
             except BaseException as exc:  # noqa: BLE001 - propagate to waiter
@@ -475,15 +501,34 @@ class QueryExecutor:
     def _lookup_aggregate(
         self, name, predicate, op, *, group_by=None, k=None, limit=None
     ):
-        """Validate an aggregate request and probe the LRU once.
+        """Validate an aggregate request and probe the LRU once
+        (:meth:`_lookup`)."""
+        tag = self.check_aggregate(op, group_by=group_by, k=k, limit=limit)
+
+        def read(index):
+            if limit is not None:
+                return index.first_page(predicate, limit)
+            if k is not None:
+                return index.top_k(predicate, k)
+            if group_by is not None:
+                return index.aggregate_grouped(predicate, op, group_by)
+            return index.aggregate(predicate, op)
+
+        ids_at = None if limit is None else 1  # (count, ids, cursor)
+        return self._lookup(name, predicate, tag, read, ids_at)
+
+    def _lookup(self, name, predicate, tag, read, ids_at=None):
+        """Probe the LRU once for ``(column, predicate, tag, version)``.
 
         Returns ``(hit, compute)``: ``hit`` is the cached answer wrapped
         in a 1-tuple (so a legitimate ``None`` — MIN/MAX over an empty
         selection — is distinguishable from a miss) or ``None``;
-        ``compute()`` runs the index's pushdown and caches its answer.
-        The request counts once in :attr:`stats`.
+        ``compute()`` runs ``read(index)`` and caches its answer.  A
+        page's ids (at ``ids_at`` of the answer) are frozen, because the
+        LRU shares them, and weigh what they pin; a grouped dict or
+        top-k list weighs per entry.  The request counts once in
+        :attr:`stats`.
         """
-        tag = self.check_aggregate(op, group_by=group_by, k=k, limit=limit)
         index = self.index(name)
         version = getattr(index, "version", None)
         key = (name, predicate, tag, version)
@@ -493,23 +538,15 @@ class QueryExecutor:
         )
 
         def compute():
-            if limit is not None:
-                value = index.first_page(predicate, limit)
-                value[1].setflags(write=False)  # shared through the LRU
-            elif k is not None:
-                value = index.top_k(predicate, k)
-            elif group_by is not None:
-                value = index.aggregate_grouped(predicate, op, group_by)
-            else:
-                value = index.aggregate(predicate, op)
+            value = read(index)
+            weight = _SCALAR_WEIGHT
+            if ids_at is not None:
+                ids = value[ids_at]
+                ids.setflags(write=False)
+                weight += int(ids.nbytes)
+            elif tag[0] != "aggregate":
+                weight += _GROUP_ENTRY_WEIGHT * len(value)
             if version is not None:
-                # First pages pay for their ids; grouped dicts and top-k
-                # lists per entry.
-                weight = _SCALAR_WEIGHT
-                if limit is not None:
-                    weight += int(value[1].nbytes)
-                elif tag[0] != "aggregate":
-                    weight += _GROUP_ENTRY_WEIGHT * len(value)
                 self._cache.put(key, (value,), weight=weight)
             return value
 

@@ -747,6 +747,10 @@ class MultiBackendIndex(SecondaryIndex):
         """Aggregate pushdown always rides the primary (the sidecar)."""
         return self._primary.aggregate(predicate, op)
 
+    def page(self, predicate: RangePredicate, limit: int):
+        """A first page always rides the primary (no answer built)."""
+        return self._primary.page(predicate, limit)
+
     def first_page(self, predicate: RangePredicate, limit: int):
         """Count plus first page always ride the primary (no answer
         built)."""

@@ -8,9 +8,9 @@ historically raised (``RuntimeError``, ``ValueError``, ``TimeoutError``)
 so existing ``except`` sites — inside this repo and out — keep working
 unchanged:
 
-* :class:`StaleCursorError` — a page cursor or chunk stream spans two
-  index versions (was a bare ``RuntimeError`` subclass in
-  :mod:`repro.core.cursor`, still importable from there);
+* :class:`StaleCursorError` — a page cursor spans two index versions
+  (was a bare ``RuntimeError`` subclass in :mod:`repro.core.cursor`,
+  still importable from there);
 * :class:`ExecutorClosedError` — work submitted to (or stranded inside)
   a closed :class:`~repro.engine.executor.QueryExecutor`;
 * :class:`AdmissionRejected` — the serving layer is at capacity and
@@ -57,7 +57,7 @@ class ReproError(Exception):
 
 
 class StaleCursorError(ReproError, RuntimeError):
-    """A page cursor (or chunk stream) spans two versions of the index.
+    """A page cursor spans two versions of the index.
 
     Raised instead of serving pages that mix two snapshots: the ids
     before the cursor came from one version of the column, the ids
@@ -65,11 +65,9 @@ class StaleCursorError(ReproError, RuntimeError):
     answer no single version ever gave.
     """
 
-    def __init__(
-        self, cursor_version, current_version, what: str = "page cursor"
-    ) -> None:
+    def __init__(self, cursor_version, current_version) -> None:
         super().__init__(
-            f"{what} was issued at index version {cursor_version} "
+            f"page cursor was issued at index version {cursor_version} "
             f"but the index is now at version {current_version}; the "
             f"underlying column changed (append/update/rebuild) — "
             f"restart paging from the beginning"

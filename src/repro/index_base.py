@@ -168,8 +168,8 @@ class QueryResult:
     def on_materialize(self, callback) -> None:
         """Register a hook fired whenever :attr:`pinned_nbytes` grows.
 
-        It grows when ``.ids`` is first forced and when a page, chunk or
-        top-k read first memoises the row set's rank arrays; the
+        It grows when ``.ids`` is first forced and when a page first
+        memoises the row set's rank arrays; the
         callback receives the new total.  Serving caches use this to
         re-weight their entries
         (:meth:`repro.engine.cache.LRUCache.reweight`) so a byte budget
@@ -260,7 +260,7 @@ class QueryResult:
         return self.n_ids / n_rows
 
     # ------------------------------------------------------------------
-    # streaming consumption — pages and chunks, O(k) per page
+    # paged consumption — O(k) per page
     # ------------------------------------------------------------------
     @property
     def version(self) -> int | None:
@@ -301,7 +301,6 @@ class QueryResult:
             rank = 0
         else:
             cursor = PageCursor.parse(cursor)
-            cursor.check_kind("result")
             cursor.check_version(self._version)
             rank = cursor.rank
         total = self.count()
@@ -312,37 +311,7 @@ class QueryResult:
             chunk = self._slice(rank, stop).to_ids()
         if stop >= total:
             return chunk, None
-        # Results address position by rank alone (slice_rows seeks in
-        # O(log ranges)); the candidate-walk fields stay zero.
-        return chunk, PageCursor(
-            rank=stop, version=self._version, kind="result"
-        )
-
-    def iter_chunks(self, size: int):
-        """Stream the sorted ids as arrays of ``size`` ids each.
-
-        Slices the compressed form like :meth:`RowSet.iter_chunks
-        <repro.core.rowset.RowSet.iter_chunks>` (eagerly-built results
-        just slice their id array): O(size) per chunk, the flat array
-        is never built, an empty answer yields nothing.
-        """
-        if size < 1:
-            raise ValueError(f"chunk size must be >= 1, got {size}")
-        if self._ids is not None:
-            for lo in range(0, self._ids.shape[0], size):
-                yield self._ids[lo : lo + size]
-            return
-        total = self.count()
-        for lo in range(0, total, size):
-            yield self._slice(lo, min(lo + size, total)).to_ids()
-
-    def first_k(self, k: int) -> np.ndarray:
-        """The first ``k`` ids in O(k) — top-k without materialisation."""
-        if self._ids is not None:
-            return self._ids[: max(k, 0)]
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
-        return self._slice(0, k).to_ids()
+        return chunk, PageCursor(rank=stop, version=self._version)
 
     # ------------------------------------------------------------------
     # aggregate pushdown (no id expansion on range-shaped answers)
@@ -506,6 +475,18 @@ class SecondaryIndex(ABC):
         indexes simply measure their id list.
         """
         return self.query(predicate).count()
+
+    def page(self, predicate: RangePredicate, limit: int):
+        """``(ids, cursor)``: the answer's first ``limit`` ids.
+
+        Equal to ``query(predicate).page(limit)``: ``cursor`` is the rank
+        cursor :meth:`QueryResult.page` hands out (``None`` when the
+        page holds the whole answer), and the next page resumes with
+        ``query(predicate).page(limit, cursor)``.  This default runs one
+        :meth:`query`; :class:`~repro.core.index.ColumnImprints` walks
+        the candidate ranges for the page alone and computes no count.
+        """
+        return self.query(predicate).page(limit)
 
     def first_page(self, predicate: RangePredicate, limit: int):
         """``(count, ids, cursor)``: the answer size plus its first page.

@@ -41,8 +41,8 @@ class ChaosConfig:
     """What to inject, how often.  ``0`` disables an injector.
 
     Frequencies count *kernel evaluations* (``query`` / ``query_batch``
-    / ``aggregate`` / ``first_page`` / ``candidate_ranges`` calls), so
-    runs are reproducible regardless of timing.
+    / ``aggregate`` / ``page`` / ``first_page`` / ``candidate_ranges``
+    calls), so runs are reproducible regardless of timing.
     """
 
     kernel_latency: float = 0.0
@@ -169,6 +169,10 @@ class ChaosIndex:
     def aggregate(self, predicate, op: str):
         self._tick()
         return self._inner.aggregate(predicate, op)
+
+    def page(self, predicate, limit: int):
+        self._tick()
+        return self._inner.page(predicate, limit)
 
     def first_page(self, predicate, limit: int):
         self._tick()

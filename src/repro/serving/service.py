@@ -541,7 +541,10 @@ class ImprintService:
     ) -> dict:
         """One page of a query answer; resumes from ``cursor``.
 
-        A cursor issued before an index mutation raises
+        Without a cursor the page comes from the index's lazy first
+        page (on imprints one candidate pass, never the full answer);
+        with one, from the full answer the executor caches.  A cursor
+        issued before an index mutation raises
         :class:`~repro.errors.StaleCursorError` (HTTP 410): the client
         must re-query, because continuing would stitch two snapshots.
         """

@@ -389,8 +389,9 @@ def _token(cursor):
 
 
 class IndexTarget:
-    """An index read directly: forced ids, every page walk and chunk
-    stream it offers, counts, first pages, aggregates, GROUP BY, top-k.
+    """An index read directly: forced ids, the rank-cursor walk, counts,
+    first pages (``first_page`` and the lazy ``page``), aggregates,
+    GROUP BY, top-k.
 
     An id answer is an array (compared whole) or a list of pages (a
     rank-cursor walk, compared page by page).
@@ -405,11 +406,6 @@ class IndexTarget:
         assert result.version == self.index.version, f"{self.name}: version stamp"
         yield "forced ids", result.ids
         yield "result pages", drain(self.index.query(predicate).page, size)
-        if hasattr(self.index, "page"):
-            yield "index pages", np.concatenate(drain(partial(self.index.page, predicate), size))
-        if hasattr(self.index, "iter_chunks"):
-            chunks = list(self.index.iter_chunks(predicate, size))
-            yield "chunk stream", np.concatenate([np.empty(0, np.int64), *chunks])
 
     def counts(self, predicate):
         yield "count()", self.index.query(predicate).count()
@@ -417,8 +413,11 @@ class IndexTarget:
 
     def first_page(self, predicate, limit):
         count, ids, cursor = self.index.first_page(predicate, limit)
+        page_ids, page_cursor = self.index.page(predicate, limit)
         _, full = self.index.query(predicate).page(limit)
         assert _token(cursor) == _token(full), f"{self.name}: first-page cursor"
+        assert _token(page_cursor) == _token(full), f"{self.name}: page cursor"
+        assert np.array_equal(page_ids, ids), f"{self.name}: page ids"
         return count, ids, cursor is not None
 
     def aggregate(self, predicate, op):

@@ -38,16 +38,12 @@ CASES = [
     ("throughput", "self", 0, {}, {}),
     ("throughput", "no-baseline", 0, {}, None),
     ("throughput", "unverified", 1, {"verified_bit_identical": False}, {}),
-    ("throughput", "sharded-slow", 1,
-     {"modes.sharded.speedup_vs_serial": 0.5}, None),
-    ("throughput", "sharded-slow-vs-base", 2,
-     {"modes.sharded.speedup_vs_serial": 0.5}, {}),
     ("throughput", "executor-drop", 1,
      {"modes.executor.speedup_vs_serial": 2.0}, {}),
     ("throughput", "executor-within-band", 0,
      {"modes.executor.speedup_vs_serial": 3.5}, {}),
     ("throughput", "smoke", 0,
-     {"config.smoke": True, "modes.sharded.speedup_vs_serial": 0.5}, {}),
+     {"config.smoke": True, "modes.executor.speedup_vs_serial": 2.0}, {}),
     ("throughput", "smoke-vs-smoke-drop", 1,
      {"config.smoke": True, "modes.executor.speedup_vs_serial": 2.0},
      {"config.smoke": True}),
@@ -97,8 +93,6 @@ CASES = [
      {"headline.speedup_first_page_vs_eager": 5.0}, None),
     ("streaming", "first-page-below-floor-vs-base", 2,
      {"headline.speedup_first_page_vs_eager": 5.0}, {}),
-    ("streaming", "sharded-page-drop", 1,
-     {"headline.speedup_sharded_page_vs_eager": 10.0}, {}),
     ("streaming", "executor-page-drop", 1,
      {"headline.speedup_executor_page_vs_eager": 30.0}, {}),
     ("streaming", "smoke", 0,

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core import binning, sample_column
 from repro.core.binning import CHUNK_VALUES, Histogram
-from repro.storage import ALL_TYPES, INT, Column
+from repro.storage import ALL_TYPES, DOUBLE, INT, Column
 
 from .conftest import column_for_type, make_random
 from .oracle import budget_settings
@@ -194,16 +194,17 @@ def extremes(ctype) -> list:
     return [int(info.min), int(info.min) + 1, 0, int(info.max) - 1, int(info.max)]
 
 
-def values_of(ctype, infinite: bool = False):
+def values_of(ctype):
     """Values of one type: its extremes, small values and the whole
-    domain; ±inf only when ``infinite`` (binning pads its borders with
-    the finite MAX, so a low-cardinality sample holding +inf cannot
-    form a histogram)."""
+    domain, with ±inf and NaN on floats.  Columns hold them too:
+    binning drops NaN from its sample and pads its borders above +inf
+    (with the finite MAX alone, a low-cardinality sample holding +inf
+    could not form a histogram)."""
     if ctype.is_float:
         width = 8 * ctype.dtype.itemsize
-        domain = st.floats(allow_nan=False, allow_infinity=infinite, width=width)
+        domain = st.floats(width=width)
         small = st.floats(-100, 100, width=width)
-        ends = [v for v in extremes(ctype) if infinite or np.isfinite(v)]
+        ends = [*extremes(ctype), np.nan]
     else:
         info = np.iinfo(ctype.dtype)
         domain = st.integers(int(info.min), int(info.max))
@@ -223,12 +224,12 @@ def assert_bins_equal_searchsorted(histogram, probe) -> None:
 def test_get_bins_equals_searchsorted(data):
     """Every column type, every ``max_bins`` (so every bin count
     ``binning`` produces, powers of two or not), dtype extremes, and
-    NaN and ±inf probes on float columns."""
+    NaN and ±inf in float columns and probes."""
     ctype = data.draw(st.sampled_from(TYPES))
     values = np.array(data.draw(st.lists(values_of(ctype), min_size=1, max_size=300)), dtype=ctype.dtype)
     max_bins = data.draw(st.integers(2, 64))
     histogram = binning(Column(values, ctype=ctype), max_bins=max_bins)
-    probes = data.draw(st.lists(values_of(ctype, infinite=True), max_size=200))
+    probes = data.draw(st.lists(values_of(ctype), max_size=200))
     probe = np.concatenate(
         [values, np.array(probes + extremes(ctype), dtype=ctype.dtype), histogram.borders]
     )
@@ -252,8 +253,11 @@ def test_get_bins_at_every_bin_count(max_bins):
 
 
 def test_get_bins_with_a_nan_border():
-    """An all-NaN sample at two bins keeps NaN as its one border;
-    searchsorted sorts NaN last, so only NaN reaches bin 1."""
-    histogram = binning(Column(np.full(10, np.nan)), max_bins=2)
-    assert np.isnan(histogram.borders[0])
+    """A NaN border (a histogram built before binning dropped NaN from
+    its sample): searchsorted sorts NaN last, so only NaN reaches bin 1.
+    Binning an all-NaN column now gives finite borders."""
+    histogram = Histogram(np.array([np.nan, np.nan]), 2, DOUBLE)
     assert_bins_equal_searchsorted(histogram, np.array([np.nan, -np.inf, 0.0, np.inf]))
+    binned = binning(Column(np.full(10, np.nan)), max_bins=2)
+    assert np.all(np.isfinite(binned.borders))
+    assert binned.get_bins(np.array([np.nan]))[0] == 1

@@ -18,12 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core import ColumnImprints
-from repro.engine import (
-    ExecutorStats,
-    LRUCache,
-    QueryExecutor,
-    ShardedColumnImprints,
-)
+from repro.engine import ExecutorStats, LRUCache, QueryExecutor
 from repro.errors import ExecutorClosedError
 from repro.predicate import RangePredicate
 from repro.storage import INT, Column
@@ -134,17 +129,6 @@ class TestExecutorEquivalence:
             # repetition must not reach the kernels in full
             assert executor.stats.batched_queries < len(stream)
             assert executor.stats.coalesced + executor.stats.cache_hits > 0
-
-    def test_sharded_backend_and_single_submits(self, column):
-        oracle = ColumnImprints(column)
-        rng = np.random.default_rng(2)
-        predicates = predicates_for(column, rng, count=6)
-        with QueryExecutor(
-            {"c": ShardedColumnImprints(column, n_shards=3)}
-        ) as executor:
-            futures = [executor.submit("c", p) for p in predicates]
-            for predicate, future in zip(predicates, futures):
-                assert_identical(oracle.query(predicate), future.result())
 
     def test_cached_results_are_shared_and_readonly(self, column):
         predicate = RangePredicate.range(9_000, 12_000, INT)

@@ -8,8 +8,7 @@ through :func:`tests.oracle.run_program` against the NumPy mirror and
 every target at once:
 
 * the imprints stack — the serial :class:`ColumnImprints` (forced ids,
-  the lazy ``page``/``iter_chunks`` walks, first pages, aggregates), a
-  :class:`ShardedColumnImprints` (shard-order streaming) and a
+  rank-cursor walks, lazy first pages, aggregates) and a
   :class:`QueryExecutor` (batched, coalesced, cached);
 * the baseline backends — zonemap, WAH and scan, each a drop-in
   RowSet-backed replacement with the same contract, which is what the
@@ -22,29 +21,26 @@ Failures are reproducible: examples shrink deterministically and
 from __future__ import annotations
 
 from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.core import ColumnImprints
-from repro.engine import QueryExecutor, ShardedColumnImprints
+from repro.engine import QueryExecutor
 from repro.indexes import SequentialScan, WahBitmapIndex, ZoneMap
 
 from .oracle import ExecutorTarget, IndexTarget, program_settings, programs, run_program
 
 
 @program_settings
-@given(program=programs(), n_shards=st.integers(1, 5))
-def test_random_programs_agree_with_oracle(program, n_shards):
+@given(program=programs())
+def test_random_programs_agree_with_oracle(program):
     serial = ColumnImprints(program.column("fuzz"))
-    sharded = ShardedColumnImprints(program.column("fuzz.s"), n_shards=n_shards)
     executor = QueryExecutor({"col": ColumnImprints(program.column("fuzz.e"))})
-    indexes = [serial, sharded, executor.index("col")]
+    indexes = [serial, executor.index("col")]
     try:
         run_program(
             program,
             program.plain_mirror(indexes),
             [
                 IndexTarget("serial", serial),
-                IndexTarget("sharded", sharded),
                 ExecutorTarget("executor", executor, "col"),
             ],
             indexes,

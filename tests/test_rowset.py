@@ -260,15 +260,14 @@ class TestCompactCacheAccounting:
 # ----------------------------------------------------------------------
 # the throughput regression gate
 # ----------------------------------------------------------------------
-def gate_fixture(sharded=1.05, executor=3.5, verified=True, **config):
+def gate_fixture(executor=3.5, verified=True, **config):
     return {
         "config": {
-            "n_rows": 100, "n_queries": 10, "n_shards": 4,
+            "n_rows": 100, "n_queries": 10,
             "cpu_count": 1, "smoke": False, **config,
         },
         "modes": {
             "serial": {"speedup_vs_serial": 1.0},
-            "sharded": {"speedup_vs_serial": sharded},
             "executor": {"speedup_vs_serial": executor},
         },
         "verified_bit_identical": verified,
@@ -279,10 +278,6 @@ class TestThroughputRegressionGate:
     def test_passes_identical_runs(self):
         fresh = gate_fixture()
         assert gate("throughput", fresh, gate_fixture()) == []
-
-    def test_fails_on_sharded_slower_than_serial(self):
-        failures = gate("throughput", gate_fixture(sharded=0.72))
-        assert any("slower than serial" in f for f in failures)
 
     def test_fails_on_speedup_regression(self):
         failures = gate(
@@ -315,7 +310,9 @@ class TestThroughputRegressionGate:
         )
 
     def test_smoke_runs_skip_wallclock_invariant(self):
-        failures = gate("throughput", gate_fixture(sharded=0.5, smoke=True))
+        failures = gate(
+            "throughput", gate_fixture(executor=2.0, smoke=True), opt_in=True
+        )
         assert failures == []
 
     def test_unverified_run_always_fails(self):

@@ -1,14 +1,14 @@
-"""The streaming top-k pipeline: lazy pages, chunks and cursors.
+"""The paging pipeline: lazy first pages, rank cursors, RowSet slices.
 
 Contract under test, layer by layer:
 
-* :meth:`RowSet.slice_rows`/``first_k``/``skip``/``iter_chunks`` agree
+* :meth:`RowSet.slice_rows` and :meth:`QueryResult.page` walks agree
   with NumPy slicing of the materialised id array — including empty
-  sets, single-id ranges, oversized chunks and extras interleaving
+  sets, single-id ranges, oversized pages and extras interleaving
   with ranges in sorted order;
-* :meth:`QueryResult.page` and the index-level
-  :meth:`ColumnImprints.page`/:meth:`ShardedColumnImprints.page` walks
-  concatenate bit-identical to the forced ``.ids``;
+* :meth:`QueryResult.page` walks concatenate bit-identical to the
+  forced ``.ids``, and a first page from :meth:`ColumnImprints.page`
+  resumes them;
 * page cursors are opaque, stable and *versioned*: a cursor taken
   before an ``append``/``note_update``/``rebuild`` raises a clear
   :class:`StaleCursorError` on every layer, never a silently stale
@@ -16,13 +16,16 @@ Contract under test, layer by layer:
 * :meth:`QueryResult.count` computes once (frozen ``.ids`` length when
   materialised, one range walk otherwise) — regression-pinned by call
   counts;
-* ``first_page`` equals the full answer's count, first page and cursor
-  token on every index kind, under appends, updates and deletes, and
-  the ``COUNT`` pushdown equals NumPy on both sides of its dense/sparse
-  choice.
+* ``page`` and ``first_page`` equal the full answer's count, first page
+  and cursor token on every index kind, under appends, updates and
+  deletes; the ``COUNT`` pushdown equals NumPy on both sides of its
+  dense/sparse choice; and no served first page builds the answer.
 """
 
 from __future__ import annotations
+
+import asyncio
+import base64
 
 import numpy as np
 import pytest
@@ -38,9 +41,10 @@ from repro.core import (
 )
 from repro.core.binning import binning
 from repro.core.query import dense_span_or_ranges
-from repro.engine import MultiBackendIndex, QueryExecutor, ShardedColumnImprints
+from repro.engine import MultiBackendIndex, QueryExecutor
 from repro.index_base import QueryResult
 from repro.predicate import RangePredicate
+from repro.serving import ImprintService
 from repro.storage import Column
 
 from .conftest import make_clustered
@@ -53,6 +57,7 @@ from .oracle import (
     programs,
     run_program,
 )
+from .oracle import drain as page_walk
 
 id_sets = st.sets(st.integers(min_value=0, max_value=400), max_size=80)
 
@@ -71,21 +76,23 @@ def rowset_of(ids: set[int], form: int) -> RowSet:
 
 
 # ----------------------------------------------------------------------
-# RowSet streaming primitives vs NumPy slicing
+# RowSet slices and result pages vs NumPy slicing
 # ----------------------------------------------------------------------
+def pages_of(rowset: RowSet, size: int) -> list[np.ndarray]:
+    """Every page of a rank-cursor walk over a RowSet-backed result."""
+    return page_walk(QueryResult(rowset=rowset).page, size)
+
+
 class TestRowSetStreaming:
     @given(ids=id_sets, form=st.integers(0, 2), size=st.integers(1, 37))
     @settings(max_examples=120, deadline=None)
-    def test_iter_chunks_matches_numpy(self, ids, form, size):
+    def test_page_walk_matches_numpy(self, ids, form, size):
         rowset = rowset_of(ids, form)
         reference = rowset.to_ids()
-        chunks = list(rowset.iter_chunks(size))
-        assert all(c.shape[0] == size for c in chunks[:-1])
-        if chunks:
-            assert 1 <= chunks[-1].shape[0] <= size
-            assert np.array_equal(np.concatenate(chunks), reference)
-        else:
-            assert reference.shape[0] == 0
+        pages = pages_of(rowset, size)
+        assert all(p.shape[0] == size for p in pages[:-1])
+        assert pages[-1].shape[0] <= size
+        assert np.array_equal(np.concatenate(pages), reference)
 
     @given(
         ids=id_sets,
@@ -94,59 +101,55 @@ class TestRowSetStreaming:
         hi=st.integers(0, 90),
     )
     @settings(max_examples=120, deadline=None)
-    def test_slice_first_k_skip_match_numpy(self, ids, form, lo, hi):
+    def test_slice_rows_match_numpy(self, ids, form, lo, hi):
         rowset = rowset_of(ids, form)
         reference = rowset.to_ids()
         assert np.array_equal(
             rowset.slice_rows(lo, max(lo, hi)).to_ids(),
             reference[lo : max(lo, hi)],
         )
-        assert np.array_equal(rowset.first_k(lo), reference[:lo])
-        assert np.array_equal(rowset.skip(lo).to_ids(), reference[lo:])
+        assert np.array_equal(rowset.slice_rows(lo).to_ids(), reference[lo:])
 
     def test_empty_set_yields_nothing(self):
         empty = RowSet.empty()
-        assert list(empty.iter_chunks(4)) == []
-        assert empty.first_k(10).shape == (0,)
-        assert empty.skip(3).count() == 0
+        ids, cursor = QueryResult(rowset=empty).page(4)
+        assert ids.shape == (0,) and cursor is None
+        assert empty.slice_rows(3).count() == 0
         assert empty.slice_rows(0, 5).count() == 0
 
     def test_single_id_ranges(self):
         # Unit ranges (the worst-case compressed form) page like ids.
         starts = np.array([2, 5, 9], dtype=np.int64)
         rowset = RowSet(starts, starts + 1, np.empty(0, dtype=np.int64))
-        assert [c.tolist() for c in rowset.iter_chunks(2)] == [[2, 5], [9]]
-        assert rowset.first_k(2).tolist() == [2, 5]
+        assert [p.tolist() for p in pages_of(rowset, 2)] == [[2, 5], [9]]
+        assert rowset.slice_rows(0, 2).to_ids().tolist() == [2, 5]
 
     def test_chunk_larger_than_answer(self):
         rowset = RowSet.from_ids(np.array([3, 4, 5], dtype=np.int64))
-        chunks = list(rowset.iter_chunks(100))
-        assert len(chunks) == 1
-        assert chunks[0].tolist() == [3, 4, 5]
+        ids, cursor = QueryResult(rowset=rowset).page(100)
+        assert ids.tolist() == [3, 4, 5] and cursor is None
 
     def test_extras_interleave_with_ranges_sorted(self):
         # extras (1, 3) before, (12) between and (30) after the ranges
-        # [5,10) and [20,25): chunks must follow global sorted order.
+        # [5,10) and [20,25): pages must follow global sorted order.
         rowset = RowSet(
             np.array([5, 20], dtype=np.int64),
             np.array([10, 25], dtype=np.int64),
             np.array([1, 3, 12, 30], dtype=np.int64),
         )
-        streamed = np.concatenate(list(rowset.iter_chunks(4)))
+        streamed = np.concatenate(pages_of(rowset, 4))
         assert streamed.tolist() == sorted(
             [1, 3, 12, 30] + list(range(5, 10)) + list(range(20, 25))
         )
-        assert rowset.first_k(3).tolist() == [1, 3, 5]
-        assert rowset.skip(3).first_k(2).tolist() == [6, 7]
+        assert rowset.slice_rows(0, 3).to_ids().tolist() == [1, 3, 5]
+        assert rowset.slice_rows(3, 5).to_ids().tolist() == [6, 7]
 
     def test_invalid_arguments(self):
-        rowset = RowSet.from_ids(np.array([1, 2], dtype=np.int64))
+        result = QueryResult(rowset=RowSet.from_ids(np.array([1, 2])))
         with pytest.raises(ValueError):
-            list(rowset.iter_chunks(0))
+            result.page(0)
         with pytest.raises(ValueError):
-            rowset.first_k(-1)
-        with pytest.raises(ValueError):
-            rowset.skip(-1)
+            PageCursor(rank=-1)
 
 
 # ----------------------------------------------------------------------
@@ -154,9 +157,7 @@ class TestRowSetStreaming:
 # ----------------------------------------------------------------------
 class TestPageCursor:
     def test_token_round_trip(self):
-        cursor = PageCursor(
-            rank=137, segment=4, offset=11, shard=2, version=9, kind="shard"
-        )
+        cursor = PageCursor(rank=137, version=9)
         token = cursor.encode()
         assert isinstance(token, str)
         assert PageCursor.decode(token) == cursor
@@ -170,8 +171,11 @@ class TestPageCursor:
     def test_malformed_tokens_rejected_uniformly(self):
         # Every corruption mode — bad base64, truncation, garbage —
         # surfaces the designed message, never an internal error.
+        # A token of the earlier seven-field format (rank, segment,
+        # offset, shard, version, kind) is malformed too.
+        old_format = base64.urlsafe_b64encode(b"1:5:0:0:0:3:result").decode()
         for bad in ("", "notbase64!", "garbage!", "AAAA",
-                    PageCursor(rank=1).encode()[:-4] + "AAAA"):
+                    PageCursor(rank=1).encode()[:-4] + "AAAA", old_format):
             with pytest.raises(ValueError, match="malformed page cursor"):
                 PageCursor.decode(bad)
         with pytest.raises(TypeError):
@@ -180,13 +184,6 @@ class TestPageCursor:
     def test_negative_fields_rejected(self):
         with pytest.raises(ValueError):
             PageCursor(rank=-1)
-
-    def test_foreign_kind_rejected(self):
-        cursor = PageCursor(rank=5, kind="index")
-        with pytest.raises(ValueError, match="paging entry point"):
-            cursor.check_kind("result")
-        cursor.check_kind("index")  # own kind passes
-        PageCursor(rank=5).check_kind("result")  # untagged passes
 
 
 # ----------------------------------------------------------------------
@@ -228,24 +225,18 @@ class TestPagedAnswers:
 
     @pytest.mark.parametrize("limit", [1, 97, 1_000])
     def test_index_page_walk_matches_ids(self, column, predicate, limit):
+        # The lazy first page, then the rank cursor resumes the result.
         index = ColumnImprints(column)
         expected = index.query(predicate).ids
-        paged, _ = drain(
-            lambda k, cur: index.page(predicate, k, cur), limit
-        )
-        assert np.array_equal(paged, expected)
-        chunked = np.concatenate(list(index.iter_chunks(predicate, limit)))
-        assert np.array_equal(chunked, expected)
-
-    @pytest.mark.parametrize("n_shards", [1, 3, 5])
-    def test_sharded_page_walk_matches_ids(self, column, predicate, n_shards):
-        sharded = ShardedColumnImprints(column, n_shards=n_shards)
-        expected = sharded.query(predicate).ids
-        paged, _ = drain(lambda k, cur: sharded.page(predicate, k, cur), 113)
-        assert np.array_equal(paged, expected)
-        chunks = list(sharded.iter_chunks(predicate, 113))
-        assert all(c.shape[0] == 113 for c in chunks[:-1])
-        assert np.array_equal(np.concatenate(chunks), expected)
+        first, cursor = index.page(predicate, limit)
+        want, want_cursor = index.query(predicate).page(limit)
+        assert np.array_equal(first, want)
+        assert _token(cursor) == _token(want_cursor)
+        pages = [first]
+        while cursor is not None:
+            ids, cursor = index.query(predicate).page(limit, cursor)
+            pages.append(ids)
+        assert np.array_equal(np.concatenate(pages), expected)
 
     def test_page_of_eager_result(self):
         ids = np.array([3, 7, 8, 20], dtype=np.int64)
@@ -262,11 +253,6 @@ class TestPagedAnswers:
         assert ids.shape == (0,) and cursor is None
         ids, cursor = index.query(impossible).page(10)
         assert ids.shape == (0,) and cursor is None
-
-    def test_first_k_prefix(self, column, predicate):
-        index = ColumnImprints(column)
-        result = index.query(predicate)
-        assert np.array_equal(result.first_k(50), result.ids[:50])
 
     def test_page_limit_validation(self, column, predicate):
         index = ColumnImprints(column)
@@ -295,20 +281,8 @@ class TestCursorStability:
         assert cursor is not None
         mutate(index)
         with pytest.raises(StaleCursorError) as excinfo:
-            index.page(predicate, 10, cursor)
+            index.query(predicate).page(10, cursor)
         assert "version" in str(excinfo.value)
-
-    @pytest.mark.parametrize("name,mutate", _mutations())
-    def test_sharded_page_cursor_invalidates(
-        self, column, predicate, name, mutate
-    ):
-        sharded = ShardedColumnImprints(
-            Column(column.values.copy(), name="t.s"), n_shards=3
-        )
-        _, cursor = sharded.page(predicate, 10)
-        mutate(sharded)
-        with pytest.raises(StaleCursorError):
-            sharded.page(predicate, 10, cursor)
 
     @pytest.mark.parametrize("name,mutate", _mutations())
     def test_result_page_cursor_invalidates(
@@ -338,55 +312,14 @@ class TestCursorStability:
         _, cursor = index.page(predicate, 10)
         index.note_delete(0)
         with pytest.raises(StaleCursorError):
-            index.page(predicate, 10, cursor)
-
-    def test_cursors_are_not_interchangeable_across_entry_points(
-        self, column, predicate
-    ):
-        # The position fields mean different things per entry point;
-        # a foreign cursor must be rejected, not silently resumed.
-        index = ColumnImprints(column)
-        _, index_cursor = index.page(predicate, 10)
-        _, result_cursor = index.query(predicate).page(10)
-        with pytest.raises(ValueError, match="paging entry point"):
-            index.query(predicate).page(10, index_cursor)
-        with pytest.raises(ValueError, match="paging entry point"):
-            index.page(predicate, 10, result_cursor)
-        sharded = ShardedColumnImprints(column, n_shards=3)
-        _, shard_cursor = sharded.page(predicate, 10)
-        with pytest.raises(ValueError, match="paging entry point"):
-            index.page(predicate, 10, shard_cursor)
-        with pytest.raises(ValueError, match="paging entry point"):
-            sharded.page(predicate, 10, index_cursor)
-
-    def test_chunk_stream_detects_mid_iteration_mutation(self, column, predicate):
-        # Generators are version-guarded like cursors: a mutation mid-
-        # stream raises instead of silently mixing two snapshots.
-        index = ColumnImprints(Column(column.values.copy(), name="t.g"))
-        stream = index.iter_chunks(predicate, 50)
-        next(stream)
-        index.append(np.array([5], dtype=np.int32))
-        with pytest.raises(StaleCursorError, match="chunk stream"):
-            next(stream)
-
-    def test_sharded_chunk_stream_detects_mid_iteration_mutation(
-        self, column, predicate
-    ):
-        sharded = ShardedColumnImprints(
-            Column(column.values.copy(), name="t.gs"), n_shards=3
-        )
-        stream = sharded.iter_chunks(predicate, 50)
-        next(stream)
-        sharded.note_update(0, 9_999)
-        with pytest.raises(StaleCursorError, match="chunk stream"):
-            next(stream)
+            index.query(predicate).page(10, cursor)
 
     def test_cursor_survives_unrelated_queries(self, column, predicate):
         # Queries do not mutate: a cursor stays valid across them.
         index = ColumnImprints(Column(column.values.copy(), name="t.q"))
         first, cursor = index.page(predicate, 10)
         index.query(RangePredicate.range(0, 10, column.ctype))
-        second, _ = index.page(predicate, 10, cursor)
+        second, _ = index.query(predicate).page(10, cursor)
         expected = index.query(predicate).ids
         assert np.array_equal(np.concatenate([first, second]), expected[:20])
 
@@ -403,8 +336,9 @@ class TestExecutorPaged:
                 101,
             )
             assert np.array_equal(paged, index.query(predicate).ids)
-            # One kernel evaluation total: every page after the first
-            # was served from the versioned LRU.
+            # The first page is the index's lazy page, the second
+            # evaluates the full answer once, and every later page is
+            # served from the versioned LRU.
             assert executor.stats.batched_queries == 1
             assert executor.stats.cache_hits >= 1
 
@@ -464,15 +398,38 @@ class TestCountMemo:
 # ----------------------------------------------------------------------
 # first pages — one candidate pass, equal to the full answer's page
 # ----------------------------------------------------------------------
-def _first_page_values(shape: str, dtype, n: int, seed: int) -> np.ndarray:
+def _first_page_values(shape: str, n: int, seed: int = 3) -> np.ndarray:
+    """One column of ``test_count_pushdown_matches_numpy_on_both_sides``:
+    int32, or float64 for the shapes holding ±inf or NaN."""
     rng = np.random.default_rng(seed)
     if shape == "uniform":
         values = rng.integers(-5_000, 5_000, n)
-    elif shape == "clustered":
+    elif shape == "clustered":  # a random walk
         values = np.cumsum(rng.integers(-40, 41, n))
-    else:
+    elif shape == "sorted":
         values = np.sort(rng.integers(-5_000, 5_000, n))
-    return values.astype(dtype)
+    elif shape == "run":  # a constant run, a narrow block, uniform values
+        quarter = n // 4
+        values = np.concatenate(
+            [
+                np.full(quarter, -1),
+                rng.integers(100, 1_900, quarter),
+                rng.integers(-5_000, 5_000, n - 2 * quarter),
+            ]
+        )
+    elif shape == "overlay":  # a constant below the predicates, then uniform
+        values = np.concatenate(
+            [np.full(n // 2, -1_000), rng.integers(0, 1_000, n - n // 2)]
+        )
+    elif shape == "inf":
+        return np.array([1.0, 2.0, np.inf])
+    elif shape == "nan-last":
+        return np.append(np.arange(100.0), np.nan)
+    else:  # "nan": every 97th value, so the binning sample holds NaN
+        values = rng.normal(0.0, 100.0, n)
+        values[::97] = np.nan
+        return values
+    return values.astype(np.int32)
 
 
 def _token(cursor):
@@ -491,11 +448,22 @@ def _side(index, predicate) -> str | None:
     return "sparse" if span is None else "dense"
 
 
-def _side_case(shape, low, high, dense, *, n=40_000, limit=10, name=None):
+def _side_case(
+    shape, low, high, dense, *, n=40_000, limit=10, overlaid=123, name=None
+):
     """One input of ``test_count_pushdown_matches_numpy_on_both_sides``;
-    the default id is the one the first five cases have always had."""
+    the default id is the one the first five cases have always had.
+    ``limit`` may be ``"count"`` or ``"count-1"``; ``overlaid`` is the
+    row updated to ``low`` (``None`` or past the end: no update)."""
     return pytest.param(
-        shape, n, low, high, limit, dense, id=name or f"{shape}-{low}-{high}-{dense}"
+        shape,
+        n,
+        low,
+        high,
+        limit,
+        dense,
+        overlaid,
+        id=name or f"{shape}-{low}-{high}-{dense}",
     )
 
 
@@ -503,18 +471,18 @@ class TestFirstPage:
     @program_settings
     @given(program=programs(dtypes=("int", "double"), max_rows=3_000))
     def test_first_page_equals_the_full_answers_page(self, program):
-        """On imprints, sharded, planner-routed and delta-aware indexes,
-        through appends, overlay updates and deletes: ``first_page``
-        equals the oracle's count and first page, and its cursor is the
-        full answer's (:class:`tests.oracle.IndexTarget`)."""
+        """On imprints, planner-routed and delta-aware indexes, through
+        appends, overlay updates and deletes: ``page`` and
+        ``first_page`` equal the oracle's count and first page, and
+        their cursors are the full answer's
+        (:class:`tests.oracle.IndexTarget`)."""
         plain = [
             ColumnImprints(program.column("t.fp")),
-            ShardedColumnImprints(program.column("t.fps"), n_shards=3),
             MultiBackendIndex.for_column(program.column("t.fpm")),
         ]
         targets = [
             IndexTarget(name, index)
-            for name, index in zip(("imprints", "sharded", "multi"), plain)
+            for name, index in zip(("imprints", "multi"), plain)
         ]
         run_program(program, program.plain_mirror(plain), targets, plain)
         delta = DeltaAwareImprints(program.column("t.fpd"))
@@ -523,7 +491,7 @@ class TestFirstPage:
         run_program(program, mirror, [DeltaTarget("delta", delta)], [delta])
 
     @pytest.mark.parametrize(
-        "shape,n,low,high,limit,dense",
+        "shape,n,low,high,limit,dense,overlaid",
         [
             _side_case("uniform", -2_000, 2_000, True),
             _side_case("uniform", -5_000, 4_999, False),
@@ -536,34 +504,64 @@ class TestFirstPage:
             _side_case(
                 "uniform", -2_000, 2_000, True, limit=40_000, name="limit-over-count"
             ),
+            # 157 partial candidate ranges on a 400k-row random walk,
+            # the page reaching deep into them.
+            *(
+                _side_case(
+                    "clustered", -1_513, -1_510, False, n=400_000, limit=limit,
+                    name=f"narrow-walk-limit-{limit}",
+                )
+                for limit in (100, "count", "count-1")
+            ),
+            # The first candidate range is a partial run of 10,000
+            # values, none matching, so the first id lies behind it; at
+            # FIRST_WINDOW = 4096 the page's third window starts inside
+            # a full range.
+            _side_case(
+                "run", 0, 2_000, True, limit=3_000, overlaid=None,
+                name="match-behind-a-run",
+            ),
+            # Line 7 is a candidate only through the saturation overlay.
+            _side_case("overlay", 200, 600, True, name="overlay-widened-line"),
+            # Binning drops NaN and pads above +inf.
+            _side_case("inf", 1.5, np.inf, True, n=3, name="inf-in-sample"),
+            _side_case("nan-last", 50.0, np.inf, True, n=101, name="nan-last"),
+            _side_case("nan", -50.0, 50.0, True, name="nan-in-sample"),
+            _side_case("nan", 0.0, np.inf, True, name="nan-in-sample-half-open"),
         ],
     )
     def test_count_pushdown_matches_numpy_on_both_sides(
-        self, shape, n, low, high, limit, dense
+        self, shape, n, low, high, limit, dense, overlaid
     ):
-        # Binned from the 40k-row column, so an empty column can be
-        # indexed too.
-        histogram = binning(
-            Column(_first_page_values(shape, np.int32, 40_000, seed=3))
-        )
-        values = _first_page_values(shape, np.int32, n, seed=3)
+        """Count, ids, first page and lazy page equal NumPy, cursor
+        tokens included, on both sides of the dense/sparse choice."""
+        # Binned from the 40k-row column when empty, so an empty column
+        # can be indexed too.
+        histogram = binning(Column(_first_page_values(shape, n or 40_000)))
+        values = _first_page_values(shape, n)
         index = ColumnImprints(Column(values, name="t.count"), histogram=histogram)
-        if n:
+        if overlaid is not None and overlaid < n:
             # An overlaid line among the candidates.
-            index.note_update(123, 0 if low is None else low)
+            index.note_update(overlaid, 0 if low is None else low)
         predicate = (
             RangePredicate.everything()
             if low is None
             else RangePredicate.range(low, high, index.column.ctype)
         )
         assert _side(index, predicate) == ("dense" if dense else "sparse")
-        want = int(np.count_nonzero(predicate.matches(index.column.values)))
+        matched = np.flatnonzero(predicate.matches(index.column.values))
+        want = int(matched.shape[0])
+        limit = {"count": want, "count-1": want - 1}.get(limit, limit)
         assert index.aggregate(predicate, "count") == want
-        count, ids, cursor = index.first_page(predicate, limit)
+        assert np.array_equal(index.query(predicate).ids, matched)
         want_ids, want_cursor = index.query(predicate).page(limit)
+        assert np.array_equal(want_ids, matched[:limit])
+        count, ids, cursor = index.first_page(predicate, limit)
+        page_ids, page_cursor = index.page(predicate, limit)
         assert count == want
         assert np.array_equal(ids, want_ids)
-        assert _token(cursor) == _token(want_cursor)
+        assert np.array_equal(page_ids, want_ids)
+        assert _token(cursor) == _token(page_cursor) == _token(want_cursor)
 
     def test_overlay_widens_the_dense_span(self):
         # The first half is a constant outside the predicate, so the
@@ -588,7 +586,7 @@ class TestFirstPage:
 
     @pytest.mark.parametrize("call", ["first_page", "count"])
     def test_dense_side_builds_no_sidecar_and_no_ranges(self, monkeypatch, call):
-        values = _first_page_values("uniform", np.int32, 40_000, seed=3)
+        values = _first_page_values("uniform", 40_000)
         index = ColumnImprints(Column(values, name="t.fresh"))
         predicate = RangePredicate.range(-2_000, 2_000, index.column.ctype)
         assert _side(index, predicate) == "dense"
@@ -603,3 +601,45 @@ class TestFirstPage:
             assert index.first_page(predicate, 100)[0] == want
         else:
             assert index.aggregate(predicate, "count") == want
+
+    @pytest.mark.parametrize(
+        "read",
+        ["executor /page", "service /page", "index page", "delta page",
+         "delta first_page"],
+    )
+    def test_served_first_pages_build_no_answer(self, monkeypatch, read):
+        values = _first_page_values("clustered", 40_000)
+        index = ColumnImprints(Column(values, name="t.lazy"))
+        delta = DeltaAwareImprints(Column(values, name="t.lazyd"))
+        predicate = RangePredicate.range(-3_000, 3_000, index.column.ctype)
+        assert _side(index, predicate) == "sparse"
+        want_ids, want_cursor = index.query(predicate).page(100)
+        count = index.count(predicate)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a first page built the whole answer")
+
+        for cls in (ColumnImprints, DeltaAwareImprints):
+            monkeypatch.setattr(cls, "query", refuse)
+            monkeypatch.setattr(cls, "query_batch", refuse)
+        if read == "executor /page":
+            with QueryExecutor({"c": index}) as executor:
+                ids, cursor = executor.query_paged("c", predicate, 100)
+        elif read == "service /page":
+
+            async def serve():
+                async with ImprintService(QueryExecutor({"c": index})) as service:
+                    return await service.page("c", -3_000, 3_000, limit=100)
+
+            body = asyncio.run(serve())
+            ids, cursor = np.array(body["ids"]), body["cursor"]
+            cursor = None if cursor is None else PageCursor.decode(cursor)
+        elif read == "index page":
+            ids, cursor = index.page(predicate, 100)
+        elif read == "delta page":
+            ids, cursor = delta.page(predicate, 100)
+        else:
+            got_count, ids, cursor = delta.first_page(predicate, 100)
+            assert got_count == count
+        assert np.array_equal(ids, want_ids)
+        assert _token(cursor) == _token(want_cursor)
