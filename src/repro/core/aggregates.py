@@ -32,10 +32,28 @@ PR 10 finishes the analytics surface on the same sidecar discipline:
   cannot beat the running k-th value, so most fully-qualifying lines
   never gather their values at all.
 
-The sidecar is built in one vectorised pass (``ufunc.reduceat`` per
-cacheline) and maintained incrementally through Section 4 updates:
-appends recompute only the trailing partial cacheline and extend, and
-an in-place update recomputes its one cacheline.
+Layout and size
+---------------
+:class:`CachelineAggregates` keeps one entry per cacheline: the line's
+minimum and maximum at value width, and the running sum and running
+sum of squares at 64-bit width.  On an ``int32`` column (16 values a
+line) that is 24 bytes a line, 1.5 bytes a row.
+
+:class:`GroupedAggregates` keeps an int64 running count and a 64-bit
+running sum per group only every :data:`BLOCK_LINES` cachelines.  A
+range's whole blocks are two table rows; its ragged lines, at most
+``BLOCK_LINES - 1`` at each end, are answered from their gathered codes
+and values.  With 12 groups on an ``int32`` column that is 192 bytes
+per 80 rows, 2.4 bytes a row: both sidecars together hold 3.9 bytes a
+row, where one int64 group row per cacheline held 13.5.
+
+Both are built and extended :data:`~repro.core.binning.CHUNK_VALUES`
+values at a time into tables allocated once at their final size, so no
+build or append allocates more than those tables plus a few chunk-sized
+temporaries.  They are maintained incrementally through Section 4
+updates: appends recompute from the trailing partial cacheline (block)
+and extend, and an in-place update recomputes its one cacheline
+(block) and patches the running totals after it.
 
 Exactness
 ---------
@@ -68,6 +86,20 @@ is not associative, so they agree with
 ``np.sum(values[ids], dtype=np.float64)`` only to rounding (~1 ulp per
 reassociation); the property tests pin integer results exactly and
 float results to a tight relative tolerance.
+
+Non-finite values
+-----------------
+A running sum that passes a NaN or an infinity stays non-finite, and
+the difference of two such prefixes is NaN (``inf - inf``), so one NaN
+row would poison every later range sum.  The float lanes therefore sum
+finite values only, and each sidecar lists the cachelines holding a NaN
+or an infinity (``nonfinite_lines``).  A range covering a listed line
+adds that line's non-finite values back — read off its extrema in
+:class:`CachelineAggregates` (a NaN makes both NaN, ``+inf`` is the
+maximum, ``-inf`` the minimum), gathered in :class:`GroupedAggregates`
+— so every sum equals NumPy's over the selected values: finite when
+the predicate leaves the NaNs out, NaN over ``everything()`` as
+``np.sum`` is.
 """
 
 from __future__ import annotations
@@ -76,11 +108,13 @@ import math
 
 import numpy as np
 
+from .binning import CHUNK_VALUES
 from .ranges import coalesce_ranges, expand_ranges
 from .rowset import RowSet
 
 __all__ = [
     "AGGREGATE_OPS",
+    "BLOCK_LINES",
     "MOMENT_OPS",
     "GROUP_OPS",
     "CachelineAggregates",
@@ -106,7 +140,23 @@ MOMENT_OPS = ("avg", "var", "std")
 #: The operations supported under GROUP BY pushdown.
 GROUP_OPS = ("count", "sum", "avg")
 
+#: Cachelines per :class:`GroupedAggregates` table row.  Each range
+#: reads at most ``BLOCK_LINES - 1`` ragged lines at either end from the
+#: columns, so this trades sidecar bytes (``16 * n_groups /
+#: (BLOCK_LINES * values_per_cacheline)`` a row) against gathered rows
+#: per grouped miss.  On perfbench's dashboard column (4M int32 rows,
+#: 12 groups; 200 fresh predicates, 2-vCPU VM, timed per predicate
+#: against the one-row-per-cacheline tables in one process) grouped
+#: count/sum/avg took 0.81-0.92x their median and 0.90-1.05x their p90
+#: at 5, against 0.80-0.96x and 0.96-1.18x at 8.  4 was ~3% faster than
+#: 5, but its 3.0 bytes a row (plus the leading zero rows) put both
+#: sidecars just over 4.5 bytes a row.
+BLOCK_LINES = 5
+
 _I64 = np.int64
+
+#: ``bincount`` sums in float64, exact while every partial sum is below this.
+_FLOAT_EXACT = 1 << 53
 
 
 def _sum_dtype(dtype: np.dtype) -> np.dtype:
@@ -180,15 +230,93 @@ def _finalize_moments(op: str, count: int, total, total_sq):
     return float(var) if op == "var" else math.sqrt(var)
 
 
+def _chunk_rows(unit: int) -> int:
+    """Rows one build chunk covers: :data:`~repro.core.binning.CHUNK_VALUES`
+    rounded down to whole ``unit``-row pieces (at least one)."""
+    return max(1, CHUNK_VALUES // unit) * unit
+
+
+def _running(prefix: np.ndarray, at: int, partials: np.ndarray) -> None:
+    """Write the running totals of ``partials`` (summed in place) into
+    ``prefix[at + 1:]``, continuing from ``prefix[at]``.
+
+    The carry joins the first partial before one sequential ``cumsum``,
+    so a chunked build equals a one-pass build bit for bit, float lanes
+    included, and integer lanes wrap as the one pass does."""
+    np.add(partials[:1], prefix[at], out=partials[:1])
+    np.cumsum(partials, axis=0, out=prefix[at + 1 : at + 1 + partials.shape[0]])
+
+
+def _nonfinite_lines(values: np.ndarray, vpc: int, first_line: int) -> np.ndarray:
+    """Sorted cachelines of ``values`` (a block starting on line
+    ``first_line``) holding a NaN or an infinity; empty unless float."""
+    if values.dtype.kind != "f":
+        return np.empty(0, dtype=_I64)
+    odd = np.flatnonzero(~np.isfinite(values))
+    return np.unique(odd // vpc) + first_line
+
+
+def _replace_lines(lines: np.ndarray, lo: int, hi: int, fresh: np.ndarray):
+    """Sorted ``lines`` with its entries in ``[lo, hi)`` replaced by
+    ``fresh`` (sorted, within ``[lo, hi)``)."""
+    return np.concatenate([lines[lines < lo], fresh, lines[lines >= hi]])
+
+
+def _take_lines(array: np.ndarray, lines: np.ndarray, vpc: int, n: int) -> np.ndarray:
+    """``array``'s rows (of the first ``n``) on cachelines ``lines``,
+    line after line.
+
+    Whole lines are copied as rows of a ``(lines, vpc)`` view, one short
+    copy per line instead of one index per row; the ragged last line
+    (when ``n`` is not a multiple of ``vpc``), if listed, comes last."""
+    whole = n // vpc
+    grid = array[: whole * vpc].reshape(whole, vpc)
+    last = lines == whole
+    if not last.any():
+        return grid.take(lines, axis=0).ravel()
+    return np.concatenate(
+        [grid.take(lines[~last], axis=0).ravel(), array[whole * vpc : n]]
+    )
+
+
+def _group_sums(cells, values, size: int, sum_dtype: np.dtype) -> np.ndarray:
+    """Per-cell sums of ``values`` at ``sum_dtype`` (``cells`` < ``size``).
+
+    One ``bincount``, which adds float64 weights: float sums are float64,
+    and integer sums are exact while the lane bound allows it — every
+    partial sum (count times largest magnitude) below 2**53.  Beyond
+    that, each value splits into its high and low 32-bit halves, whose
+    per-cell sums are exact a chunk at a time, and the halves recombine
+    in the 64-bit lane, so the sums wrap like ``np.sum``'s accumulator.
+    """
+    if sum_dtype.kind == "f":
+        return np.bincount(cells, weights=values, minlength=size)
+    # Values narrower than 64 bits are bounded by their width, so the
+    # extrema pass is only needed for wide values or long inputs.
+    if values.shape[0] << (8 * values.dtype.itemsize) < _FLOAT_EXACT or (
+        values.shape[0] * _max_abs(values, values) < _FLOAT_EXACT
+    ):
+        return np.bincount(cells, weights=values, minlength=size).astype(sum_dtype)
+    out = np.zeros(size, dtype=sum_dtype)
+    for at in range(0, values.shape[0], CHUNK_VALUES):
+        acc = values[at : at + CHUNK_VALUES].astype(sum_dtype)
+        part = cells[at : at + CHUNK_VALUES]
+        high = np.bincount(part, weights=acc >> 32, minlength=size)
+        low = np.bincount(part, weights=acc & 0xFFFFFFFF, minlength=size)
+        out += high.astype(sum_dtype) * (1 << 32) + low.astype(sum_dtype)
+    return out
+
+
 class CachelineAggregates:
     """Per-cacheline ``count``/``sum``/``min``/``max`` of one column.
 
     The aggregate-pushdown sidecar of a
     :class:`~repro.core.index.ColumnImprints`: one entry per cacheline
-    (two extrema at value width plus two 64-bit prefix slots — under
-    half an ``int32`` column), trading bounded memory for
-    ``SUM``/``MIN``/``MAX``/``AVG``/``VAR`` over full cacheline ranges
-    that never touch values.
+    (two extrema at value width plus two 64-bit prefix slots — 24 bytes
+    a line, 1.5 bytes a row of an ``int32`` column), trading bounded
+    memory for ``SUM``/``MIN``/``MAX``/``AVG``/``VAR`` over full
+    cacheline ranges that never touch values.  Built and extended
+    :data:`~repro.core.binning.CHUNK_VALUES` values at a time.
 
     Parameters
     ----------
@@ -211,6 +339,11 @@ class CachelineAggregates:
         The sum-of-squares lane — same layout and maintenance as
         ``prefix_sums`` but over ``v*v`` (in the accumulator dtype), so
         ``avg``/``var``/``std`` cost the same two lookups per range.
+    nonfinite_lines:
+        Sorted cachelines holding a NaN or an infinity (float columns
+        only).  Both lanes sum the finite values alone; a range covering
+        one of these lines adds its non-finite part back, read off the
+        line's extrema (see the module's Non-finite values note).
     max_abs:
         The largest magnitude the column has held (a Python int; 0 on
         float columns).  Raised by every append and update, never
@@ -234,6 +367,7 @@ class CachelineAggregates:
         self.maxs = np.empty(0, dtype=values.dtype)
         self.prefix_sums = np.zeros(1, dtype=self.sum_dtype)
         self.prefix_sumsqs = np.zeros(1, dtype=self.sum_dtype)
+        self.nonfinite_lines = np.empty(0, dtype=_I64)
         self.max_abs = 0
         if values.shape[0]:
             self._recompute_from(values, 0)
@@ -252,47 +386,69 @@ class CachelineAggregates:
 
     @property
     def nbytes(self) -> int:
-        """Sidecar footprint (extrema + both prefix tables)."""
+        """Sidecar footprint (extrema, both prefix tables and the
+        non-finite line list)."""
         return int(
             self.mins.nbytes
             + self.maxs.nbytes
             + self.prefix_sums.nbytes
             + self.prefix_sumsqs.nbytes
+            + self.nonfinite_lines.nbytes
         )
 
     # ------------------------------------------------------------------
     # construction / maintenance
     # ------------------------------------------------------------------
+    def _lanes(self, block: np.ndarray, offsets: np.ndarray, first_line: int):
+        """Per-line sums and sums of squares of a block that starts on
+        cacheline ``first_line``, plus the lines holding a non-finite
+        value (left out of both sums)."""
+        acc = block.astype(self.sum_dtype)
+        nonfinite = _nonfinite_lines(acc, self.vpc, first_line)
+        if nonfinite.shape[0]:
+            acc[~np.isfinite(acc)] = 0.0
+        sums = np.add.reduceat(acc, offsets)
+        np.multiply(acc, acc, out=acc)
+        return sums, np.add.reduceat(acc, offsets), nonfinite
+
     def _recompute_from(self, values: np.ndarray, first_line: int) -> None:
         """(Re)build every aggregate from cacheline ``first_line`` on.
 
-        One ``reduceat`` per aggregate over the affected suffix; the
-        prefix tables are extended from the last clean entry, so an
-        append costs O(appended values), never O(column).
+        The tables are allocated once at their final size, the lines
+        before ``first_line`` are copied, and the rest is reduced
+        :data:`~repro.core.binning.CHUNK_VALUES` values at a time: an
+        append reduces only the new values, and no step allocates more
+        than the new tables plus a few chunk-sized temporaries.
         """
-        block = values[first_line * self.vpc :]
-        starts = np.arange(0, block.shape[0], self.vpc, dtype=np.intp)
-        acc = block.astype(self.sum_dtype, copy=False)
-        sums = np.add.reduceat(acc, starts)
-        sumsqs = np.add.reduceat(acc * acc, starts)
-        line_mins = np.minimum.reduceat(block, starts)
-        line_maxs = np.maximum.reduceat(block, starts)
-        self.max_abs = max(self.max_abs, _max_abs(line_mins, line_maxs))
-        self.mins = np.concatenate([self.mins[:first_line], line_mins])
-        self.maxs = np.concatenate([self.maxs[:first_line], line_maxs])
-        self.prefix_sums = np.concatenate(
-            [
-                self.prefix_sums[: first_line + 1],
-                self.prefix_sums[first_line] + np.cumsum(sums, dtype=self.sum_dtype),
-            ]
+        vpc = self.vpc
+        n_lines = -(-values.shape[0] // vpc)
+        mins = np.empty(n_lines, dtype=self.value_dtype)
+        maxs = np.empty(n_lines, dtype=self.value_dtype)
+        sums = np.empty(n_lines + 1, dtype=self.sum_dtype)
+        sumsqs = np.empty(n_lines + 1, dtype=self.sum_dtype)
+        mins[:first_line] = self.mins[:first_line]
+        maxs[:first_line] = self.maxs[:first_line]
+        sums[: first_line + 1] = self.prefix_sums[: first_line + 1]
+        sumsqs[: first_line + 1] = self.prefix_sumsqs[: first_line + 1]
+        nonfinite = [self.nonfinite_lines[self.nonfinite_lines < first_line]]
+        step = _chunk_rows(vpc)
+        for start in range(first_line * vpc, values.shape[0], step):
+            block = values[start : start + step]
+            line = start // vpc
+            offsets = np.arange(0, block.shape[0], vpc, dtype=np.intp)
+            lines = slice(line, line + offsets.shape[0])
+            mins[lines] = np.minimum.reduceat(block, offsets)
+            maxs[lines] = np.maximum.reduceat(block, offsets)
+            line_sums, line_sumsqs, odd = self._lanes(block, offsets, line)
+            _running(sums, line, line_sums)
+            _running(sumsqs, line, line_sumsqs)
+            nonfinite.append(odd)
+        self.max_abs = max(
+            self.max_abs, _max_abs(mins[first_line:], maxs[first_line:])
         )
-        self.prefix_sumsqs = np.concatenate(
-            [
-                self.prefix_sumsqs[: first_line + 1],
-                self.prefix_sumsqs[first_line]
-                + np.cumsum(sumsqs, dtype=self.sum_dtype),
-            ]
-        )
+        self.mins, self.maxs = mins, maxs
+        self.prefix_sums, self.prefix_sumsqs = sums, sumsqs
+        self.nonfinite_lines = np.concatenate(nonfinite)
         self.n_values = int(values.shape[0])
 
     def append(self, values) -> None:
@@ -300,7 +456,7 @@ class CachelineAggregates:
 
         ``values`` is the column's *full* post-append backing array (the
         index already swapped its column).  Only the trailing partial
-        cacheline is recomputed; everything before it is untouched —
+        cacheline is recomputed; everything before it is copied —
         exactly the imprint builder's append discipline.
         """
         values = np.asarray(values)
@@ -326,18 +482,17 @@ class CachelineAggregates:
         values = np.asarray(values)
         start = cacheline * self.vpc
         block = values[start : min(start + self.vpc, self.n_values)]
-        acc = block.astype(self.sum_dtype, copy=False)
-        # The lanes are modular: scalar deltas wrap the way the array
-        # sums do, so NumPy's scalar overflow warning is noise here.
-        with np.errstate(over="ignore"):
-            new_sum = np.add.reduce(acc)
-            new_sumsq = np.add.reduce(acc * acc)
-            old_sum = self.prefix_sums[cacheline + 1] - self.prefix_sums[cacheline]
-            old_sumsq = (
-                self.prefix_sumsqs[cacheline + 1] - self.prefix_sumsqs[cacheline]
-            )
-            self.prefix_sums[cacheline + 1 :] += new_sum - old_sum
-            self.prefix_sumsqs[cacheline + 1 :] += new_sumsq - old_sumsq
+        new_sum, new_sumsq, odd = self._lanes(block, np.zeros(1, np.intp), cacheline)
+        self.nonfinite_lines = _replace_lines(
+            self.nonfinite_lines, cacheline, cacheline + 1, odd
+        )
+        # The lanes are modular: the (array) deltas wrap the way the
+        # sums do, without NumPy's scalar overflow warning.
+        line = slice(cacheline, cacheline + 2)
+        self.prefix_sums[cacheline + 1 :] += new_sum - np.diff(self.prefix_sums[line])
+        self.prefix_sumsqs[cacheline + 1 :] += new_sumsq - np.diff(
+            self.prefix_sumsqs[line]
+        )
         line = slice(cacheline, cacheline + 1)
         self.mins[line] = block.min()
         self.maxs[line] = block.max()
@@ -350,14 +505,45 @@ class CachelineAggregates:
         self, cl_lo: np.ndarray, cl_hi: np.ndarray, *, squares: bool = False
     ) -> np.ndarray:
         """Sum (or sum-of-squares) of cachelines ``[lo_k, hi_k)`` per
-        range — O(1) each."""
+        range — O(1) each, plus the non-finite part of any covered
+        line that holds a NaN or an infinity."""
         table = self.prefix_sumsqs if squares else self.prefix_sums
-        return table[cl_hi] - table[cl_lo]
+        sums = table[cl_hi] - table[cl_lo]
+        if self.nonfinite_lines.shape[0]:
+            sums = sums + self._nonfinite_sums(cl_lo, cl_hi, squares)
+        return sums
 
     def line_sums(self, lines: np.ndarray, *, squares: bool = False) -> np.ndarray:
         """Per-cacheline sum (or sum-of-squares) for individual lines."""
-        table = self.prefix_sumsqs if squares else self.prefix_sums
-        return table[lines + 1] - table[lines]
+        return self.range_sums(lines, lines + 1, squares=squares)
+
+    def _nonfinite_sums(self, cl_lo, cl_hi, squares: bool) -> np.ndarray:
+        """What the covered non-finite lines add to each range's sum.
+
+        A line's non-finite values are read off its extrema: a NaN
+        makes both NaN, ``+inf`` is its maximum and ``-inf`` its
+        minimum.  Their sum is NaN, ``±inf`` or both infinities (NaN),
+        exactly what ``np.sum`` makes of them next to finite values.
+        """
+        lines = self.nonfinite_lines
+        first = np.searchsorted(lines, cl_lo)
+        last = np.searchsorted(lines, cl_hi)
+        out = np.zeros(first.shape[0], dtype=np.float64)
+        hit = np.flatnonzero(first < last)
+        if hit.shape[0] == 0:
+            return out
+        covered = lines[expand_ranges(first[hit], last[hit])]
+        lows, highs = self.mins[covered], self.maxs[covered]
+        nan = np.isnan(lows)
+        if squares:
+            odd = np.where(np.isinf(lows) | np.isinf(highs), np.inf, 0.0)
+        else:
+            odd = np.where(highs == np.inf, np.inf, 0.0)
+            odd += np.where(lows == -np.inf, -np.inf, 0.0)
+        odd[nan] = np.nan
+        lengths = last[hit] - first[hit]
+        out[hit] = np.add.reduceat(odd, np.cumsum(lengths) - lengths)
+        return out
 
     def _range_reduce(self, per_line, ufunc, cl_lo, cl_hi) -> np.ndarray:
         """``ufunc``-reduction of ``per_line[lo_k:hi_k)`` per range.
@@ -387,22 +573,28 @@ class CachelineAggregates:
 
 
 class GroupedAggregates:
-    """Per-cacheline group histograms over a dictionary-encoded column.
+    """Block-granular group histograms over a dictionary-encoded column.
 
     The GROUP BY pushdown sidecar: for a group column of small-int codes
     ``0..n_groups-1`` riding next to a value column, two prefix tables
-    of shape ``(n_cachelines + 1, n_groups)`` hold the running per-group
-    count and per-group value sum of cachelines ``[0, k)``.  A grouped
-    ``COUNT``/``SUM``/``AVG`` over full cacheline ranges is then two
-    row lookups per range (O(n_groups) each) — no row ids, no gathers —
-    and only cachelines genuinely straddling a predicate bound fall
-    back to gathering their codes and values.
+    of shape ``(n_blocks + 1, n_groups)`` hold the running per-group
+    count (int64) and value sum (the 64-bit accumulator) of the rows
+    before each block of :data:`BLOCK_LINES` cachelines.  A grouped
+    ``COUNT``/``SUM``/``AVG`` over a cacheline range reads its whole
+    blocks as two table rows and gathers the codes and values of its
+    ragged lines — at most ``BLOCK_LINES - 1`` at each end — so no row
+    ids are built and only a bounded number of rows per range is read.
+    At 12 groups and 16 values a line that is 2.4 bytes a row.
 
-    Maintenance mirrors :class:`CachelineAggregates`: appends recompute
-    from the trailing partial cacheline, an in-place value update
-    recomputes its one cacheline.  ``widen()`` grows the group domain
-    in place when appends introduce new codes (append-stable
-    dictionaries only ever add codes at the end).
+    Built and extended :data:`~repro.core.binning.CHUNK_VALUES` values
+    at a time, one ``bincount`` per chunk for the counts and one for the
+    sums (exact: see :func:`_group_sums`).  Appends recompute from the
+    block holding the first new row; an in-place value update
+    recomputes its block and patches the rows after it.  ``widen()``
+    grows the group domain in place when appends introduce new codes
+    (append-stable dictionaries only ever add codes at the end).
+    Non-finite float values are kept out of the sum table and listed
+    by line (``nonfinite_lines``), as in :class:`CachelineAggregates`.
     """
 
     def __init__(self, codes, values, n_groups: int, values_per_cacheline: int) -> None:
@@ -421,11 +613,13 @@ class GroupedAggregates:
                 f"values_per_cacheline must be positive, got {values_per_cacheline}"
             )
         self.vpc = int(values_per_cacheline)
+        self.block_rows = BLOCK_LINES * self.vpc
         self.n_groups = int(n_groups)
         self.sum_dtype = _sum_dtype(values.dtype)
         self.n_values = 0
         self.prefix_counts = np.zeros((1, self.n_groups), dtype=_I64)
         self.prefix_sums = np.zeros((1, self.n_groups), dtype=self.sum_dtype)
+        self.nonfinite_lines = np.empty(0, dtype=_I64)
         if codes.shape[0]:
             self._recompute_from(codes, values, 0)
 
@@ -434,11 +628,19 @@ class GroupedAggregates:
     # ------------------------------------------------------------------
     @property
     def n_cachelines(self) -> int:
+        return -(-self.n_values // self.vpc)
+
+    @property
+    def n_blocks(self) -> int:
         return int(self.prefix_counts.shape[0]) - 1
 
     @property
     def nbytes(self) -> int:
-        return int(self.prefix_counts.nbytes + self.prefix_sums.nbytes)
+        return int(
+            self.prefix_counts.nbytes
+            + self.prefix_sums.nbytes
+            + self.nonfinite_lines.nbytes
+        )
 
     # ------------------------------------------------------------------
     # construction / maintenance
@@ -454,76 +656,65 @@ class GroupedAggregates:
             )
         return codes
 
-    def _histograms(self, codes, values) -> tuple[np.ndarray, np.ndarray]:
-        """Per-(group, cacheline) counts and sums of a block that starts
-        on a cacheline boundary, each shaped ``(n_groups, n_lines)``.
-
-        One ``bincount`` for the counts and one ``np.add.at`` into the
-        64-bit accumulator for the sums — O(block), no sort.  Integer
-        sums stay exact (no float weights); float sums add up in row
-        order.  Group-major cells keep each group's lines contiguous,
-        so the prefix sums run along rows.
-        """
-        n_lines = -(-codes.shape[0] // self.vpc)
-        cells = codes * n_lines
-        cells += np.repeat(np.arange(n_lines, dtype=_I64), self.vpc)[: codes.shape[0]]
-        size = self.n_groups * n_lines
-        counts = np.bincount(cells, minlength=size).astype(_I64, copy=False)
-        sums = np.zeros(size, dtype=self.sum_dtype)
-        np.add.at(sums, cells, values.astype(self.sum_dtype, copy=False))
+    def _histograms(self, cells, values, size: int, first_line: int):
+        """Per-cell counts and sums of one chunk, plus the lines (from
+        ``first_line``) whose non-finite values the sums leave out."""
+        weights = values
+        nonfinite = _nonfinite_lines(values, self.vpc, first_line)
+        if nonfinite.shape[0]:
+            weights = np.where(np.isfinite(values), values, 0)
         return (
-            counts.reshape(self.n_groups, n_lines),
-            sums.reshape(self.n_groups, n_lines),
+            np.bincount(cells, minlength=size),
+            _group_sums(cells, weights, size, self.sum_dtype),
+            nonfinite,
         )
 
-    @staticmethod
-    def _extended(prefix: np.ndarray, first_line: int, per_line: np.ndarray):
-        """``prefix`` up to row ``first_line``, then the running totals
-        of the group-major ``per_line`` histograms (summed in place)."""
-        np.cumsum(per_line, axis=1, out=per_line)
-        out = np.empty(
-            (first_line + 1 + per_line.shape[1], prefix.shape[1]),
-            dtype=prefix.dtype,
-        )
-        out[: first_line + 1] = prefix[: first_line + 1]
-        np.add(per_line.T, prefix[first_line], out=out[first_line + 1 :])
-        return out
-
-    def _recompute_from(self, codes, values, first_line: int) -> None:
-        """(Re)build the histograms from cacheline ``first_line`` on —
-        O(suffix), never O(column)."""
-        start = first_line * self.vpc
-        counts, sums = self._histograms(
-            self._check_codes(np.asarray(codes)[start:]),
-            np.asarray(values)[start:],
-        )
-        self.prefix_counts = self._extended(self.prefix_counts, first_line, counts)
-        self.prefix_sums = self._extended(self.prefix_sums, first_line, sums)
-        self.n_values = int(np.asarray(codes).shape[0])
+    def _recompute_from(self, codes, values, first_block: int) -> None:
+        """(Re)build the tables from block ``first_block`` on, a chunk
+        at a time, into tables allocated once at their final size."""
+        codes = np.asarray(codes)
+        values = np.asarray(values)
+        groups, rows = self.n_groups, self.block_rows
+        n_blocks = -(-codes.shape[0] // rows)
+        counts = np.empty((n_blocks + 1, groups), dtype=_I64)
+        sums = np.empty((n_blocks + 1, groups), dtype=self.sum_dtype)
+        counts[: first_block + 1] = self.prefix_counts[: first_block + 1]
+        sums[: first_block + 1] = self.prefix_sums[: first_block + 1]
+        first_line = first_block * BLOCK_LINES
+        nonfinite = [self.nonfinite_lines[self.nonfinite_lines < first_line]]
+        step = _chunk_rows(rows)
+        # Block-major cells: row r of a chunk lands in cell
+        # (r // block_rows) * n_groups + code, so a chunk's histograms
+        # reshape straight into table rows.
+        cell_base = np.repeat(np.arange(step // rows, dtype=_I64) * groups, rows)
+        for start in range(first_block * rows, codes.shape[0], step):
+            part = self._check_codes(codes[start : start + step])
+            block = start // rows
+            width = -(-part.shape[0] // rows)
+            chunk_counts, chunk_sums, odd = self._histograms(
+                cell_base[: part.shape[0]] + part,
+                values[start : start + step],
+                width * groups,
+                start // self.vpc,
+            )
+            _running(counts, block, chunk_counts.reshape(width, groups))
+            _running(sums, block, chunk_sums.reshape(width, groups))
+            nonfinite.append(odd)
+        self.prefix_counts, self.prefix_sums = counts, sums
+        self.nonfinite_lines = np.concatenate(nonfinite)
+        self.n_values = int(codes.shape[0])
 
     def widen(self, n_groups: int) -> None:
         """Grow the group domain (zero-padded columns) for new codes."""
         if n_groups <= self.n_groups:
             return
-        pad = n_groups - self.n_groups
-        self.prefix_counts = np.concatenate(
-            [
-                self.prefix_counts,
-                np.zeros((self.prefix_counts.shape[0], pad), dtype=_I64),
-            ],
-            axis=1,
-        )
-        self.prefix_sums = np.concatenate(
-            [
-                self.prefix_sums,
-                np.zeros((self.prefix_sums.shape[0], pad), dtype=self.sum_dtype),
-            ],
-            axis=1,
-        )
+        pad = ((0, 0), (0, n_groups - self.n_groups))
+        self.prefix_counts = np.pad(self.prefix_counts, pad)
+        self.prefix_sums = np.pad(self.prefix_sums, pad)
         self.n_groups = int(n_groups)
 
     def append(self, codes, values) -> None:
-        """Maintain the histograms through an append (full post-append
+        """Maintain the tables through an append (full post-append
         arrays, like :meth:`CachelineAggregates.append`)."""
         codes = np.asarray(codes)
         values = np.asarray(values)
@@ -537,53 +728,106 @@ class GroupedAggregates:
             )
         if codes.shape[0] == self.n_values:
             return
-        self._recompute_from(codes, values, self.n_values // self.vpc)
+        self._recompute_from(codes, values, self.n_values // self.block_rows)
 
     def update_line(self, cacheline: int, codes, values) -> None:
-        """Recompute one cacheline after an in-place value update and
-        patch both prefix tables by the per-group deltas."""
+        """Recompute the block holding ``cacheline`` after an in-place
+        value update and patch the table rows after it by the per-group
+        deltas — O(block + blocks after the line)."""
         if not 0 <= cacheline < self.n_cachelines:
             raise IndexError(
                 f"cacheline {cacheline} out of range [0, {self.n_cachelines})"
             )
-        start = cacheline * self.vpc
-        stop = min(start + self.vpc, self.n_values)
-        new_counts, new_sums = self._histograms(
+        block = cacheline // BLOCK_LINES
+        start = block * self.block_rows
+        stop = min(start + self.block_rows, self.n_values)
+        new_counts, new_sums, odd = self._histograms(
             self._check_codes(np.asarray(codes)[start:stop]),
             np.asarray(values)[start:stop],
+            self.n_groups,
+            block * BLOCK_LINES,
         )
-        old_counts = self.prefix_counts[cacheline + 1] - self.prefix_counts[cacheline]
-        old_sums = self.prefix_sums[cacheline + 1] - self.prefix_sums[cacheline]
-        self.prefix_counts[cacheline + 1 :] += new_counts[:, 0] - old_counts
-        self.prefix_sums[cacheline + 1 :] += new_sums[:, 0] - old_sums
+        self.nonfinite_lines = _replace_lines(
+            self.nonfinite_lines, block * BLOCK_LINES, (block + 1) * BLOCK_LINES, odd
+        )
+        after = slice(block + 1, None)
+        self.prefix_counts[after] += new_counts - (
+            self.prefix_counts[block + 1] - self.prefix_counts[block]
+        )
+        self.prefix_sums[after] += new_sums - (
+            self.prefix_sums[block + 1] - self.prefix_sums[block]
+        )
 
     # ------------------------------------------------------------------
     # range reductions
     # ------------------------------------------------------------------
-    def range_group_counts(self, cl_lo, cl_hi) -> np.ndarray:
-        """Per-group count over cachelines ``[lo_k, hi_k)`` summed
-        across all ranges — shape ``(n_groups,)``."""
-        return np.add.reduce(
-            self.prefix_counts[cl_hi] - self.prefix_counts[cl_lo], axis=0
-        )
+    def range_groups(self, cl_lo, cl_hi, codes, values=None):
+        """Per-group ``(counts, sums)`` over cachelines ``[lo_k, hi_k)``
+        summed across all (disjoint) ranges.
 
-    def range_group_sums(self, cl_lo, cl_hi) -> np.ndarray:
-        return np.add.reduce(
-            self.prefix_sums[cl_hi] - self.prefix_sums[cl_lo],
+        ``codes``/``values`` are the group and value columns the
+        sidecar summarises.  Each range's whole blocks are two table
+        rows; its ragged lines are read line after line
+        (:func:`_take_lines`) and folded in with one ``bincount`` per
+        table.  ``sums`` is ``None`` without ``values``.  Integer sums
+        wrap like ``np.sum``'s 64-bit accumulator; float sums are
+        float64.
+        """
+        cl_lo = np.asarray(cl_lo, dtype=_I64)
+        cl_hi = np.asarray(cl_hi, dtype=_I64)
+        codes = np.asarray(codes)
+        n_lines = self.n_cachelines
+        block_lo = -(-cl_lo // BLOCK_LINES)
+        block_hi = np.where(cl_hi >= n_lines, self.n_blocks, cl_hi // BLOCK_LINES)
+        whole = block_lo < block_hi
+        # A range without a whole block is all ragged: its head is the range.
+        head_stop = np.where(whole, block_lo * BLOCK_LINES, cl_hi)
+        tail_start = np.where(
+            whole, np.minimum(block_hi * BLOCK_LINES, n_lines), cl_hi
+        )
+        block_lo, block_hi = block_lo[whole], block_hi[whole]
+        ragged = expand_ranges(
+            np.concatenate([cl_lo, tail_start]), np.concatenate([head_stop, cl_hi])
+        )
+        gathered = _take_lines(codes, ragged, self.vpc, self.n_values)
+        counts = np.add.reduce(
+            self.prefix_counts[block_hi] - self.prefix_counts[block_lo], axis=0
+        ) + np.bincount(gathered, minlength=self.n_groups)
+        if values is None:
+            return counts, None
+        values = np.asarray(values)
+        sums = np.add.reduce(
+            self.prefix_sums[block_hi] - self.prefix_sums[block_lo],
             axis=0,
             dtype=self.sum_dtype,
+        ) + _group_sums(
+            gathered,
+            _take_lines(values, ragged, self.vpc, self.n_values),
+            self.n_groups,
+            self.sum_dtype,
         )
+        if self.nonfinite_lines.shape[0]:
+            sums = sums + self._nonfinite_sums(
+                block_lo * BLOCK_LINES,
+                np.minimum(block_hi * BLOCK_LINES, n_lines),
+                codes,
+                values,
+            )
+        return counts, sums
 
-    def line_group_counts(self, lines) -> np.ndarray:
-        return np.add.reduce(
-            self.prefix_counts[lines + 1] - self.prefix_counts[lines], axis=0
-        )
-
-    def line_group_sums(self, lines) -> np.ndarray:
-        return np.add.reduce(
-            self.prefix_sums[lines + 1] - self.prefix_sums[lines],
-            axis=0,
-            dtype=self.sum_dtype,
+    def _nonfinite_sums(self, line_lo, line_hi, codes, values) -> np.ndarray:
+        """Per-group sum of the non-finite values of lines
+        ``[lo_k, hi_k)``, which the table rows leave out."""
+        lines = self.nonfinite_lines
+        covered = lines[
+            expand_ranges(np.searchsorted(lines, line_lo), np.searchsorted(lines, line_hi))
+        ]
+        odd = _take_lines(values, covered, self.vpc, self.n_values)
+        odd = np.where(np.isfinite(odd), 0.0, odd)
+        return np.bincount(
+            _take_lines(codes, covered, self.vpc, self.n_values),
+            weights=odd,
+            minlength=self.n_groups,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -661,9 +905,8 @@ def grouped_gathered(gcodes: np.ndarray, gvalues: np.ndarray, n_groups: int, op:
     ``op`` — the no-sidecar fallback.  ``sums`` is ``None`` for
     ``count``, and exact Python ints for an integer ``avg`` whose lanes
     may wrap."""
-    counts = np.bincount(
-        gcodes.astype(_I64, copy=False), minlength=n_groups
-    ).astype(_I64, copy=False)
+    gcodes = gcodes.astype(_I64, copy=False)
+    counts = np.bincount(gcodes, minlength=n_groups)
     if counts.shape[0] > n_groups:
         raise ValueError(f"group code out of range [0, {n_groups})")
     if op == "count":
@@ -672,9 +915,7 @@ def grouped_gathered(gcodes: np.ndarray, gvalues: np.ndarray, n_groups: int, op:
         gvalues.shape[0], _max_abs(gvalues, gvalues), squares=False
     ):
         return counts, _exact_group_sums(gcodes, gvalues, n_groups)
-    sums = np.zeros(n_groups, dtype=_sum_dtype(gvalues.dtype))
-    np.add.at(sums, gcodes, gvalues.astype(sums.dtype, copy=False))
-    return counts, sums
+    return counts, _group_sums(gcodes, gvalues, n_groups, _sum_dtype(gvalues.dtype))
 
 
 def finalize_grouped(op: str, counts: np.ndarray, sums) -> dict:
@@ -762,7 +1003,8 @@ def aggregate_rowset(
                 acc = scanned.astype(aggregates.sum_dtype, copy=False)
                 if squares:
                     acc = acc * acc
-                total = total + np.add.reduce(acc)
+                with np.errstate(over="ignore"):  # modular, as in _candidate_sum
+                    total = total + np.add.reduce(acc)
             return aggregates.sum_dtype.type(total).item()
 
         if op == "sum":
@@ -805,22 +1047,22 @@ def aggregate_rowset(
 def _refine_partials(ranges, values, predicate, aggregates):
     """Split candidate ranges into answered-from-sidecar vs gathered.
 
-    Returns ``(full_starts, full_stops, promoted, mixed_span,
+    Returns ``(full_starts, full_stops, promoted, mixed,
     mixed_values, mixed_mask)``: full cacheline ranges, individual
     partial lines **promoted** to fully-qualifying because their exact
     ``[min, max]`` sidecar bounds lie inside the predicate, and — for
-    lines genuinely straddling a predicate bound — the flat gathered id
-    span, its values, and the inline qualification mask.  Lines whose
-    bounds miss the predicate are dropped outright.  ``mixed_span`` /
-    ``mixed_values`` / ``mixed_mask`` are ``None`` when no line
-    straddles.
+    the (sorted) lines genuinely straddling a predicate bound — those
+    lines, their values line after line (:func:`_take_lines`), and the
+    inline qualification mask.  Lines whose bounds miss the predicate
+    are dropped outright.  ``mixed`` / ``mixed_values`` /
+    ``mixed_mask`` are ``None`` when no line straddles.
     """
     vpc = aggregates.vpc
     n = aggregates.n_values
     full_starts, full_stops, part_starts, part_stops = ranges.split()
 
     promoted = np.empty(0, dtype=_I64)
-    mixed_span = mixed_values = mixed_mask = None
+    mixed = mixed_values = mixed_mask = None
     if part_starts.shape[0]:
         lines = expand_ranges(part_starts, part_stops)
         line_mins = aggregates.mins[lines]
@@ -835,10 +1077,10 @@ def _refine_partials(ranges, values, predicate, aggregates):
             outside |= line_mins >= predicate.high
         promoted = lines[inside]
         mixed = lines[~(inside | outside)]
-        if mixed.shape[0]:
-            mixed_ids = mixed * vpc
-            mixed_span = expand_ranges(mixed_ids, np.minimum(mixed_ids + vpc, n))
-            mixed_values = values[mixed_span]
+        if mixed.shape[0] == 0:
+            mixed = None
+        else:
+            mixed_values = _take_lines(values, mixed, vpc, n)
             # Inline low <= v < high; the where= reductions downstream
             # then skip the survivor compress entirely.  (Both bounds
             # unbounded cannot reach here: every line would have been
@@ -851,7 +1093,7 @@ def _refine_partials(ranges, values, predicate, aggregates):
                 mixed_mask = (mixed_values >= predicate.low) & (
                     mixed_values < predicate.high
                 )
-    return full_starts, full_stops, promoted, mixed_span, mixed_values, mixed_mask
+    return full_starts, full_stops, promoted, mixed, mixed_values, mixed_mask
 
 
 def _candidate_count(
@@ -870,7 +1112,7 @@ def _candidate_count(
 
 
 def _qualifying_ids(
-    aggregates, full_starts, full_stops, promoted, mixed_span, mixed_mask
+    aggregates, full_starts, full_stops, promoted, mixed, mixed_mask
 ) -> np.ndarray:
     """Every qualifying id of refined candidates (unordered): full
     ranges, promoted lines and the straddling lines' survivors."""
@@ -880,8 +1122,10 @@ def _qualifying_ids(
         expand_ranges(full_starts * vpc, np.minimum(full_stops * vpc, n)),
         expand_ranges(promoted * vpc, np.minimum(promoted * vpc + vpc, n)),
     ]
-    if mixed_span is not None:
-        pieces.append(mixed_span[mixed_mask])
+    if mixed is not None:
+        # Ascending lines: the rows in the order _take_lines reads them.
+        span = expand_ranges(mixed * vpc, np.minimum(mixed * vpc + vpc, n))
+        pieces.append(span[mixed_mask])
     return np.concatenate(pieces)
 
 
@@ -897,15 +1141,18 @@ def _candidate_sum(
             aggregates.sum_dtype, copy=False
         )
     )
-    if promoted.shape[0]:
-        total = total + np.add.reduce(
-            aggregates.line_sums(promoted, squares=squares)
-        )
-    if kept is not None and kept.shape[0]:
-        acc = kept.astype(aggregates.sum_dtype, copy=False)
-        if squares:
-            acc = acc * acc
-        total = total + np.add.reduce(acc)
+    # The lanes are modular: the scalar adds wrap as the array sums do,
+    # so NumPy's scalar overflow warning is noise here.
+    with np.errstate(over="ignore"):
+        if promoted.shape[0]:
+            total = total + np.add.reduce(
+                aggregates.line_sums(promoted, squares=squares)
+            )
+        if kept is not None and kept.shape[0]:
+            acc = kept.astype(aggregates.sum_dtype, copy=False)
+            if squares:
+                acc = acc * acc
+            total = total + np.add.reduce(acc)
     return aggregates.sum_dtype.type(total).item()
 
 
@@ -924,7 +1171,7 @@ def candidate_moments(
         full_starts,
         full_stops,
         promoted,
-        mixed_span,
+        mixed,
         mixed_values,
         mixed_mask,
     ) = _refine_partials(ranges, values, predicate, aggregates)
@@ -933,7 +1180,7 @@ def candidate_moments(
     )
     if not lanes_hold(count, aggregates.max_abs, squares=squares):
         ids = _qualifying_ids(
-            aggregates, full_starts, full_stops, promoted, mixed_span, mixed_mask
+            aggregates, full_starts, full_stops, promoted, mixed, mixed_mask
         )
         return (count, *exact_moments(values[ids], squares=squares))
     kept = mixed_values[mixed_mask] if mixed_values is not None else None
@@ -986,7 +1233,7 @@ def aggregate_candidates(ranges, values, predicate, aggregates, op: str):
         full_starts,
         full_stops,
         promoted,
-        _span,
+        _mixed,
         mixed_values,
         mixed_mask,
     ) = _refine_partials(ranges, values, predicate, aggregates)
@@ -1033,20 +1280,21 @@ def grouped_candidates(ranges, values, codes, predicate, aggregates, grouped, op
     candidate ranges.
 
     GROUP BY pushdown: full ranges and promoted lines are answered from
-    the :class:`GroupedAggregates` prefix tables (two row lookups per
-    range, no ids); only lines straddling a predicate bound gather
-    their codes and values, and those survivors fold in through one
-    ``bincount`` / unbuffered ``add.at``.  Returns per-group arrays of
-    shape ``(n_groups,)``, with ``sums`` ``None`` for grouped
-    ``count``.  An integer ``avg`` whose sum lanes may wrap
-    (:func:`lanes_hold`) gathers its qualifying rows and sums them as
-    exact Python ints instead.
+    the :class:`GroupedAggregates` tables (two row lookups per range's
+    whole blocks, its ragged lines gathered; no ids).  Lines straddling
+    a predicate bound fold in their survivors through one ``bincount``
+    per table, weighted by the qualification mask, over the codes and
+    values read line after line.  Returns per-group arrays of shape
+    ``(n_groups,)``, with ``sums`` ``None`` for grouped ``count``.  An
+    integer ``avg`` whose sum lanes may wrap (:func:`lanes_hold`)
+    gathers its qualifying rows and sums them as exact Python ints
+    instead.
     """
     (
         full_starts,
         full_stops,
         promoted,
-        mixed_span,
+        mixed,
         mixed_values,
         mixed_mask,
     ) = _refine_partials(ranges, values, predicate, aggregates)
@@ -1054,41 +1302,40 @@ def grouped_candidates(ranges, values, codes, predicate, aggregates, grouped, op
     if promoted.shape[0]:
         # Promoted lines expand from contiguous partial ranges, so long
         # consecutive runs are the common case; coalescing them turns
-        # thousands of per-line prefix-table gathers into a handful of
-        # two-row range lookups, folded into the full-range lookup so
-        # each prefix table is visited exactly once.
+        # per-line lookups into a handful of range lookups, folded into
+        # the full-range lookup so each table is visited exactly once.
         run_starts, run_stops = coalesce_ranges(promoted, promoted + 1)
         lookup_starts = np.concatenate([full_starts, run_starts])
         lookup_stops = np.concatenate([full_stops, run_stops])
-    counts = grouped.range_group_counts(lookup_starts, lookup_stops)
-    kept_codes = None
-    if mixed_span is not None:
-        kept_ids = mixed_span[mixed_mask]
-        if kept_ids.shape[0]:
-            kept_codes = np.asarray(codes)[kept_ids].astype(_I64, copy=False)
-            counts = counts + np.bincount(
-                kept_codes, minlength=grouped.n_groups
-            ).astype(_I64, copy=False)
-    if op == "count":
-        return counts, None
-    if op == "avg" and not lanes_hold(
-        int(counts.sum()), aggregates.max_abs, squares=False
-    ):
+    codes = np.asarray(codes)
+    exact = op == "avg" and not lanes_hold(
+        _candidate_count(aggregates, full_starts, full_stops, promoted, mixed_mask),
+        aggregates.max_abs,
+        squares=False,
+    )
+    counts, sums = grouped.range_groups(
+        lookup_starts,
+        lookup_stops,
+        codes,
+        None if op == "count" or exact else values,
+    )
+    if mixed is not None:
+        mixed_codes = _take_lines(codes, mixed, aggregates.vpc, aggregates.n_values)
+        counts = counts + np.bincount(
+            mixed_codes, weights=mixed_mask, minlength=grouped.n_groups
+        ).astype(_I64)
+        if sums is not None:
+            sums = sums + _group_sums(
+                mixed_codes,
+                np.where(mixed_mask, mixed_values, 0),
+                grouped.n_groups,
+                grouped.sum_dtype,
+            )
+    if exact:
         ids = _qualifying_ids(
-            aggregates, full_starts, full_stops, promoted, mixed_span, mixed_mask
+            aggregates, full_starts, full_stops, promoted, mixed, mixed_mask
         )
-        return counts, _exact_group_sums(
-            np.asarray(codes)[ids], values[ids], grouped.n_groups
-        )
-    sums = grouped.range_group_sums(lookup_starts, lookup_stops)
-    if kept_codes is not None:
-        extra = np.zeros(grouped.n_groups, dtype=grouped.sum_dtype)
-        np.add.at(
-            extra,
-            kept_codes,
-            mixed_values[mixed_mask].astype(grouped.sum_dtype, copy=False),
-        )
-        sums = sums + extra
+        sums = _exact_group_sums(codes[ids], values[ids], grouped.n_groups)
     return counts, sums
 
 
@@ -1116,7 +1363,7 @@ def topk_candidates(ranges, values, predicate, aggregates, k: int) -> list:
         full_starts,
         full_stops,
         promoted,
-        _span,
+        _mixed,
         mixed_values,
         mixed_mask,
     ) = _refine_partials(ranges, values, predicate, aggregates)

@@ -17,8 +17,10 @@ consolidation policy:
   rebuild-on-scan policy, triggered by delta pressure instead of bit
   saturation.
 
-Every read answers over the *logical* column: ids come from the merge,
-and values (aggregates, top-k, GROUP BY) from :meth:`values_at`, which
+Every read answers over the *logical* column.  While nothing is pending
+that is the base column, and reads hand over to the base index's lazy
+pages and sidecar pushdowns (aggregates, GROUP BY, top-k).  Otherwise
+ids come from the merge, and values from :meth:`values_at`, which
 applies the pending appends and updates to the gathered ids only.
 Attached group columns span the logical rows: append group rows in
 lockstep with :meth:`append`, and a consolidation drops the deleted
@@ -120,10 +122,19 @@ class DeltaAwareImprints(SecondaryIndex):
         the version bump makes cursors over the old state go stale.
         """
         self.base_index = ColumnImprints(column, **self._imprints_kwargs)
+        for name, group in self._group_columns.items():
+            self.base_index.attach_group_column(name, group)
         self.delta = DeltaColumn(column)
         self.column = column
         self.consolidations += 1
         self.version += 1
+
+    def attach_group_column(self, name: str, group) -> None:
+        """Attach ``group`` here and, as the same object, to the base
+        index, whose GROUP BY pushdown answers while nothing is pending
+        (the group rows of pending appends join it in lockstep)."""
+        super().attach_group_column(name, group)
+        self.base_index.attach_group_column(name, self._group_columns[name])
 
     # ------------------------------------------------------------------
     # reads: base answer + merge
@@ -179,6 +190,22 @@ class DeltaAwareImprints(SecondaryIndex):
         if op == "count":
             return result.count()
         return reduce_gathered(self.values_at(result.ids), op)
+
+    def aggregate_grouped(self, predicate: RangePredicate, op: str, group_by: str):
+        """Grouped ``COUNT``/``SUM``/``AVG`` over the *logical* column:
+        the base index's block-table pushdown while nothing is pending,
+        else a gather at the merged ids (see :meth:`aggregate`)."""
+        if self.delta.n_pending == 0:
+            return self.base_index.aggregate_grouped(predicate, op, group_by)
+        return super().aggregate_grouped(predicate, op, group_by)
+
+    def top_k(self, predicate: RangePredicate, k: int) -> list:
+        """The ``k`` largest qualifying values of the *logical* column:
+        the base index's extrema-pruned pushdown while nothing is
+        pending, else a gather at the merged ids."""
+        if self.delta.n_pending == 0:
+            return self.base_index.top_k(predicate, k)
+        return super().top_k(predicate, k)
 
     def values_at(self, ids: np.ndarray) -> np.ndarray:
         """Current (delta-applied) values for an id list — what a tuple

@@ -324,15 +324,24 @@ class ColumnImprints(SecondaryIndex):
             op,
         )
 
+    def attach_group_column(self, name: str, group) -> None:
+        """Attach a GROUP BY column (see the base class); a sidecar
+        built over a column previously attached under ``name`` goes."""
+        super().attach_group_column(name, group)
+        self._grouped.pop(name, None)
+        self._grouped_dirty.pop(name, None)
+
     def grouped_aggregates(self, name: str) -> GroupedAggregates:
         """The GROUP BY pushdown sidecar for one attached group column.
 
-        Built lazily on first use, then synchronised on demand:
-        appended rows extend the histograms from the trailing partial
-        cacheline (after widening the group domain if new codes
-        arrived), and cachelines touched by in-place value updates are
-        recomputed.  Like :attr:`cacheline_aggregates`, it summarises
-        values — not bins — so it survives :meth:`rebuild`.
+        Block-granular tables (a running per-group count and sum every
+        :data:`~repro.core.aggregates.BLOCK_LINES` cachelines), built
+        lazily on first use, then synchronised on demand: appended rows
+        extend the tables from the trailing partial block (after
+        widening the group domain if new codes arrived), and blocks
+        touched by in-place value updates are recomputed.  Like
+        :attr:`cacheline_aggregates`, it summarises values — not bins —
+        so it survives :meth:`rebuild`.
         """
         group = self._check_group_aligned(name)
         sidecar = self._grouped.get(name)
@@ -361,9 +370,9 @@ class ColumnImprints(SecondaryIndex):
 
         Overrides the gather fallback with
         :func:`~repro.core.aggregates.grouped_candidates`: candidate
-        ranges feed the per-cacheline group histograms directly, so
-        grouped answers never materialise row ids — only cachelines
-        straddling a predicate bound gather codes and values.
+        ranges feed the block tables directly, so grouped answers never
+        materialise row ids — only each range's ragged lines and the
+        cachelines straddling a predicate bound gather codes and values.
         """
         group = self._check_group_aligned(group_by)
         counts, sums = grouped_candidates(

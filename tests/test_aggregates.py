@@ -16,6 +16,7 @@ instead.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,9 +28,11 @@ from repro.core import (
     CachelineAggregates,
     ColumnImprints,
     DeltaAwareImprints,
+    GroupedAggregates,
     aggregate_rowset,
     conjunctive_aggregate,
 )
+from repro.core.binning import CHUNK_VALUES
 from repro.core.rowset import RowSet
 from repro.engine import QueryExecutor
 from repro.engine.executor import _SCALAR_WEIGHT
@@ -150,6 +153,115 @@ class TestCachelineAggregates:
             aggs.update_line(4, np.zeros(64, dtype=np.int32))
         with pytest.raises(ValueError):
             aggs.append(np.zeros(10, dtype=np.int32))
+
+
+def _traced_peak(step):
+    """``(result, peak)``: what ``step()`` returns and the most memory
+    it held at once, as ``tracemalloc`` (which sees NumPy's buffers)
+    counts allocations made while it runs."""
+    tracemalloc.start()
+    try:
+        result = step()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedBuilds:
+    """A sidecar build or append allocates its final tables plus a few
+    chunk-sized temporaries, never a column-sized one: the traced peak
+    exceeds the sidecar's final ``nbytes`` by at most eight chunks of
+    64-bit lanes, whatever the column length."""
+
+    ROWS = 1 << 20
+    SLACK = 8 * CHUNK_VALUES * 8
+
+    @pytest.mark.parametrize("kind", ["cacheline", "grouped"])
+    def test_build_and_append_stay_within_a_few_chunks(self, kind):
+        rng = np.random.default_rng(21)
+        values = rng.integers(-(2**31), 2**31 - 1, 2 * self.ROWS).astype(np.int32)
+        codes = rng.integers(0, 12, 2 * self.ROWS)
+        if kind == "cacheline":
+            build = lambda: CachelineAggregates(values[: self.ROWS], 16)  # noqa: E731
+            grow = lambda sidecar: sidecar.append(values)  # noqa: E731
+        else:
+            build = lambda: GroupedAggregates(  # noqa: E731
+                codes[: self.ROWS], values[: self.ROWS], 12, 16
+            )
+            grow = lambda sidecar: sidecar.append(codes, values)  # noqa: E731
+        sidecar, peak = _traced_peak(build)
+        assert peak <= sidecar.nbytes + self.SLACK, (peak, sidecar.nbytes)
+        _, peak = _traced_peak(lambda: grow(sidecar))
+        assert sidecar.n_values == 2 * self.ROWS
+        assert peak <= sidecar.nbytes + self.SLACK, (peak, sidecar.nbytes)
+
+
+class TestNonFiniteValues:
+    """NaN and infinities stay out of the running sums: a NaN row must
+    not poison every later range sum, while a range that holds one
+    answers what NumPy answers over the selected values."""
+
+    def make(self):
+        values = np.random.default_rng(0).normal(0.0, 100.0, 40_000)
+        values[::97] = np.nan
+        codes = np.arange(values.shape[0]) % 3
+        index = ColumnImprints(Column(values, name="t.nan"))
+        index.attach_group_column(GROUP_BY, codes)
+        return values, codes, index
+
+    def test_selected_sums_equal_numpy(self):
+        values, codes, index = self.make()
+        predicate = RangePredicate.range(0.0, np.inf, index.column.ctype)
+        selected = values >= 0.0
+        assert index.aggregate(predicate, "sum") == pytest.approx(
+            np.sum(values[selected]), rel=1e-9
+        )
+        assert index.aggregate(predicate, "avg") == pytest.approx(
+            np.mean(values[selected]), rel=1e-9
+        )
+        assert index.aggregate(predicate, "var") == pytest.approx(
+            np.var(values[selected]), rel=1e-6
+        )
+        grouped = index.aggregate_grouped(predicate, "sum", GROUP_BY)
+        assert grouped == pytest.approx(
+            {g: np.sum(values[selected & (codes == g)]) for g in range(3)}, rel=1e-9
+        )
+        everything = RangePredicate.everything()
+        assert math.isnan(index.aggregate(everything, "sum"))
+        assert all(
+            math.isnan(total)
+            for total in index.aggregate_grouped(everything, "sum", GROUP_BY).values()
+        )
+
+    def test_infinities_and_maintenance(self):
+        values, codes, index = self.make()
+        index.cacheline_aggregates, index.grouped_aggregates(GROUP_BY)  # build both
+        index.append(np.array([np.inf, 5.0, -np.inf, np.nan, 7.0]))
+        index.append_group(GROUP_BY, codes=[0, 1, 2, 0, 1])
+        index.note_update(97, 3.0)  # a NaN line turns finite
+        index.note_update(20_000, np.inf)  # a finite line gains +inf
+        mirror = MirrorColumn(
+            index.column.values, codes=np.concatenate([codes, [0, 1, 2, 0, 1]])
+        )
+
+        def close(want):
+            return pytest.approx(want, rel=1e-9, abs=1e-6, nan_ok=True)
+
+        for low, high in [(0.0, np.inf), (-np.inf, 50.0), (-np.inf, np.inf), (-20.0, 20.0)]:
+            predicate = RangePredicate.range(low, high, index.column.ctype)
+            for op in ("sum", "avg"):
+                want = mirror.aggregate(predicate, op)
+                assert index.aggregate(predicate, op) == close(want), (low, high, op)
+            got = index.aggregate_grouped(predicate, "sum", GROUP_BY)
+            assert got == close(mirror.grouped(predicate, "sum")), (low, high)
+        fresh = CachelineAggregates(index.column.values, index.column.values_per_cacheline)
+        kept = index.cacheline_aggregates
+        for attr in ("nonfinite_lines", "mins", "maxs"):
+            assert np.array_equal(getattr(kept, attr), getattr(fresh, attr), equal_nan=True)
+        assert np.allclose(kept.prefix_sums, fresh.prefix_sums, rtol=1e-9)
+        assert np.array_equal(
+            index.grouped_aggregates(GROUP_BY).nonfinite_lines, fresh.nonfinite_lines
+        )
 
 
 # ----------------------------------------------------------------------

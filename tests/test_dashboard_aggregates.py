@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core import ColumnImprints, GroupedAggregates, finalize_grouped
+from repro.core.aggregates import BLOCK_LINES
 from repro.bench.regression import gate
 from repro.bench.studies import STUDIES
 from repro.engine import QueryExecutor
@@ -50,33 +51,60 @@ def _make_huge_int64(n=4_003, seed=5, n_groups=4):
 
 
 class TestGroupedSidecar:
-    def test_prefix_tables_match_bincount(self):
-        """Every line's counts and exact sums, on int32 values and on
-        int64 values above 2**53, where float64 sums would round."""
+    def test_block_tables_and_lines_match_bincount(self):
+        """Every block's counts and exact sums, and every single line
+        read as a range, on int32 values and on int64 values above
+        2**53, where float64 sums would round."""
         for values, codes, index in (_make_indexed(), _make_huge_int64()):
             grouped = index.grouped_aggregates("g")
             assert isinstance(grouped, GroupedAggregates)
-            vpc, n_groups = grouped.vpc, grouped.n_groups
-            for line in range(grouped.n_cachelines):
-                lo, hi = line * vpc, min((line + 1) * vpc, values.shape[0])
-                block, block_codes = values[lo:hi].astype(object), codes[lo:hi]
+            vpc, n_groups, n = grouped.vpc, grouped.n_groups, values.shape[0]
+            assert grouped.block_rows == BLOCK_LINES * vpc
+            assert grouped.prefix_counts.shape == (-(-n // grouped.block_rows) + 1, n_groups)
+
+            def exact(lo, hi):
+                rows, row_codes = values[lo:hi].astype(object), codes[lo:hi]
+                return (
+                    np.bincount(row_codes, minlength=n_groups).tolist(),
+                    [int(rows[row_codes == g].sum()) for g in range(n_groups)],
+                )
+
+            for block in range(grouped.n_blocks):
+                lo = block * grouped.block_rows
                 counts, sums = (
-                    table[line + 1] - table[line]
+                    (table[block + 1] - table[block]).tolist()
                     for table in (grouped.prefix_counts, grouped.prefix_sums)
                 )
-                assert np.array_equal(
-                    counts, np.bincount(block_codes, minlength=n_groups)
+                assert (counts, sums) == exact(lo, lo + grouped.block_rows), block
+            for line in range(grouped.n_cachelines):
+                counts, sums = grouped.range_groups(
+                    np.array([line]), np.array([line + 1]), codes, values
                 )
-                assert sums.tolist() == [
-                    int(block[block_codes == g].sum()) for g in range(n_groups)
-                ], f"cacheline {line}"
+                assert (counts.tolist(), sums.tolist()) == exact(
+                    line * vpc, (line + 1) * vpc
+                ), line
+            # Ranges with whole blocks and ragged ends, up to the last line.
+            rng = np.random.default_rng(n)
+            ends = np.sort(rng.integers(0, grouped.n_cachelines + 1, (40, 2)), axis=1)
+            ends[0] = (3, grouped.n_cachelines)
+            for lo, hi in ends:
+                counts, sums = grouped.range_groups(
+                    np.array([lo]), np.array([hi]), codes, values
+                )
+                assert (counts.tolist(), sums.tolist()) == exact(lo * vpc, hi * vpc)
 
-    def test_nbytes_counts_both_tables(self):
-        _, _, index = _make_indexed()
-        grouped = index.grouped_aggregates("g")
-        assert grouped.nbytes == (
-            grouped.prefix_counts.nbytes + grouped.prefix_sums.nbytes
-        )
+    def test_nbytes_counts_every_table(self):
+        """``nbytes`` is every array either sidecar holds, the
+        non-finite line lists included."""
+        values = np.random.default_rng(8).normal(0.0, 100.0, 20_000)
+        values[::97] = np.nan
+        codes = np.arange(values.shape[0]) % 4
+        index = ColumnImprints(Column(values, name="t.nan"))
+        index.attach_group_column("g", GroupColumn.from_codes(codes, 4))
+        for sidecar in (index.grouped_aggregates("g"), index.cacheline_aggregates):
+            assert sidecar.nonfinite_lines.shape[0] > 0
+            arrays = [v for v in vars(sidecar).values() if isinstance(v, np.ndarray)]
+            assert sidecar.nbytes == sum(array.nbytes for array in arrays)
 
     def test_pushdown_matches_oracle_across_ops(self):
         values, codes, index = _make_indexed()
@@ -129,6 +157,15 @@ class TestGroupedSidecar:
         assert index.aggregate_grouped(predicate, "sum", "g") == want
         with QueryExecutor({"col": index}) as executor:
             assert executor.aggregate_grouped("col", predicate, "sum", "g") == want
+
+    def test_reattached_group_column_rebuilds_its_tables(self):
+        values, codes, index = _make_indexed()
+        predicate = _pred(index, int(values.min()), int(np.median(values)))
+        index.aggregate_grouped(predicate, "count", "g")  # builds the tables
+        flipped = (codes + 1) % 4
+        index.attach_group_column("g", GroupColumn.from_codes(flipped, 4))
+        want = MirrorColumn(values, codes=flipped).grouped(predicate, "sum")
+        assert index.aggregate_grouped(predicate, "sum", "g") == want
 
     def test_update_patches_group_histograms(self):
         values, codes, index = _make_indexed()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DeltaAwareImprints
+from repro.core import ColumnImprints, DeltaAwareImprints
 from repro.indexes import SequentialScan
 from repro.predicate import RangePredicate
 from repro.storage import Column
@@ -155,6 +155,30 @@ class TestLogicalReads:
             1: 2_500 - 3 + 400 + 501,
         }
         assert index.values_at(np.array([101, 3, 50, 100])).tolist() == [501, 400, 50, 500]
+
+    def test_clean_reads_hand_over_to_the_base_pushdown(self, monkeypatch):
+        """With nothing pending, top-k and GROUP BY ride the base
+        index's sidecar pushdown (as aggregate and the first pages do),
+        before and after a consolidation: no answer is built."""
+        index = self.make()
+        index.delete(1)
+        consolidated = self.make()
+        consolidated.delete(1)
+        consolidated.consolidate()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a clean read built the whole answer")
+
+        for cls in (ColumnImprints, DeltaAwareImprints):
+            monkeypatch.setattr(cls, "query", refuse)
+        predicate = RangePredicate.range(10, 60, index.column.ctype)
+        assert consolidated.top_k(predicate, 3) == [59, 58, 57]
+        assert consolidated.aggregate_grouped(predicate, "sum", "g") == {
+            0: sum(range(10, 60, 2)),
+            1: sum(range(11, 60, 2)),
+        }
+        with pytest.raises(AssertionError, match="built the whole answer"):
+            index.top_k(predicate, 3)  # a pending delete still merges
 
     def test_consolidation_drops_deleted_group_rows(self):
         index = self.make()
