@@ -181,12 +181,9 @@ def run_planner_study(
                             f"static:{kind} answer differs from the imprints "
                             f"oracle on segment {segment!r}"
                         )
-        # The planner's verification doubles as its warm-up, run
-        # *sequentially* (one query per batch) so each decision sees the
-        # previous one's observation: a whole-segment batch would price
-        # all its same-shape predicates before a single wall-clock
-        # measurement lands, and exploration would advance one backend
-        # per pass instead of converging within the warm-up.
+        # The planner's verification doubles as its warm-up: every
+        # decision sees the previous predicate's observation, so
+        # exploration converges within it.
         for segment, column_name, predicates in segments:
             for want, predicate in zip(expected[segment], predicates):
                 got = planner_executor.query(column_name, predicate)

@@ -10,9 +10,10 @@ column:
 * ``serial``   — per-query :meth:`ColumnImprints.query` calls, the
   PR-1 state of the art and the baseline;
 * ``executor`` — the full serving stack: :class:`QueryExecutor`
-  micro-batching the stream into shared ``query_batch`` passes over a
-  :class:`ColumnImprints`, coalescing duplicate in-flight predicates
-  and caching hot results in the version-keyed LRU.
+  micro-batching the stream over a :class:`ColumnImprints` on its
+  worker pool, coalescing duplicate in-flight predicates (one
+  ``query`` per distinct predicate of a batch) and caching hot
+  results in the version-keyed LRU.
 
 Every answer of every mode is verified bit-identical (ids and stats)
 against the serial baseline before any number is reported.
@@ -121,7 +122,7 @@ def run_throughput_study(
     then cleared, so the timed window measures the serving architecture
     doing real work: hot predicates are answered from cache only after
     the engine computed them once inside the window, the cold tail
-    keeps hitting the batched kernels, and duplicate in-flight
+    keeps hitting the kernel, and duplicate in-flight
     submissions coalesce.  ``smoke`` shrinks the workload for CI
     wall-clock budgets while exercising every code path.  Returns a
     JSON-ready dict.
@@ -219,7 +220,7 @@ def render_throughput_study(result: dict) -> str:
     executor = result["modes"]["executor"]
     footer = (
         f"executor: {executor['kernel_queries']} kernel evaluations in "
-        f"{executor['batches']} shared passes, "
+        f"{executor['batches']} batches, "
         f"{executor['coalesced']} coalesced, "
         f"{executor['cache_hits']} cache hits"
     )

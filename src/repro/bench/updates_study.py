@@ -143,8 +143,8 @@ def saturation_study_rows(
         from ..predicate import RangePredicate
 
         predicate = RangePredicate.range(lo, hi, index.column.ctype)
-        candidates = index.candidates(predicate)
-        fraction = candidates.n_candidates / max(1, index.data.n_cachelines)
+        candidates = index.candidate_ranges(predicate)
+        fraction = candidates.n_cachelines / max(1, index.data.n_cachelines)
         rows.append(
             [applied, index.saturation, fraction, index.needs_rebuild]
         )

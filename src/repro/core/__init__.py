@@ -56,10 +56,7 @@ from .masks import cached_masks, edge_bins, make_masks
 from .multilevel import MultiLevelImprints
 from .parallel import build_imprints_parallel, partition_bounds
 from .query import (
-    CachelineCandidates,
     materialize_ranges,
-    query_batch,
-    query_cachelines,
     query_ranges,
     query_scalar,
     query_vectorized,
@@ -96,10 +93,7 @@ __all__ = [
     "query_scalar",
     "query_vectorized",
     "query_ranges",
-    "query_cachelines",
-    "query_batch",
     "materialize_ranges",
-    "CachelineCandidates",
     "CandidateRanges",
     "RowSet",
     "PageCursor",

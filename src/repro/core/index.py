@@ -41,13 +41,9 @@ from .builder import ImprintsBuilder, ImprintsData
 from .cursor import PageCursor
 from .dictionary import MAX_CNT
 from .query import (
-    CachelineCandidates,
-    _overlay_state,
     dense_span_or_ranges,
     first_ids_of_ranges,
     first_page_of_span,
-    query_batch,
-    query_cachelines,
     query_ranges,
     query_vectorized,
 )
@@ -194,7 +190,20 @@ class ColumnImprints(SecondaryIndex):
         if not self._overlay:
             return None
         if self._overlay_state is None:
-            self._overlay_state = _overlay_state(self.data, self._overlay)
+            data = self.data
+            lines = sorted(self._overlay)
+            bits = np.fromiter(
+                (self._overlay[line] for line in lines),
+                dtype=np.uint64,
+                count=len(lines),
+            )
+            lines = np.asarray(lines, dtype=np.int64)
+            keep = lines < data.n_cachelines
+            rows = data.dictionary.rows_of_cachelines(lines[keep])
+            self._overlay_state = (
+                lines[keep],
+                data.imprints[rows] | bits[keep],
+            )
         return self._overlay_state
 
     def query(self, predicate: RangePredicate) -> QueryResult:
@@ -214,24 +223,6 @@ class ColumnImprints(SecondaryIndex):
             predicate,
             overlay_state=self.overlay_state(),
         ).stamp_version(self.version)
-
-    def query_batch(self, predicates) -> list[QueryResult]:
-        """Answer many predicates with one shared stored-vector pass.
-
-        The traffic-serving shape: the mask tests for the whole batch
-        run as a single vectorised operation over the compressed index;
-        each answer is bit-identical to :meth:`query` on that predicate.
-        """
-        version = self.version
-        return [
-            result.stamp_version(version)
-            for result in query_batch(
-                self.data,
-                self.column.values,
-                predicates,
-                overlay_state=self.overlay_state(),
-            )
-        ]
 
     # ------------------------------------------------------------------
     # first pages — lazy materialisation off candidate ranges
@@ -416,16 +407,6 @@ class ColumnImprints(SecondaryIndex):
 
     def _dense_span_or_ranges(self, predicate: RangePredicate):
         return dense_span_or_ranges(
-            self.data, predicate, overlay_state=self.overlay_state()
-        )
-
-    def candidates(self, predicate: RangePredicate) -> CachelineCandidates:
-        """Exploded per-cacheline candidates (compatibility view).
-
-        Prefer :meth:`candidate_ranges` — this view materialises one
-        array element per candidate cacheline.
-        """
-        return query_cachelines(
             self.data, predicate, overlay_state=self.overlay_state()
         )
 

@@ -20,11 +20,9 @@ import numpy as np
 from ..index_base import QueryResult
 from .builder import ImprintsData
 from .index import ColumnImprints
-from .query import fresh_query_stats, materialize_ranges, ranges_for_masks
+from .query import _test_vectors, materialize_ranges, ranges_for_masks
 
 __all__ = ["in_list_masks", "query_in_list"]
-
-_U64 = np.uint64
 
 
 def in_list_masks(data: ImprintsData, members) -> tuple[int, int]:
@@ -74,20 +72,13 @@ def query_in_list(index: ColumnImprints, members) -> QueryResult:
     """
     data = index.data
     column = index.column
-    stats = fresh_query_stats(data)
-
-    mask, innermask = in_list_masks(data, members)
-    if mask == 0 or data.n_cachelines == 0:
-        return QueryResult(ids=np.empty(0, dtype=np.int64), stats=stats)
-
     # Single-value inner bins: a stored vector fully inside the
     # innermask proves its whole run qualifies wholesale.
+    stats, test = _test_vectors(data, *in_list_masks(data, members))
+    if test is None:
+        return QueryResult(ids=np.empty(0, dtype=np.int64), stats=stats)
     ranges = ranges_for_masks(
-        data,
-        _U64(mask),
-        _U64(~innermask & ((1 << 64) - 1)),
-        stats,
-        overlay_state=index.overlay_state(),
+        data, stats, *test, overlay_state=index.overlay_state()
     )
 
     member_array = np.unique(np.asarray(members, dtype=column.ctype.dtype))

@@ -17,10 +17,6 @@ Two implementations again:
 
 :func:`query_ranges` is the compressed-domain candidate kernel and
 returns :class:`~repro.core.ranges.CandidateRanges`.
-:func:`query_cachelines` survives as the exploded per-cacheline view of
-the same answer (Section 3's late-materialisation intermediate) for
-consumers that want id lists.  :func:`query_batch` shares the stored-
-vector pass across many predicates — the traffic-serving shape.
 :func:`dense_span_or_ranges` decides from the same stored-vector test
 whether a count or a first page scans the candidates' covering span
 once instead of building ranges (:func:`first_page_of_span`), and
@@ -36,8 +32,6 @@ plus the instrumentation counters of Figure 11.  Forcing
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,8 +51,6 @@ __all__ = [
     "query_scalar",
     "query_vectorized",
     "query_ranges",
-    "query_cachelines",
-    "query_batch",
     "ranges_for_masks",
     "dense_span_or_ranges",
     "first_page_of_span",
@@ -66,14 +58,10 @@ __all__ = [
     "materialize_ranges",
     "first_ids_of_ranges",
     "FIRST_WINDOW",
-    "CachelineCandidates",
 ]
 
 _U64 = np.uint64
 _LOW64 = (1 << 64) - 1
-#: Predicates tested per shared pass in :func:`query_batch`; bounds the
-#: hit/full matrices at O(chunk x stored vectors) regardless of batch size.
-_BATCH_CHUNK = 64
 
 
 # ----------------------------------------------------------------------
@@ -162,26 +150,6 @@ def fresh_query_stats(data: ImprintsData) -> QueryStats:
     return stats
 
 
-def _overlay_state(
-    data: ImprintsData, overlay: dict[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mask-independent overlay prework: sorted lines + overlaid vectors.
-
-    Computed once per batch — the sort, the stored-row lookup and the
-    bit OR do not depend on the query mask.
-    """
-    lines = np.fromiter(overlay.keys(), dtype=np.int64, count=len(overlay))
-    bits = np.fromiter(
-        (overlay[int(line)] for line in lines), dtype=_U64, count=lines.size
-    )
-    order = np.argsort(lines, kind="stable")
-    lines, bits = lines[order], bits[order]
-    keep = lines < data.n_cachelines
-    lines = lines[keep]
-    rows = data.dictionary.rows_of_cachelines(lines)
-    return lines, data.imprints[rows] | bits[keep]
-
-
 def _patch_overlay(
     state: tuple[np.ndarray, np.ndarray],
     mask64: np.uint64,
@@ -216,39 +184,49 @@ def _patch_overlay(
     return merged_starts[order], merged_stops[order], merged_full[order]
 
 
+def _test_vectors(data: ImprintsData, mask: int, innermask: int):
+    """Algorithm 3's one stored-vector test, shared by every kernel.
+
+    Returns ``(stats, test)``: the fresh counters and ``test =
+    (mask64, not_inner64, hit_rows, full_rows)``, the 64-bit masks and
+    each stored vector's hit and full flag.  ``test`` is ``None`` when
+    nothing can qualify (an empty mask or a column without cachelines),
+    the early return every caller takes with the same counters.
+    """
+    stats = fresh_query_stats(data)
+    if mask == 0 or data.n_cachelines == 0:
+        return stats, None
+    mask64 = _U64(mask)
+    # Complement within 64 bits: the stored vectors never set bits
+    # beyond the histogram width, so the high bits are immaterial.
+    not_inner64 = _U64(~innermask & _LOW64)
+    vectors = data.imprints
+    hit_rows = (vectors & mask64) != 0
+    full_rows = hit_rows & ((vectors & not_inner64) == 0)
+    return stats, (mask64, not_inner64, hit_rows, full_rows)
+
+
 def ranges_for_masks(
     data: ImprintsData,
+    stats: QueryStats,
     mask64: np.uint64,
     not_inner64: np.uint64,
-    stats: QueryStats,
-    overlay: dict[int, int] | None = None,
-    hit_rows: np.ndarray | None = None,
-    full_rows: np.ndarray | None = None,
+    hit_rows: np.ndarray,
+    full_rows: np.ndarray,
     overlay_state: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> CandidateRanges:
     """The run-level kernel shared by every compressed-domain path.
 
-    Tests each stored vector against the (already built) masks, maps
-    hits to their cacheline intervals via the dictionary's cached run
-    boundaries, applies the saturation overlay and coalesces.  Callers
-    that already computed the per-row hit/full flags or the overlay
-    prework (the batch path's shared pass) hand them in instead of
-    recomputing per predicate.
+    Maps the stored vectors the test hit (``hit_rows``, full where
+    ``full_rows``) to their cacheline intervals via the dictionary's
+    cached run boundaries, re-tests the saturation overlay's lines
+    against the masks and coalesces.
     """
-    vectors = data.imprints
-    if hit_rows is None:
-        hit_rows = (vectors & mask64) != 0
-    if full_rows is None:
-        full_rows = hit_rows & ((vectors & not_inner64) == 0)
-
     span_starts, span_stops = data.dictionary.row_cacheline_spans()
     hits = np.flatnonzero(hit_rows)
     starts = span_starts[hits]
     stops = span_stops[hits]
     full = full_rows[hits]
-
-    if overlay_state is None and overlay:
-        overlay_state = _overlay_state(data, overlay)
     if overlay_state is not None:
         starts, stops, full = _patch_overlay(
             overlay_state, mask64, not_inner64, starts, stops, full
@@ -260,34 +238,23 @@ def ranges_for_masks(
 def query_ranges(
     data: ImprintsData,
     predicate: RangePredicate,
-    overlay: dict[int, int] | None = None,
     overlay_state: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> CandidateRanges:
     """Candidate cacheline *ranges* for a predicate (compressed domain).
 
     One mask/innermask test per stored vector; qualifying vectors map to
     their ``[start, stop)`` cacheline intervals via the dictionary's
-    cached run boundaries.  ``overlay`` optionally maps cacheline
-    numbers to extra imprint bits set by in-place updates (Section 4.2
-    saturation); overlaid cachelines are re-tested individually.
-    Callers that keep the mask-independent overlay prework cached (the
-    index does, across queries) hand it in as ``overlay_state``.
+    cached run boundaries.  ``overlay_state`` is the index's cached
+    saturation overlay (:meth:`~repro.core.index.ColumnImprints.
+    overlay_state`): extra imprint bits set by in-place updates
+    (Section 4.2), whose cachelines are re-tested individually.
     """
-    mask, innermask = cached_masks(data.histogram, predicate)
-    stats = fresh_query_stats(data)
-    if mask == 0 or data.n_cachelines == 0:
-        return _empty_ranges(stats)
-
-    # Complement within 64 bits: the stored vectors never set bits
-    # beyond the histogram width, so the high bits are immaterial.
-    return ranges_for_masks(
-        data,
-        _U64(mask),
-        _U64(~innermask & _LOW64),
-        stats,
-        overlay,
-        overlay_state=overlay_state,
+    stats, test = _test_vectors(
+        data, *cached_masks(data.histogram, predicate)
     )
+    if test is None:
+        return _empty_ranges(stats)
+    return ranges_for_masks(data, stats, *test, overlay_state=overlay_state)
 
 
 #: A first page or ``COUNT`` scans the candidates' covering span densely
@@ -357,26 +324,17 @@ def dense_span_or_ranges(
     built from the same hit and full rows and ``(None, ranges)`` comes
     back, equal to :func:`query_ranges`.
     """
-    mask, innermask = cached_masks(data.histogram, predicate)
-    stats = fresh_query_stats(data)
-    if mask == 0 or data.n_cachelines == 0:
+    stats, test = _test_vectors(
+        data, *cached_masks(data.histogram, predicate)
+    )
+    if test is None:
         return None, _empty_ranges(stats)
-    mask64 = _U64(mask)
-    not_inner64 = _U64(~innermask & _LOW64)
-    vectors = data.imprints
-    hit_rows = (vectors & mask64) != 0
-    full_rows = hit_rows & ((vectors & not_inner64) == 0)
+    mask64, _, hit_rows, full_rows = test
     span = _dense_span(data, hit_rows, full_rows, mask64, overlay_state)
     if span is not None:
         return span, None
     return None, ranges_for_masks(
-        data,
-        mask64,
-        not_inner64,
-        stats,
-        hit_rows=hit_rows,
-        full_rows=full_rows,
-        overlay_state=overlay_state,
+        data, stats, *test, overlay_state=overlay_state
     )
 
 
@@ -516,129 +474,8 @@ def query_vectorized(
     data: ImprintsData,
     values: np.ndarray,
     predicate: RangePredicate,
-    overlay: dict[int, int] | None = None,
     overlay_state: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> QueryResult:
     """Compressed-domain Algorithm 3: ranges, then false-positive weeding."""
-    ranges = query_ranges(data, predicate, overlay, overlay_state=overlay_state)
+    ranges = query_ranges(data, predicate, overlay_state=overlay_state)
     return materialize_ranges(data, values, predicate.matches, ranges)
-
-
-# ----------------------------------------------------------------------
-# batched evaluation — one stored-vector pass, many predicates
-# ----------------------------------------------------------------------
-def query_batch(
-    data: ImprintsData,
-    values: np.ndarray,
-    predicates,
-    overlay: dict[int, int] | None = None,
-    overlay_state: tuple[np.ndarray, np.ndarray] | None = None,
-) -> list[QueryResult]:
-    """Answer many range predicates sharing one pass over the vectors.
-
-    The mask tests for all predicates run as a single 2-D bitwise
-    operation over the stored vectors (O(predicates x stored vectors)),
-    instead of re-reading the vector array per query; range mapping and
-    materialisation then proceed per predicate.  Answers (ids *and*
-    stats) are identical to calling :func:`query_vectorized` per
-    predicate — this is purely the serving-loop optimisation.
-    """
-    predicates = list(predicates)
-    results: list[QueryResult | None] = [None] * len(predicates)
-    if not predicates:
-        return []
-
-    masks = np.empty(len(predicates), dtype=_U64)
-    inners = np.empty(len(predicates), dtype=_U64)
-    active: list[int] = []
-    for i, predicate in enumerate(predicates):
-        mask, innermask = cached_masks(data.histogram, predicate)
-        if mask == 0 or data.n_cachelines == 0:
-            # Mirror query_ranges' early return, counters included.
-            results[i] = QueryResult(
-                ids=np.empty(0, dtype=np.int64), stats=fresh_query_stats(data)
-            )
-            continue
-        masks[len(active)] = _U64(mask)
-        inners[len(active)] = _U64(~innermask & _LOW64)
-        active.append(i)
-
-    masks = masks[: len(active)]
-    inners = inners[: len(active)]
-    vectors = data.imprints
-    if overlay_state is None and overlay and active:
-        overlay_state = _overlay_state(data, overlay)
-    # The shared pass: one 2-D bitwise op per chunk of predicates.  The
-    # chunk bound keeps the hit/full matrices at O(chunk x stored rows)
-    # so batch memory stays flat no matter how many predicates arrive.
-    for chunk_start in range(0, len(active), _BATCH_CHUNK):
-        chunk = slice(chunk_start, chunk_start + _BATCH_CHUNK)
-        hit_rows = (vectors[None, :] & masks[chunk, None]) != 0
-        full_rows = hit_rows & ((vectors[None, :] & inners[chunk, None]) == 0)
-
-        for j, i in enumerate(active[chunk]):
-            ranges = ranges_for_masks(
-                data,
-                masks[chunk_start + j],
-                inners[chunk_start + j],
-                fresh_query_stats(data),
-                hit_rows=hit_rows[j],
-                full_rows=full_rows[j],
-                overlay_state=overlay_state,
-            )
-            results[i] = materialize_ranges(
-                data, values, predicates[i].matches, ranges
-            )
-    return results  # type: ignore[return-value]
-
-
-# ----------------------------------------------------------------------
-# exploded per-cacheline view (compatibility / Section 3 intermediate)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class CachelineCandidates:
-    """The late-materialisation intermediate: qualifying cachelines.
-
-    The exploded (one element per cacheline) view of
-    :class:`~repro.core.ranges.CandidateRanges` — kept for consumers
-    that want flat id lists; the query engine itself stays in ranges.
-
-    Attributes
-    ----------
-    cachelines:
-        Sorted cacheline numbers whose imprint intersects the mask.
-    is_full:
-        Parallel flags: ``True`` where the innermask proved the whole
-        cacheline qualifies (no value check needed).
-    stats:
-        Probe counters accumulated while producing the candidates.
-    """
-
-    cachelines: np.ndarray
-    is_full: np.ndarray
-    stats: QueryStats
-
-    @property
-    def n_candidates(self) -> int:
-        return int(self.cachelines.shape[0])
-
-    @classmethod
-    def from_ranges(cls, ranges: CandidateRanges) -> "CachelineCandidates":
-        cachelines, is_full = ranges.explode()
-        return cls(cachelines=cachelines, is_full=is_full, stats=ranges.stats)
-
-
-def query_cachelines(
-    data: ImprintsData,
-    predicate: RangePredicate,
-    overlay: dict[int, int] | None = None,
-    overlay_state: tuple[np.ndarray, np.ndarray] | None = None,
-) -> CachelineCandidates:
-    """Candidate cachelines for a predicate (no value access at all).
-
-    The exploded view of :func:`query_ranges` — O(candidate cachelines)
-    output; prefer the range form for anything performance-sensitive.
-    """
-    return CachelineCandidates.from_ranges(
-        query_ranges(data, predicate, overlay, overlay_state=overlay_state)
-    )

@@ -9,9 +9,7 @@ id arrays: a run of a million identical cachelines is one range, not a
 million array elements.
 
 :class:`CandidateRanges` is the late-materialisation intermediate in
-this representation, the range analogue of
-:class:`repro.core.query.CachelineCandidates` (which survives as a thin
-exploded view for compatibility).  The module-level set operations —
+this representation.  The module-level set operations —
 intersection, union, difference — are what the multi-predicate paths
 (:mod:`repro.core.conjunction`) merge-join with; all of them are pure
 ``searchsorted``/``cumsum`` arithmetic on the interval endpoints, fully
@@ -302,9 +300,7 @@ class CandidateRanges:
     def explode(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-cacheline view: ``(cachelines, is_full)``, both sorted.
 
-        The compatibility bridge to :class:`CachelineCandidates`; costs
-        O(candidate cachelines), so the query kernels never call it —
-        only legacy consumers of exploded id lists do.
+        Costs O(candidate cachelines); the query kernels never call it.
         """
         lines = expand_ranges(self.starts, self.stops)
         is_full = np.repeat(self.full, self.stops - self.starts)

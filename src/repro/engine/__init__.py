@@ -8,10 +8,10 @@ Layers, bottom up:
   column, mutated in lockstep so any of them can serve any query;
 * :mod:`repro.engine.executor` — :class:`QueryExecutor` sends a miss
   to its worker pool at once when the column is idle and batches the
-  misses that arrive while one of the column's batches runs into the
-  next shared ``query_batch`` pass, coalesces identical in-flight
-  predicates, caches hot results in a version-keyed LRU, and picks each
-  batch's access path through the planner at dispatch time;
+  misses that arrive while one of the column's batches runs, coalesces
+  identical in-flight predicates into one ``query`` each, caches hot
+  results in a version-keyed LRU, and picks each predicate's access
+  path through the planner at dispatch time;
 * :mod:`repro.engine.cache` — the bounded LRU and the serving counters.
 """
 

@@ -162,10 +162,10 @@ class ExecutorStats:
         Result-cache outcomes: at submission, then once per distinct
         predicate of a batch (after coalescing).
     batches:
-        Shared ``query_batch`` passes executed.
+        Micro-batches that evaluated at least one predicate.
     batched_queries:
-        Predicates evaluated inside those shared passes — the work that
-        actually reached an index kernel.
+        Distinct predicates those batches evaluated, one ``query``
+        call each — the work that actually reached an index kernel.
     expired:
         Submissions whose deadline passed before their micro-batch (or
         aggregate task) ran — answered with

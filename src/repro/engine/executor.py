@@ -9,10 +9,10 @@ shapes the kernels below are fastest at:
   leaves for the worker pool at once; misses that arrive while one
   runs queue up and leave together, in ``max_batch`` chunks, when the
   column's running batches end (group commit: the batches clock
-  themselves, no timer waits).  Each batch is one ``query_batch``
-  pass, which shares the stored-vector mask tests across the batch;
+  themselves, no timer waits);
 * **request coalescing** — identical predicates inside a batch are
-  evaluated once and the result is shared by every waiter;
+  evaluated once, by one ``index.query`` call, and the result is
+  shared by every waiter;
 * **result caching** — a bounded LRU keyed by
   ``(column, predicate, index version)`` serves repeated hot queries
   without touching the index at all; version-tagged keys mean any
@@ -89,9 +89,7 @@ class QueryExecutor:
     ----------
     indexes:
         Optional initial ``name -> index`` registrations (any
-        :class:`SecondaryIndex`; column imprints get the fused batch
-        kernel, others fall back to per-query evaluation inside the
-        batch).
+        :class:`SecondaryIndex`).
     max_batch:
         Most submissions one batch carries; a longer queue leaves as
         several batches.
@@ -109,12 +107,11 @@ class QueryExecutor:
         Optional :class:`~repro.engine.planner.QueryPlanner`.  With a
         planner attached, a column registered as a
         :class:`~repro.engine.planner.MultiBackendIndex` has its access
-        path chosen *per predicate at batch dispatch time* — and the
-        batch is the observation point: each evaluated group's
-        wall-clock and observed selectivity feed the planner's
-        statistics, recalibrating the cost model so mispriced plans
-        self-correct.  Answers are bit-identical regardless of the
-        plan; only timings differ.
+        path chosen *per predicate at batch dispatch time*, and each
+        evaluated predicate's own wall-clock and observed selectivity
+        feed the planner's statistics, recalibrating the cost model so
+        mispriced plans self-correct.  Answers are bit-identical
+        regardless of the plan; only timings differ.
 
     Examples
     --------
@@ -630,63 +627,45 @@ class QueryExecutor:
             if to_run:
                 # Dispatch-time access-path choice: with a planner and a
                 # multi-backend column, every distinct predicate picks
-                # its backend here.  Each backend's sub-batch is
-                # evaluated (and timed) as one ``query_batch`` pass.
+                # its backend here, and that one call's wall-clock and
+                # observed selectivity are what the planner learns from.
                 planner = self.planner
                 backends = getattr(index, "backends", None)
-                exec_groups: dict[str | None, list[tuple]] = {}
+                routed = planner is not None and backends is not None
+                n_rows = len(index.column)
                 for predicate in to_run:
-                    if planner is not None and backends is not None:
+                    if routed:
                         choice = planner.choose(name, backends, predicate)
-                        exec_groups.setdefault(choice.backend, []).append(
-                            (predicate, choice)
+                        started = time.perf_counter()
+                        result = index.query(predicate, backend=choice.backend)
+                        seconds = time.perf_counter() - started
+                        planner.observe(
+                            name,
+                            choice,
+                            seconds=seconds,
+                            selectivity=result.count() / max(1, n_rows),
                         )
                     else:
-                        exec_groups.setdefault(None, []).append((predicate, None))
-
-                n_rows = len(index.column)
-                for backend, members in exec_groups.items():
-                    predicates = [predicate for predicate, _ in members]
-                    started = time.perf_counter()
-                    if backend is None:
-                        answers = index.query_batch(predicates)
-                    else:
-                        answers = index.query_batch(predicates, backend=backend)
-                    elapsed = time.perf_counter() - started
-                    # The batch is the observation point:
-                    # the batch's wall-clock (split evenly across its
-                    # predicates — they shared one pass) and each
-                    # answer's observed selectivity feed the planner's
-                    # EWMA statistics and model recalibration.
-                    share = elapsed / max(1, len(predicates))
-                    for (predicate, choice), result in zip(members, answers):
-                        result.freeze()
-                        results[predicate] = result
-                        if choice is not None:
-                            planner.observe(
-                                name,
-                                choice,
-                                seconds=share,
-                                selectivity=result.count() / max(1, n_rows),
+                        result = index.query(predicate)
+                    result.freeze()
+                    results[predicate] = result
+                    if version is not None:
+                        # Weight = the compact RowSet footprint (range
+                        # endpoints + exceptions), not the expanded id
+                        # array: a byte budget holds orders of magnitude
+                        # more high-selectivity answers.  When a consumer
+                        # later forces ``.ids`` or pages (memoising rank
+                        # arrays), the hook re-charges the entry its real
+                        # pinned footprint, keeping the budget honest.
+                        cache_key = (name, predicate, version)
+                        self._cache.put(
+                            cache_key, result, weight=int(result.nbytes)
+                        )
+                        result.on_materialize(
+                            lambda nbytes, k=cache_key: self._cache.reweight(
+                                k, int(nbytes)
                             )
-                        if version is not None:
-                            # Weight = the compact RowSet footprint
-                            # (range endpoints + exceptions), not the
-                            # expanded id array: a byte budget holds
-                            # orders of magnitude more high-selectivity
-                            # answers.  When a consumer later forces
-                            # ``.ids`` or pages (memoising rank arrays),
-                            # the hook re-charges the entry its real
-                            # pinned footprint, keeping the budget honest.
-                            cache_key = (name, predicate, version)
-                            self._cache.put(
-                                cache_key, result, weight=int(result.nbytes)
-                            )
-                            result.on_materialize(
-                                lambda nbytes, k=cache_key: self._cache.reweight(
-                                    k, int(nbytes)
-                                )
-                            )
+                        )
                 self.stats.bump(batches=1, batched_queries=len(to_run))
 
             for predicate, futures in groups.items():

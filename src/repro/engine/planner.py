@@ -28,12 +28,12 @@ Three pieces:
 
 * :class:`QueryPlanner` — prices every candidate backend for each
   predicate using the cost model *plus* observed statistics, picks the
-  cheapest, and self-corrects: after each executor batch the observed
-  wall-clock updates (a) the shape's per-backend EWMA and (b) a
+  cheapest, and self-corrects: after each evaluated predicate its
+  observed wall-clock updates (a) the shape's per-backend EWMA and (b) a
   per-backend EWMA calibration factor (observed seconds over
   model-predicted seconds), i.e. the model's constants are recalibrated
   (:meth:`~repro.sim.cost.CostModel.scaled`) so a mispriced plan loses
-  its pricing advantage within a few batches.  Greedy pricing alone can
+  its pricing advantage within a few queries.  Greedy pricing alone can
   *starve* a backend — one noisy first measurement (or a model that
   never flatters it) and the cheapest path is never sampled again — so
   each column goes through a short forced-exploration phase first:
@@ -236,17 +236,8 @@ class PlanStatistics:
         backend: str,
         seconds: float,
         selectivity: float,
-        weight: int = 1,
     ) -> None:
-        """Fold one observation into the key's estimates.
-
-        ``weight`` is the number of queries the measurement averaged
-        over (an executor batch's per-query share): a share from a
-        large coalesced batch amortises fixed overheads and is far less
-        noisy than a single-query sample, so it counts as ``weight``
-        samples and moves the estimate correspondingly further.
-        """
-        weight = max(1, int(weight))
+        """Fold one query's observation into the key's estimates."""
         record = self.ensure(column, shape)
         record.selectivity = self._ewma(record.selectivity, selectivity)
         n = record.counts.get(backend, 0)
@@ -268,18 +259,17 @@ class PlanStatistics:
         else:
             # Upward moves are where noise does its damage: believing
             # thin evidence of a slowdown is how a correct incumbent
-            # gets inflated out of its seat.  They need weight — a lone
-            # sample barely registers; a heavy batch share (or a real
-            # regime change sustained across batches) pushes through,
-            # clamped to 1.5x per update so even two anomalous batches
-            # in a row cannot flip a clear winner.
-            alpha = min(0.5, 1.0 - (1.0 - EWMA_ALPHA) ** weight)
-            alpha *= min(1.0, weight / WARMUP)
+            # gets inflated out of its seat.  A lone sample moves the
+            # estimate by only EWMA_ALPHA / WARMUP of the gap; a real
+            # regime change pushes through only when sustained across
+            # queries, and each move is clamped to 1.5x so a few
+            # anomalous samples in a row cannot flip a clear winner.
+            alpha = EWMA_ALPHA / WARMUP
             updated = (1.0 - alpha) * old + alpha * seconds
             record.seconds[backend] = min(updated, 1.5 * old)
-        record.counts[backend] = n + weight
+        record.counts[backend] = n + 1
         key = (column, backend)
-        self._column_counts[key] = self._column_counts.get(key, 0) + weight
+        self._column_counts[key] = self._column_counts.get(key, 0) + 1
         self.observations += 1
         self._column_last_obs[key] = self.observations
 
@@ -322,7 +312,7 @@ class QueryPlanner:
       challenger must price below ``incumbent * (1 - HYSTERESIS)`` to
       unseat the shape's incumbent backend.  Near-tied backends differ
       by less than the measurement noise, and without a margin the
-      decision flips on every noisy batch.
+      decision flips on every noisy sample.
     * :data:`REFRESH_EVERY` / :data:`REFRESH_WITHIN` — the
       anti-fossilisation valve.  Greedy always runs the winner, so a
       loser's estimate goes stale — and if the loser is actually the
@@ -544,29 +534,23 @@ class QueryPlanner:
         *,
         seconds: float,
         selectivity: float,
-        weight: int = 1,
     ) -> None:
         """Fold one executed plan's outcome back into the statistics.
 
-        Updates the shape's selectivity and per-backend seconds EWMAs
-        (``weight`` = the batch size the per-query ``seconds`` share was
-        averaged over — see :meth:`PlanStatistics.record`), and
-        recalibrates the chosen backend's model constants: the EWMA
-        of ``observed / predicted`` becomes the factor
-        :meth:`calibrated_model` applies, so a plan the model priced 10x
-        too cheap stops looking cheap after a few batches.
+        ``seconds`` is that one query's wall-clock.  Updates the shape's
+        selectivity and per-backend seconds EWMAs
+        (:meth:`PlanStatistics.record`), and recalibrates the chosen
+        backend's model constants: the EWMA of ``observed / predicted``
+        becomes the factor :meth:`calibrated_model` applies, so a plan
+        the model priced 10x too cheap stops looking cheap after a few
+        queries.
         Recalibration only ever changes *pricing* — answers come from
         whichever backend runs, and all backends are differentially
         bit-identical.
         """
         with self._lock:
             self.statistics.record(
-                name,
-                choice.shape,
-                choice.backend,
-                seconds,
-                selectivity,
-                weight=weight,
+                name, choice.shape, choice.backend, seconds, selectivity
             )
             predicted = choice.model_seconds.get(choice.backend)
             if predicted is not None and predicted > 0 and seconds >= 0:
@@ -735,13 +719,6 @@ class MultiBackendIndex(SecondaryIndex):
         return self.resolve(backend).query(predicate).stamp_version(
             self.version
         )
-
-    def query_batch(
-        self, predicates, *, backend: str | None = None
-    ) -> list[QueryResult]:
-        results = self.resolve(backend).query_batch(predicates)
-        version = self.version
-        return [result.stamp_version(version) for result in results]
 
     def aggregate(self, predicate: RangePredicate, op: str):
         """Aggregate pushdown always rides the primary (the sidecar)."""

@@ -653,11 +653,8 @@ class SecondaryIndex(ABC):
     def query_batch(self, predicates) -> list[QueryResult]:
         """Answer many predicates; one result per predicate, in order.
 
-        The base implementation just loops :meth:`query`.  Indexes that
-        can share work across a batch (column imprints share the
-        stored-vector pass) override this with a fused kernel, so
-        serving loops can always call ``query_batch`` and get whatever
-        batching the index supports.
+        One :meth:`query` per predicate: each answer equals the
+        predicate's own :meth:`query`.
         """
         return [self.query(predicate) for predicate in predicates]
 

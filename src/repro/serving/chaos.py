@@ -40,9 +40,16 @@ __all__ = ["ChaosConfig", "ChaosIndex", "install_chaos"]
 class ChaosConfig:
     """What to inject, how often.  ``0`` disables an injector.
 
-    Frequencies count *kernel evaluations* (``query`` / ``query_batch``
-    / ``aggregate`` / ``page`` / ``first_page`` / ``candidate_ranges``
-    calls), so runs are reproducible regardless of timing.
+    Frequencies count *kernel evaluations*, so runs are reproducible
+    regardless of timing.  One evaluation is one call of ``query`` (the
+    executor makes one per distinct predicate it evaluates),
+    ``aggregate``, ``aggregate_grouped``, ``top_k``, ``page``,
+    ``first_page`` or ``candidate_ranges``.
+
+    ``mutate_every`` appends rows to the value column only, never to
+    its attached group columns, so the next GROUP BY read refuses with
+    a misaligned group column: leave it at ``0`` in any configuration
+    whose traffic reads groups.
     """
 
     kernel_latency: float = 0.0
@@ -102,7 +109,7 @@ class ChaosIndex:
         """One evaluation: decide the faults, then inject them.
 
         Counter updates happen under a lock (worker threads evaluate
-        batches concurrently); the sleeps happen outside it so a stall
+        concurrently); the sleeps happen outside it so a stall
         never serialises the whole pool behind one injected fault.
         """
         with self._lock:
@@ -153,14 +160,10 @@ class ChaosIndex:
     # instrumented evaluation entry points
     # ------------------------------------------------------------------
     def query(self, predicate, **kwargs):
-        self._tick()
-        return self._inner.query(predicate, **kwargs)
-
-    def query_batch(self, predicates, **kwargs):
         # ``backend=`` reaches here from a planner-routed executor,
         # which sees the wrapped index's ``backends`` through delegation.
         self._tick()
-        return self._inner.query_batch(predicates, **kwargs)
+        return self._inner.query(predicate, **kwargs)
 
     def candidate_ranges(self, predicate):
         self._tick()
@@ -169,6 +172,14 @@ class ChaosIndex:
     def aggregate(self, predicate, op: str):
         self._tick()
         return self._inner.aggregate(predicate, op)
+
+    def aggregate_grouped(self, predicate, op: str, group_by: str):
+        self._tick()
+        return self._inner.aggregate_grouped(predicate, op, group_by)
+
+    def top_k(self, predicate, k: int):
+        self._tick()
+        return self._inner.top_k(predicate, k)
 
     def page(self, predicate, limit: int):
         self._tick()

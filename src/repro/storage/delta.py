@@ -57,12 +57,16 @@ class DeltaColumn:
         self._deleted.add(int(value_id))
         self._updated.pop(int(value_id), None)
 
-    def update(self, value_id: int, value) -> None:
-        """Record an in-place update of one id."""
+    def check_update(self, value_id: int) -> None:
+        """Raise what :meth:`update` would for ``value_id``; record nothing."""
         if not 0 <= value_id < self.n_rows:
             raise IndexError(f"id {value_id} out of range [0, {self.n_rows})")
         if value_id in self._deleted:
             raise ValueError(f"id {value_id} was deleted; cannot update it")
+
+    def update(self, value_id: int, value) -> None:
+        """Record an in-place update of one id."""
+        self.check_update(value_id)
         self._updated[int(value_id)] = value
 
     # ------------------------------------------------------------------

@@ -389,13 +389,15 @@ class DurableStore:
         return acked
 
     def update(self, name: str, row_id: int, value) -> bool:
-        """Durably update one row in place."""
+        """Durably update one row in place.
+
+        A row the delta would refuse (out of range, or deleted) is
+        refused before the record is logged: a logged record must
+        replay, locally and on every follower.
+        """
         index = self.index(name)
         delta = index.delta
-        if not 0 <= row_id < delta.n_rows:
-            raise IndexError(
-                f"id {row_id} out of range [0, {delta.n_rows})"
-            )
+        delta.check_update(row_id)
         dtype = delta.base.ctype.dtype
         cast_value = np.asarray(value, dtype=dtype)[()]
         self.wal.append(WalRecord.update(name, row_id, cast_value, dtype))

@@ -175,3 +175,4 @@ class TestReplicationCommands:
         finally:
             address["loop"].call_soon_threadsafe(address["stop"].set)
             thread.join(timeout=5.0)
+            store.close()

@@ -18,7 +18,6 @@ from repro.core import (
     binning,
     conjunctive_query,
     disjunctive_query,
-    query_batch,
     query_in_list,
     query_ranges,
     query_scalar,
@@ -58,7 +57,7 @@ def assert_same_result(a, b):
 
 
 # ----------------------------------------------------------------------
-# three-way differential: scalar vs range-based vs batch
+# three-way differential: scalar vs range-based vs the index's batch API
 # ----------------------------------------------------------------------
 class TestThreeWayDifferential:
     @pytest.mark.parametrize("make", [make_random, make_clustered])
@@ -66,12 +65,13 @@ class TestThreeWayDifferential:
     def test_scalar_vectorized_batch_agree(self, make, seed):
         column = Column(make(6_000, np.int32, seed=seed))
         data = build_data(column, seed=seed)
+        index = ColumnImprints(column, rng=np.random.default_rng(seed))
         generator = np.random.default_rng(seed)
         predicates = []
         for _ in range(12):
             lo, hi = np.sort(generator.integers(-5_000, 120_000, 2))
             predicates.append(RangePredicate.range(int(lo), int(hi), INT))
-        batched = query_batch(data, column.values, predicates)
+        batched = index.query_batch(predicates)
         for predicate, from_batch in zip(predicates, batched):
             scalar = query_scalar(data, column.values, predicate)
             vectorised = query_vectorized(data, column.values, predicate)
@@ -108,19 +108,20 @@ class TestThreeWayDifferential:
     def test_batch_empty_and_mixed(self):
         column = Column(make_random(2_000, np.int32, seed=30))
         data = build_data(column)
+        index = ColumnImprints(column, rng=np.random.default_rng(0))
         predicates = [
             RangePredicate(9, 9),  # empty
             RangePredicate.everything(),
             RangePredicate.range(0, 1, INT),  # likely miss
             RangePredicate.range(10_000, 50_000, INT),
         ]
-        batched = query_batch(data, column.values, predicates)
+        batched = index.query_batch(predicates)
         assert len(batched) == len(predicates)
         for predicate, result in zip(predicates, batched):
             assert_same_result(
                 result, query_vectorized(data, column.values, predicate)
             )
-        assert query_batch(data, column.values, []) == []
+        assert index.query_batch([]) == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -136,14 +137,12 @@ def test_batch_equals_ground_truth_property(seed, n, lo, width):
     generator = np.random.default_rng(seed)
     values = generator.integers(0, 100, n).astype(np.int16)
     column = Column(values)
-    data = build_data(column, seed=seed)
+    index = ColumnImprints(column, rng=np.random.default_rng(seed))
     predicates = [
         RangePredicate.range(lo, lo + width, column.ctype),
         RangePredicate.range(lo + width // 2, lo + width, column.ctype),
     ]
-    for predicate, result in zip(
-        predicates, query_batch(data, column.values, predicates)
-    ):
+    for predicate, result in zip(predicates, index.query_batch(predicates)):
         assert np.array_equal(result.ids, ground_truth(column, predicate))
 
 
@@ -165,28 +164,18 @@ class TestOverlayPath:
             result = index.query(predicate)
             assert np.array_equal(result.ids, ground_truth(index.column, predicate))
 
-    def test_overlay_batch_matches_single(self):
-        column = Column(make_random(5_000, np.int32, seed=41))
-        index = ColumnImprints(column)
-        generator = np.random.default_rng(41)
-        for position in generator.integers(0, len(column), 40):
-            index.note_update(int(position), int(generator.integers(0, 100_000)))
-        predicates = [
-            RangePredicate.range(int(lo), int(hi), INT)
-            for lo, hi in np.sort(generator.integers(0, 100_000, (8, 2)), axis=1)
-        ]
-        for predicate, batched in zip(predicates, index.query_batch(predicates)):
-            assert_same_result(batched, index.query(predicate))
-
     def test_overlay_adds_range_candidates(self):
         # Values 10..59: a query below the domain matches no imprint
         # until an update saturates a cacheline's overlay bits.
         column = Column((np.arange(320, dtype=np.int32) % 50) + 10)
-        data = build_data(column)
+        index = ColumnImprints(column)
         predicate = RangePredicate.range(0, 5, INT)
-        base = query_ranges(data, predicate)
-        assert base.n_ranges == 0
-        poked = query_ranges(data, predicate, overlay={3: 1 << 0})
+        assert query_ranges(index.data, predicate).n_ranges == 0
+        # The new value lands in the underflow bin 0.
+        index.note_update(3 * column.values_per_cacheline, 1)
+        poked = query_ranges(
+            index.data, predicate, overlay_state=index.overlay_state()
+        )
         lines, _ = poked.explode()
         assert 3 in set(lines.tolist())
 
@@ -229,8 +218,6 @@ class TestNoExpansionOnQueryPath:
         predicate_b = RangePredicate.range(10_000, 60_000, INT)
 
         index_a.query(predicate_a)
-        index_a.query_batch([predicate_a, predicate_b])
-        index_a.candidates(predicate_a)
         index_a.candidate_ranges(predicate_a)
         query_in_list(index_a, [5_000, 5_001, 9_999])
         conjunctive_query([index_a, index_b], [predicate_a, predicate_b])

@@ -15,7 +15,10 @@ from repro.storage.durability import (
     DurableStore,
     FaultConfig,
     FaultyFileSystem,
+    LocalShipSource,
     MemoryFileSystem,
+    ReplicaStore,
+    ReplicationPrimary,
     wal_name,
 )
 
@@ -88,6 +91,31 @@ class TestCleanLifecycle:
             if i not in deleted and 0 <= v < 50
         ]
         assert result.ids.tolist() == expected
+
+    def test_a_refused_update_logs_nothing(self, fs):
+        # An update of a deleted row is refused before its record is
+        # logged: a logged record that cannot replay would quarantine
+        # the column on reopen and diverge every follower.
+        store = seed_store(fs)
+        replica = ReplicaStore(
+            "follower", "t", LocalShipSource(ReplicationPrimary(store)),
+            fs=MemoryFileSystem(),
+        )
+        replica.catch_up()
+        store.delete("x", 5)
+        logged = store.wal.seq
+        with pytest.raises(ValueError, match="was deleted"):
+            store.update("x", 5, 42)
+        assert store.wal.seq == logged
+        assert replica.poll() == 1
+        expected = logical(store)
+        assert np.array_equal(logical(replica), expected)
+        store.close()
+
+        reopened = open_store(fs)
+        assert reopened.report.clean
+        assert reopened.quarantined == {}
+        assert np.array_equal(logical(reopened), expected)
 
     def test_epoch_increments_on_every_open(self, fs):
         seed_store(fs).close()

@@ -188,7 +188,7 @@ class TestExecutorEquivalence:
 # dispatch: batches clock themselves
 # ----------------------------------------------------------------------
 class HoldsFirstBatch:
-    """Delegating proxy whose first batch waits inside the kernel until
+    """Delegating proxy whose first query waits inside the kernel until
     ``release`` is set, so its column has a batch running."""
 
     def __init__(self, inner) -> None:
@@ -199,11 +199,11 @@ class HoldsFirstBatch:
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
-    def query_batch(self, predicates):
+    def query(self, predicate):
         if not self.held.is_set():
             self.held.set()
             self.release.wait(timeout=5)
-        return self._inner.query_batch(predicates)
+        return self._inner.query(predicate)
 
 
 def hold_a_batch(executor, kernel) -> Future:
@@ -465,7 +465,7 @@ class CancelsAfterTheCheck(Future):
 
 
 class FailingKernel:
-    """Delegating proxy whose batch kernel raises."""
+    """Delegating proxy whose kernel raises."""
 
     def __init__(self, inner) -> None:
         self._inner = inner
@@ -473,7 +473,7 @@ class FailingKernel:
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
-    def query_batch(self, predicates):
+    def query(self, predicate):
         raise RuntimeError("kernel failed")
 
 

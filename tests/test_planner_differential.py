@@ -16,11 +16,16 @@ oracle:
 * recalibration (even from wildly mispriced models) changes only
   pricing and timings, never ids;
 * the feedback loop converges away from a mispriced backend within a
-  bounded number of batches, and the observation store's memory stays
-  bounded under high-cardinality streams.
+  bounded number of queries, and the observation store's memory stays
+  bounded under high-cardinality streams;
+* the executor observes each predicate it evaluates once, with that
+  predicate's own seconds.
 """
 
 from __future__ import annotations
+
+import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -37,6 +42,7 @@ from repro.engine import (
 from repro.engine import planner as planner_module
 from repro.bench.regression import gate
 from repro.core import ColumnImprints
+from repro.errors import DeadlineExceeded
 from repro.indexes import SequentialScan
 from repro.predicate import RangePredicate
 from repro.sim import CostModel
@@ -109,7 +115,7 @@ def mispricing(monkeypatch) -> tuple[QueryPlanner, dict]:
 class TestFeedbackLoop:
     def test_converges_away_from_mispriced_backend(self, mispricing):
         """Closed loop: the model's favourite is slow in practice (10 ms
-        a batch; everything else runs in 1 ms).  Exploration samples
+        a query; everything else runs in 1 ms).  Exploration samples
         every backend, then greedy pricing must settle away from the
         favourite and *stay* there — the satellite-3 convergence bound:
         settled within ``4 * EXPLORE_COUNT + 4`` rounds, sticky for the
@@ -251,6 +257,18 @@ class TestFeedbackLoop:
         # The survivors are the most recently touched keys.
         assert store.get("col49", ("range", 19)) is None or True
 
+    def test_one_sample_moves_an_estimate_up_by_alpha_over_warmup(self):
+        """Past warm-up a slower sample moves the estimate by exactly
+        ``EWMA_ALPHA / WARMUP`` of the gap, and each sample counts once."""
+        store = PlanStatistics()
+        for _ in range(planner_module.WARMUP):
+            store.record("f", ("point",), "scan", 1e-3, 0.1)
+        store.record("f", ("point",), "scan", 2e-3, 0.1)
+        record = store.get("f", ("point",))
+        assert record.seconds["scan"] == 0.9375 * 1e-3 + 0.0625 * 2e-3
+        assert record.counts["scan"] == planner_module.WARMUP + 1
+        assert store.column_count("f", "scan") == planner_module.WARMUP + 1
+
     def test_planner_stats_payload_shape(self, mispricing):
         planner, backends = mispricing
         pred = RangePredicate.range(10, 20, LONG)
@@ -263,6 +281,82 @@ class TestFeedbackLoop:
         assert payload["tracked_shapes"] >= 1
         assert payload["shape_capacity"] == planner_module.SHAPE_CAPACITY
         assert choice.backend in payload["calibration"]
+
+
+class RecordingPlanner(QueryPlanner):
+    """A planner that records each observation with its predicate."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.chosen: dict[int, RangePredicate] = {}
+        self.observed: list[tuple[RangePredicate, float]] = []
+
+    def choose(self, name, backends, predicate):
+        choice = super().choose(name, backends, predicate)
+        self.chosen[id(choice)] = predicate
+        return choice
+
+    def observe(self, name, choice, *, seconds, selectivity):
+        self.observed.append((self.chosen[id(choice)], seconds))
+        super().observe(name, choice, seconds=seconds, selectivity=selectivity)
+
+
+class DelayedQueries:
+    """Delegating proxy whose ``query`` sleeps a per-predicate delay."""
+
+    def __init__(self, inner, delays) -> None:
+        self._inner = inner
+        self.delays = delays
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def query(self, predicate, **kwargs):
+        time.sleep(self.delays.get(predicate, 0.0))
+        return self._inner.query(predicate, **kwargs)
+
+
+class TestExecutorObservations:
+    def test_one_observation_per_evaluated_predicate(self):
+        """A batch observes each distinct predicate it evaluates once,
+        with that evaluation's own seconds; a coalesced duplicate, a
+        cache hit and an expired waiter observe nothing."""
+        column = Column(
+            np.arange(20_000, dtype=np.int64) % 97, ctype=LONG, name="f"
+        )
+        slow, fast, cached, expired = (
+            RangePredicate.range(low, low + 10, LONG) for low in (0, 20, 40, 60)
+        )
+        index = DelayedQueries(MultiBackendIndex.for_column(column), {slow: 0.1})
+        planner = RecordingPlanner()
+        with QueryExecutor({"f": index}, planner=planner) as executor:
+            executor.query("f", cached)
+            planner.observed.clear()
+            executor.stats.reset()
+            futures = [Future() for _ in range(5)]
+            executor._run_batch(
+                "f",
+                [
+                    (slow, futures[0], None),
+                    (fast, futures[1], None),
+                    (slow, futures[2], None),
+                    (cached, futures[3], None),
+                    (expired, futures[4], time.monotonic() - 1.0),
+                ],
+            )
+        assert [predicate for predicate, _ in planner.observed] == [slow, fast]
+        seconds = dict(planner.observed)
+        # An even split of the batch's wall clock would give each half.
+        assert seconds[slow] >= 0.1
+        assert seconds[fast] < 0.05
+        for future, predicate in zip(futures, (slow, fast, slow, cached)):
+            want = np.flatnonzero(predicate.matches(column.values))
+            assert np.array_equal(future.result(timeout=0).ids, want)
+        with pytest.raises(DeadlineExceeded):
+            futures[4].result(timeout=0)
+        stats = executor.stats
+        assert (stats.batches, stats.batched_queries) == (1, 2)
+        assert (stats.coalesced, stats.expired, stats.cache_hits) == (1, 1, 1)
 
 
 class TestForcedPlanSeams:

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ImprintsBuilder, binning, query_cachelines, query_scalar
+from repro.core import (
+    ColumnImprints,
+    ImprintsBuilder,
+    binning,
+    query_ranges,
+    query_scalar,
+)
 from repro.core.query import query_vectorized
 from repro.predicate import RangePredicate
 from repro.storage import Column, DOUBLE, INT
@@ -139,20 +145,20 @@ class TestCandidates:
         data = build_data(column)
         lo, hi = np.quantile(column.values, [0.45, 0.55])
         predicate = RangePredicate.range(int(lo), int(hi), INT)
-        candidates = query_cachelines(data, predicate)
+        lines, _ = query_ranges(data, predicate).explode()
         truth_lines = np.unique(
             ground_truth(column, predicate) // column.values_per_cacheline
         )
-        assert np.all(np.isin(truth_lines, candidates.cachelines))
+        assert np.all(np.isin(truth_lines, lines))
 
     def test_full_flags_are_sound(self):
         column = Column(make_clustered(6_000, np.int32, seed=15))
         data = build_data(column)
         lo, hi = np.quantile(column.values, [0.2, 0.8])
         predicate = RangePredicate.range(int(lo), int(hi), INT)
-        candidates = query_cachelines(data, predicate)
+        lines, is_full = query_ranges(data, predicate).explode()
         vpc = column.values_per_cacheline
-        for line in candidates.cachelines[candidates.is_full]:
+        for line in lines[is_full]:
             chunk = column.values[line * vpc : (line + 1) * vpc]
             assert predicate.matches(chunk).all()
 
@@ -160,15 +166,14 @@ class TestCandidates:
         # Values 10..59: bin 0 is the (empty) underflow bin, so a query
         # below the domain matches no imprint.
         column = Column((np.arange(320, dtype=np.int32) % 50) + 10)
-        data = build_data(column)
+        index = ColumnImprints(column)
         predicate = RangePredicate.range(0, 5, INT)
-        base = query_cachelines(data, predicate)
-        assert base.n_candidates == 0
+        assert index.candidate_ranges(predicate).n_cachelines == 0
         # An update writes an out-of-range value into cacheline 3: its
         # overlay bit makes the cacheline a candidate again.
-        overlay = {3: 1 << 0}
-        poked = query_cachelines(data, predicate, overlay=overlay)
-        assert 3 in set(poked.cachelines.tolist())
+        index.note_update(3 * column.values_per_cacheline + 2, 0)
+        lines, _ = index.candidate_ranges(predicate).explode()
+        assert 3 in set(lines.tolist())
 
 
 @settings(max_examples=60, deadline=None)

@@ -54,10 +54,6 @@ class SlowIndex:
         time.sleep(self._delay)
         return self._inner.query(predicate)
 
-    def query_batch(self, predicates):
-        time.sleep(self._delay)
-        return self._inner.query_batch(predicates)
-
     def aggregate(self, predicate, op):
         time.sleep(self._delay)
         return self._inner.aggregate(predicate, op)

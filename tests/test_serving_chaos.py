@@ -104,6 +104,28 @@ class TestChaosIndex:
         assert payload["count"] == index.query_range(LOW, HIGH).n_ids
         assert wrapper.evaluations == 1
 
+    def test_grouped_and_top_k_reads_are_faulted_evaluations(self):
+        service, index, wrapper = make_stack(ChaosConfig())
+        index.attach_group_column("g", np.arange(len(index.column)) % 7)
+        predicate = service.executor.predicate("v", LOW, HIGH)
+        assert wrapper.aggregate_grouped(predicate, "count", "g") == (
+            index.aggregate_grouped(predicate, "count", "g")
+        )
+        assert wrapper.evaluations == 1
+        assert wrapper.top_k(predicate, 5) == index.top_k(predicate, 5)
+        assert wrapper.evaluations == 2
+
+    def test_a_batch_ticks_once_per_distinct_predicate(self):
+        service, index, wrapper = make_stack(ChaosConfig())
+        executor = service.executor
+        first = executor.predicate("v", LOW, HIGH)
+        second = executor.predicate("v", LOW + 1, HIGH)
+        futures = executor.submit_many("v", [first, second, first, second])
+        for future in futures:
+            future.result(timeout=5)
+        assert wrapper.evaluations == 2
+        executor.close()
+
     def test_config_is_validated(self):
         with pytest.raises(ValueError):
             ChaosConfig(kernel_latency=-0.1)

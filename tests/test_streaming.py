@@ -621,7 +621,6 @@ class TestFirstPage:
 
         for cls in (ColumnImprints, DeltaAwareImprints):
             monkeypatch.setattr(cls, "query", refuse)
-            monkeypatch.setattr(cls, "query_batch", refuse)
         if read == "executor /page":
             with QueryExecutor({"c": index}) as executor:
                 ids, cursor = executor.query_paged("c", predicate, 100)
